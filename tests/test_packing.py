@@ -1,13 +1,22 @@
+import functools
+import hashlib
+import json
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treepack.cli import _certificate_digest
 from treepack.connectivity import edge_connectivity
+from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
+    add_edges,
+    complete_bipartite,
     complete_graph,
+    complete_minus_matching,
     crossing_edges,
     cycle_graph,
     disjoint_union,
@@ -18,6 +27,7 @@ from treepack.graphs import (
 )
 from treepack.packing import (
     TreePackingResult,
+    _Packer,
     count_spanning_trees,
     count_spanning_trees_exhaustive,
     pack_trees,
@@ -26,6 +36,7 @@ from treepack.packing import (
     verify_certificate,
     verify_pack_result,
 )
+from treepack.randgen import GenConfig, random_regular
 
 
 @st.composite
@@ -271,3 +282,112 @@ def test_random_stress_against_oracle():
         res = sigma(g)
         assert res.sigma == sigma_bruteforce(g).sigma
         assert verify_certificate(g, res).ok
+
+
+# ---------------------------------------------------------------------------
+# Determinism gate: the packer's output, down to the order of the trees and
+# of the witness blocks, is pinned by hashes recorded before the rooted-forest
+# path query replaced the per-query BFS.  A packer change that alters any
+# tree, witness or certificate digest on this corpus fails here.
+
+
+@functools.cache
+def _determinism_corpus():
+    corpus = {
+        "K4": complete_graph(4),
+        "K5": complete_graph(5),
+        "K6": complete_graph(6),
+        "K8": complete_graph(8),
+        "C7": cycle_graph(7),
+        "P6": path_graph(6),
+        "Petersen": petersen_graph(),
+        "K3,3": complete_bipartite(3, 3),
+        "K4,5": complete_bipartite(4, 5),
+        "K8-3K2": complete_minus_matching(8, 3),
+        "K5+K5": disjoint_union(complete_graph(5), complete_graph(5)),
+        "G5": build_Gd(5),
+        "H7": build_Hd(7),
+    }
+    for d, n, seeds in ((6, 30, (1, 2, 3)), (10, 44, (1, 2, 3)), (10, 80, (1, 2))):
+        for seed in seeds:
+            corpus[f"rr{d}-{n}-s{seed}"] = random_regular(GenConfig(d, n, seed))
+    return corpus
+
+
+def _packing_fingerprint(g) -> str:
+    """SHA-256 over every pack_trees result at k = 1..floor(m/(n-1))+1,
+    the sigma result and the certificate digest that analyze reports."""
+    def trees(ts):
+        return None if ts is None else [sorted(t) for t in ts]
+
+    def blocks(p):
+        return None if p is None else [sorted(b) for b in p.blocks]
+
+    packs = []
+    for k in range(1, g.m // (g.n - 1) + 2):
+        r = pack_trees(g, k)
+        packs.append([k, r.success, trees(r.trees), blocks(r.witness)])
+    s = sigma(g)
+    doc = {
+        "pack": packs,
+        "sigma": [s.sigma, trees(s.trees), blocks(s.witness_partition)],
+        "digest": _certificate_digest(s),
+    }
+    blob = json.dumps(doc, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+PINNED_FINGERPRINTS = {
+    "C7":
+        "2b157bd3d79e418cd1552fd6f32e840d6021cc33ba8e95bc987e3d460c2b598b",
+    "G5":
+        "c43f9394dfbf06d89463235541f86ce48770a46269978870b8716382fd17ba32",
+    "H7":
+        "dc7b22ea44155bf184bbbf2f713b493673dfb7d19e6ea0c866889e61678607b7",
+    "K3,3":
+        "2086559222aa3e409e43562611173c8bf8c5899d05521f2088394190a33ab738",
+    "K4":
+        "f74fdd1547f9cda15221254eda7dbc393558ebd6a3beaae564804797e17e2b19",
+    "K4,5":
+        "547b4c51daa12b10b5ceb618b2c70e6c454c763f8e4679c8629a2e18907cf148",
+    "K5":
+        "70239a83f3926f2e7e05ca8dab81a331202abcba136db2d75038511367e8df46",
+    "K5+K5":
+        "44a2533ba76374366ef932eecbbf3d36fc246d7482cd6546509c590a34a1c71a",
+    "K6":
+        "78440425dd80d2e363e569e7108e036cd2212ec626fcf6c0677dcf49a7935d70",
+    "K8":
+        "66b6d9955b6f401e339ad622b968f993ad0d96fe70b0282931df55f9076c7590",
+    "K8-3K2":
+        "1ae6bd980ddaf31e6c10dec3404d907835bf137c4f80c4cb3367d21cc31b3138",
+    "P6":
+        "5fc614e8fef602a3ff941e8ffba66e384f09ef401d131a936022b3b03dec9b7c",
+    "Petersen":
+        "07fbf18b58c7f99514cf82cc670362a506d8a216a0aea112ad39f620751def22",
+    "rr10-44-s1":
+        "b02f0e2249afa8730c3615d3fd229eebdcedf0a31be5e1bcf12680c524ecfd2a",
+    "rr10-44-s2":
+        "c9e2176c69ec05f05ed9030fa1f080693aba4f5fd240d9ca67a45c9f5b01069d",
+    "rr10-44-s3":
+        "b5d0ea7eab147b51f6c4bec745ac30dd451c8c234a0f03774f0d9fc213e51bc6",
+    "rr10-80-s1":
+        "2e75b5273735d35bfc9e5adb5536147eb6a69b3e6a57ba8980428de0400a9daa",
+    "rr10-80-s2":
+        "ec4910bdf63d3db96f085e1d7ccc7004d0a0a33ecc4292d1e86fe3cf3fce71f1",
+    "rr6-30-s1":
+        "9f6890fe2d91e042ecbe4d698db66c6037b6b9ca944b41ed312276008980b4ab",
+    "rr6-30-s2":
+        "f807a257fb58b0bae00b5eddb524201b2637feb202355ba7241077825f26a4ce",
+    "rr6-30-s3":
+        "f86eeaf4ee08f40b20d9c5fe2c66f606d51b7d6b34195f0a6ef0d32beae8890e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+def test_packing_output_is_pinned(name):
+    g = _determinism_corpus()[name]
+    assert _packing_fingerprint(g) == PINNED_FINGERPRINTS[name]
+
+
+def test_pinned_corpus_is_complete():
+    assert sorted(PINNED_FINGERPRINTS) == sorted(_determinism_corpus())
