@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -205,7 +206,23 @@ def _hunt_doc(rep: TheoremReport, verdict: str) -> dict:
     }
 
 
+def _writable_dir(path: str) -> Path:
+    """Create `path` if needed and check it can take new files.
+
+    Done before any compute, so a finding is never lost to a bad path.
+    """
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out {path}: not a writable directory ({exc.strerror})") from None
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ValueError(f"--out {path}: not a writable directory")
+    return out
+
+
 def _cmd_hunt(args) -> int:
+    out = _writable_dir(args.out)
     rep = theorem_check(args.d, args.n, args.k, args.trials, args.seed)
     if rep.clean:
         verdict = "no finding" if rep.conjecture else "pass"
@@ -214,7 +231,6 @@ def _cmd_hunt(args) -> int:
         verdict, code = "finding", EXIT_FINDING
     else:
         verdict, code = "bug", EXIT_CHECK_FAILED
-    out = Path(args.out)
     for c in rep.counterexamples:
         stem = f"counterexample-d{c.d}-n{c.n}-k{c.k}-seed{c.seed}"
         (out / f"{stem}.el").write_text(to_edge_list(c.graph), encoding="utf-8")

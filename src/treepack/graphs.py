@@ -278,7 +278,11 @@ def to_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; errors carry 1-based line numbers."""
+    """Parse the edge-list format; errors carry 1-based line numbers.
+
+    Unlike ``make_graph``, a repeated edge (in either orientation) is an
+    error, so the graph always has exactly the m edges the header declares.
+    """
     lines = text.splitlines()
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
@@ -294,7 +298,7 @@ def parse_edge_list(text: str) -> Graph:
     body = rows[1:]
     if len(body) != m:
         raise ValueError(f"line {lineno}: header declares {m} edges, found {len(body)}")
-    pairs = []
+    pairs: set[Edge] = set()
     for lineno, ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -307,5 +311,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        pairs.append((u, v))
+        e = _norm_edge(u, v)
+        if e in pairs:
+            raise ValueError(f"line {lineno}: duplicate edge ({u}, {v})")
+        pairs.add(e)
     return make_graph(n, pairs)

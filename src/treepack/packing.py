@@ -7,6 +7,16 @@ an edge that cannot augment the current k forests is rejected for good
 closures of the rejected edges collapse into a partition witnessing the
 Nash-Williams/Tutte violation; the witness is re-validated by
 ``verify_certificate`` rather than trusted.
+
+The labeling search asks for fundamental-cycle paths in the forests.  Each
+forest is kept in rooted form (parent and depth per vertex), re-rooted in
+one O(n) traversal only when it changed since its last query, so a path
+query climbs from both ends to their lowest common ancestor in O(path
+length) instead of searching a whole component.  A forest has one u-v
+path, and the climb lists its edges in the same order a breadth-first
+search from u would (from v back to u): the search visits edges in the
+same order, so the trees, witnesses and certificate digests are
+byte-identical to those of a search-based packer.
 """
 
 from __future__ import annotations
@@ -69,6 +79,12 @@ class _Packer:
         self.dsu: list[_DSU] = [_DSU(g.n) for _ in range(k)]
         self.edge_forest: dict[Edge, int] = {}
         self.total = 0
+        # rooted form of each forest, for path queries: parent and depth
+        # per vertex (a root is its own parent).  Adding or removing an edge
+        # marks the forest stale; the next path query re-roots it.
+        self.parent: list[list[int]] = [list(range(g.n)) for _ in range(k)]
+        self.depth: list[list[int]] = [[0] * g.n for _ in range(k)]
+        self.stale = [False] * k
         # clumps: vertex sets already known to be spanned by all k forests;
         # an edge inside one can never augment again, so it is rejected
         # without a second labeling search
@@ -79,12 +95,14 @@ class _Packer:
         self.forest_adj[i].setdefault(u, set()).add(v)
         self.forest_adj[i].setdefault(v, set()).add(u)
         self.edge_forest[e] = i
+        self.stale[i] = True
 
     def _forest_remove(self, i: int, e: Edge):
         u, v = e
         self.forest_adj[i][u].discard(v)
         self.forest_adj[i][v].discard(u)
         del self.edge_forest[e]
+        self.stale[i] = True
 
     def _rebuild_dsu(self, i: int):
         d = _DSU(self.n)
@@ -94,26 +112,56 @@ class _Packer:
                     d.union(u, v)
         self.dsu[i] = d
 
-    def _tree_path(self, i: int, u: int, v: int) -> list[Edge]:
-        """Edges on the unique u-v path in forest i (same component assumed)."""
+    def _root_forest(self, i: int):
+        """Root every tree of forest i in one traversal."""
         adj = self.forest_adj[i]
-        parent = {u: u}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y in adj.get(x, ()):
-                if y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        path = []
-        x = v
-        while x != u:
-            px = parent[x]
-            path.append((px, x) if px < x else (x, px))
-            x = px
-        return path
+        parent = list(range(self.n))
+        depth = [0] * self.n
+        seen = [False] * self.n
+        for r in adj:
+            if seen[r]:
+                continue
+            seen[r] = True
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        parent[y] = x
+                        depth[y] = depth[x] + 1
+                        stack.append(y)
+        self.parent[i], self.depth[i], self.stale[i] = parent, depth, False
+
+    def _tree_path(self, i: int, u: int, v: int) -> list[Edge]:
+        """Edges on the unique u-v path in forest i (same component assumed).
+
+        The edges run from v to u: v's side climbs to the lowest common
+        ancestor, then u's side follows in reverse.  The order fixes the
+        order of the labeling search, and so the trees the packer builds.
+        """
+        if self.stale[i]:
+            self._root_forest(i)
+        parent, depth = self.parent[i], self.depth[i]
+        from_v: list[Edge] = []
+        from_u: list[Edge] = []
+        while depth[v] > depth[u]:
+            p = parent[v]
+            from_v.append((p, v) if p < v else (v, p))
+            v = p
+        while depth[u] > depth[v]:
+            p = parent[u]
+            from_u.append((p, u) if p < u else (u, p))
+            u = p
+        while u != v:
+            p = parent[v]
+            from_v.append((p, v) if p < v else (v, p))
+            v = p
+            p = parent[u]
+            from_u.append((p, u) if p < u else (u, p))
+            u = p
+        from_u.reverse()
+        return from_v + from_u
 
     def try_insert(self, e: Edge) -> bool:
         """Insert e into the packing if possible; False means rejected.

@@ -4,13 +4,16 @@ import json
 
 import pytest
 
-from treepack.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from treepack import cli
+from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from treepack.graphs import (
     complete_graph,
     disjoint_union,
     cycle_graph,
+    parse_edge_list,
     to_edge_list,
 )
+from treepack.randgen import Counterexample, TheoremReport
 
 
 def write_graph(tmp_path, g, name="g.el"):
@@ -69,6 +72,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "line 3" in err
+
+    @pytest.mark.parametrize("text", ["3 3\n0 1\n0 1\n1 2\n", "3 2\n0 1\n1 0\n"])
+    def test_duplicate_edge_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "dup.el"
+        path.write_text(text)
+        code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "line 3: duplicate edge" in captured.err
+        assert captured.out == ""
 
 
 class TestConstruct:
@@ -133,6 +146,40 @@ class TestHunt:
         _, out = run(capsys, ["hunt", "--d", "6", "--n", "14", "--k", "2",
                               "--trials", "5", "--out", str(tmp_path)])
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    def test_finding_written_into_new_directory(self, tmp_path, capsys, monkeypatch):
+        g = complete_graph(5)
+        hit = Counterexample(graph=g, d=4, n=5, k=4, lambda2=-1.0, sigma=2, seed=7)
+
+        def fake_check(d, n, k, trials, seed):
+            return TheoremReport(d=d, n=n, k=k, trials=trials, seed=seed,
+                                 premise_only=1, counterexamples=(hit,))
+
+        monkeypatch.setattr(cli, "theorem_check", fake_check)
+        out_dir = tmp_path / "not" / "yet"
+        code, out = run(capsys, ["hunt", "--d", "4", "--n", "5", "--k", "4",
+                                 "--trials", "1", "--out", str(out_dir)])
+        assert code == EXIT_FINDING
+        assert json.loads(out)["verdict"] == "finding"
+        stem = out_dir / "counterexample-d4-n5-k4-seed7"
+        assert parse_edge_list(stem.with_suffix(".el").read_text()) == g
+        assert json.loads(stem.with_suffix(".json").read_text())["sigma"] == 2
+
+    def test_out_path_that_is_a_file_fails_before_compute(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_compute(*args):
+            raise AssertionError("theorem_check ran despite a bad --out")
+
+        monkeypatch.setattr(cli, "theorem_check", no_compute)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for target in (blocker, blocker / "sub"):
+            code = main(["hunt", "--d", "6", "--n", "14", "--k", "2",
+                         "--trials", "1", "--out", str(target)])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert "not a writable directory" in captured.err
+            assert captured.out == ""
 
 
 class TestQuotient:

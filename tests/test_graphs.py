@@ -120,6 +120,16 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("3 5\n0 1\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("3 3\n0 1\n0 1\n1 2\n", r"line 3: duplicate edge \(0, 1\)"),
+    ("3 2\n0 1\n1 0\n", r"line 3: duplicate edge \(1, 0\)"),
+    ("4 3\n2 3\n\n0 1\n\n3 2\n", r"line 6: duplicate edge \(3, 2\)"),
+])
+def test_parse_rejects_duplicate_edges(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_edge_list(text)
+
+
 @st.composite
 def graphs(draw, max_n=9):
     n = draw(st.integers(min_value=0, max_value=max_n))

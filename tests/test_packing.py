@@ -6,7 +6,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treepack.cli import _certificate_digest
@@ -391,3 +391,173 @@ def test_packing_output_is_pinned(name):
 
 def test_pinned_corpus_is_complete():
     assert sorted(PINNED_FINGERPRINTS) == sorted(_determinism_corpus())
+
+
+# ---------------------------------------------------------------------------
+# Path queries on rooted forests, against the breadth-first search they
+# replaced.
+
+
+def _bfs_path(adj, u, v):
+    """Reference: the u-v path in a forest by BFS from u, edges from v to u."""
+    parent = {u: u}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        if x == v:
+            break
+        for y in adj.get(x, ()):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    path = []
+    x = v
+    while x != u:
+        px = parent[x]
+        path.append((px, x) if px < x else (x, px))
+        x = px
+    return path
+
+
+class _ForestModel:
+    """k forests kept beside a _Packer, edited through its own add/remove."""
+
+    def __init__(self, n, k):
+        self.packer = _Packer(make_graph(n, []), k)
+        self.adj = [{} for _ in range(k)]
+
+    def add(self, i, e):
+        u, v = e
+        self.adj[i].setdefault(u, set()).add(v)
+        self.adj[i].setdefault(v, set()).add(u)
+        self.packer._forest_add(i, e)
+
+    def grow(self, i, edges):
+        """Add the edges no other forest holds; skipping one splits a tree."""
+        for e in edges:
+            if e not in self.packer.edge_forest:
+                self.add(i, e)
+
+    def remove(self, i, e):
+        u, v = e
+        self.adj[i][u].discard(v)
+        self.adj[i][v].discard(u)
+        self.packer._forest_remove(i, e)
+
+    def component(self, i, x):
+        seen, stack = {x}, [x]
+        while stack:
+            for y in self.adj[i].get(stack.pop(), ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    def check_paths(self, rng, i, queries):
+        n = self.packer.n
+        for _ in range(queries):
+            u = rng.randrange(n)
+            comp = sorted(self.component(i, u) - {u})
+            if not comp:
+                continue
+            v = rng.choice(comp)
+            assert self.packer._tree_path(i, u, v) == _bfs_path(self.adj[i], u, v)
+
+
+def _random_forest_edges(rng, n, components):
+    """Edges of a random forest on n vertices with the given tree count."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = []
+    # the first `components` vertices are roots; each later vertex hangs
+    # below a random earlier one
+    for j in range(components, n):
+        edges.append(tuple(sorted((order[j], order[rng.randrange(j)]))))
+    return edges
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_path_matches_bfs_on_random_forests(seed):
+    rng = random.Random(seed)
+    n = rng.randint(20, 150)
+    model = _ForestModel(n, 3)
+    for i in range(3):
+        model.grow(i, _random_forest_edges(rng, n, rng.randint(1, 6)))
+    for i in range(3):
+        model.check_paths(rng, i, 60)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_path_follows_interleaved_edits(seed):
+    # an added edge joins two trees; a query answered from the rooting
+    # taken before the add would not find the paths through it
+    rng = random.Random(100 + seed)
+    n = rng.randint(20, 150)
+    model = _ForestModel(n, 2)
+    for i in range(2):
+        model.grow(i, _random_forest_edges(rng, n, rng.randint(2, 5)))
+    for _ in range(80):
+        i = rng.randrange(2)
+        model.check_paths(rng, i, 3)
+        held = sorted(e for e, j in model.packer.edge_forest.items() if j == i)
+        model.remove(i, rng.choice(held))
+        model.check_paths(rng, i, 3)
+        # re-join two trees with a fresh edge
+        a = rng.randrange(n)
+        outside = sorted(set(range(n)) - model.component(i, a))
+        if outside:
+            model.grow(i, [tuple(sorted((a, rng.choice(outside))))])
+        model.check_paths(rng, 1 - i, 2)
+
+
+# ---------------------------------------------------------------------------
+# Properties of sigma on graphs well past the n <= 12 brute-force oracle.
+
+
+@st.composite
+def large_graphs(draw):
+    """Seeded random regular graphs and G(n, p) graphs with 10 <= n <= 150."""
+    n = draw(st.integers(min_value=10, max_value=150))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=3, max_value=8))
+        if n * d % 2:
+            n -= 1
+        return random_regular(GenConfig(d, n, seed))
+    avg_degree = draw(st.floats(min_value=1.0, max_value=10.0))
+    rng = random.Random(seed)
+    p = avg_degree / (n - 1)
+    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+
+
+@settings(max_examples=25, deadline=None)
+@given(large_graphs())
+def test_sigma_bounds_and_certificate_on_large_graphs(g):
+    result = sigma(g)
+    assert verify_certificate(g, result).ok
+    kappa = edge_connectivity(g).value
+    assert kappa // 2 <= result.sigma <= min(min(g.degrees), g.m // (g.n - 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(large_graphs(), st.randoms(use_true_random=False))
+def test_sigma_invariant_under_relabelling(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    relabelled = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    result = sigma(relabelled)
+    assert result.sigma == sigma(g).sigma
+    assert verify_certificate(relabelled, result).ok
+
+
+@settings(max_examples=15, deadline=None)
+@given(large_graphs(), st.randoms(use_true_random=False))
+def test_one_more_edge_raises_sigma_by_at_most_one(g, rnd):
+    missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+               if not g.has_edge(u, v)]
+    assume(missing)
+    bigger = add_edges(g, [rnd.choice(missing)])
+    before, after = sigma(g), sigma(bigger)
+    assert before.sigma <= after.sigma <= before.sigma + 1
+    assert verify_certificate(bigger, after).ok
