@@ -7,7 +7,6 @@ from .exact import (
     RootInterval,
     cauchy_bound,
     char_poly_exact,
-    char_poly_rational,
     count_real_roots,
     descartes_positivity_check,
     det_exact,

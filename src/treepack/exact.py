@@ -6,9 +6,11 @@ The workhorses are:
   coefficient order, trailing zeros trimmed);
 * ``char_poly_exact`` — Faddeev-LeVerrier over exact integers;
 * ``det_exact`` — Bareiss fraction-free determinant;
-* Sturm sequences over ``Fraction`` for exact root counting, interval
-  isolation of the largest real root, and full real-root isolation with
-  multiplicities;
+* Sturm chains of primitive integer polynomials (pseudo-remainders with
+  their content removed) for exact root counting, interval isolation of
+  the largest real root, and full real-root isolation with multiplicities;
+  signs at a rational point a/b come from the homogenised sum
+  sum c_i a^i b^(deg - i), so no ``Fraction`` arithmetic is involved;
 * ``descartes_positivity_check`` — exact sign report for p, p', ..., p^(deg)
   at a rational point.
 
@@ -120,10 +122,7 @@ class IntPoly:
         return acc
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Divide out the content; sign normalized so the leading coeff is positive."""
@@ -174,65 +173,26 @@ def char_poly_exact(m: Sequence[Sequence[int]]) -> IntPoly:
     # coeffs[dim] = 1, coeffs[dim - k] = c_k from the recurrence
     coeffs = [0] * (dim + 1)
     coeffs[dim] = 1
+    nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in a]
     mk = [row[:] for row in a]
     for k in range(1, dim + 1):
         if k > 1:
-            # mk <- a @ (mk_prev + c_{k-1} I)
-            prev = mk
+            # mk <- a @ (mk_prev + c_{k-1} I), over the nonzeros of each row of a
             ck_prev = coeffs[dim - (k - 1)]
-            shifted = [row[:] for row in prev]
             for i in range(dim):
-                shifted[i][i] += ck_prev
-            mk = [
-                [sum(a[i][l] * shifted[l][j] for l in range(dim)) for j in range(dim)]
-                for i in range(dim)
-            ]
+                mk[i][i] += ck_prev
+            rows = []
+            for terms in nonzero:
+                acc = [0] * dim
+                for l, x in terms:
+                    acc = [s + x * y for s, y in zip(acc, mk[l])]
+                rows.append(acc)
+            mk = rows
         trace = sum(mk[i][i] for i in range(dim))
         q, r = divmod(-trace, k)
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"
         coeffs[dim - k] = q
     return IntPoly(coeffs)
-
-
-def char_poly_rational(m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Monic char poly of a rational matrix; ascending Fraction coefficients.
-
-    Same Faddeev-LeVerrier recurrence as the integer version, run over
-    Fraction.  Used for quotient matrices whose entries are e_ij / n_i.
-    """
-    rows = [[Fraction(x) for x in r] for r in m]
-    dim = len(rows)
-    for r in rows:
-        if len(r) != dim:
-            raise ValueError("matrix is not square")
-    coeffs = [Fraction(0)] * (dim + 1)
-    coeffs[dim] = Fraction(1)
-    mk = [row[:] for row in rows]
-    for k in range(1, dim + 1):
-        if k > 1:
-            ck_prev = coeffs[dim - (k - 1)]
-            shifted = [row[:] for row in mk]
-            for i in range(dim):
-                shifted[i][i] += ck_prev
-            mk = [
-                [
-                    sum(rows[i][l] * shifted[l][j] for l in range(dim))
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
-        trace = sum(mk[i][i] for i in range(dim))
-        coeffs[dim - k] = -trace / k
-    return coeffs
-
-
-def clear_denominators(coeffs: Sequence[Fraction]) -> IntPoly:
-    """Scale rational coefficients by their lcm of denominators -> IntPoly."""
-    fracs = [Fraction(c) for c in coeffs]
-    lcm = 1
-    for c in fracs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return IntPoly([int(c * lcm) for c in fracs])
 
 
 def det_exact(m: Sequence[Sequence[int]]) -> int:
@@ -262,49 +222,50 @@ def det_exact(m: Sequence[Sequence[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences over Fraction
+# Division, gcd and Sturm chains over the integers
 # ---------------------------------------------------------------------------
-# Internal representation for this section: list[Fraction], ascending order.
+# Polynomials in this section are int sequences, ascending, trailing zeros
+# trimmed.
 
-def _rp(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division: (q, r) with lc(den)^(delta + 1) * num = q * den + r.
 
-
-def _rp_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _rp_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
-
-
-def _rp_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = num[:]
+    delta = deg num - deg den and deg r < deg den.  With deg num < deg den,
+    q is empty and r is num, which lets a gcd take its arguments in either
+    order.  No division at all, so remainder sequences and exact quotients
+    both stay in integers.
+    """
     dd = len(den) - 1
     lead = den[-1]
-    while len(num) - 1 >= dd and num:
-        k = len(num) - 1 - dd
-        q = num[-1] / lead
-        for i in range(len(den)):
-            num[k + i] -= q * den[i]
-        num.pop()
-        _rp_trim(num)
-    return num
+    r = list(num)
+    q = [0] * (len(r) - dd)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[-1]
+        q = [x * lead for x in q]
+        q[k] = c
+        r = [x * lead for x in r[:-1]]
+        for i in range(dd):
+            r[k + i] -= c * den[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
-def _rp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _rp_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly:
+    """num / den, where den divides num, as a primitive IntPoly."""
+    q, r = _divmod(num.coeffs, den.coeffs)
+    assert not r, "exact polynomial division expected"
+    return IntPoly(q).primitive()
+
+
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd with positive leading coefficient (primitive PRS)."""
+    a_cs, b_cs = a.coeffs, b.coeffs
+    while b_cs:
+        r = _divmod(a_cs, b_cs)[1]
+        g = gcd(*r)
+        a_cs, b_cs = b_cs, [c // g for c in r]
+    return IntPoly(a_cs).primitive()
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -313,23 +274,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return IntPoly([1])
-    g = _rp_gcd(_rp(p), _rp(p.derivative()))
-    if len(g) == 1:
-        return p.primitive()
-    # exact division p // g over Fraction
-    num = _rp(p)
-    dd = len(g) - 1
-    out = [Fraction(0)] * (len(num) - dd)
-    while len(num) - 1 >= dd and num:
-        k = len(num) - 1 - dd
-        q = num[-1] / g[-1]
-        out[k] = q
-        for i in range(len(g)):
-            num[k + i] -= q * g[i]
-        num.pop()
-        _rp_trim(num)
-    assert not num, "squarefree division must be exact"
-    return clear_denominators(out).primitive()
+    return _exact_quotient(p, _gcd(p, p.derivative()))
 
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -347,9 +292,9 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
         sf = squarefree_part(work)
         # factor appearing with multiplicity >= mult is sf; peel one layer:
         # q = work / sf has exactly the factors of multiplicity >= 2 in work.
-        q = _poly_div_exact(work, sf)
+        q = _exact_quotient(work, sf)
         # factors exactly at this multiplicity: sf / squarefree_part-of-q's-support
-        layer = _poly_div_exact(sf, _rp_gcd_intpoly(sf, q))
+        layer = _exact_quotient(sf, _gcd(sf, q))
         if layer.degree > 0:
             out.append((layer, mult))
         work = q
@@ -357,51 +302,48 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-def _rp_gcd_intpoly(a: IntPoly, b: IntPoly) -> IntPoly:
-    if b.is_zero():
-        return a.primitive()
-    g = _rp_gcd(_rp(a), _rp(b))
-    return clear_denominators(g).primitive()
+def sturm_chain(p: IntPoly) -> list[list[int]]:
+    """Sturm chain of the squarefree part of p, one primitive member each.
 
-
-def _poly_div_exact(num: IntPoly, den: IntPoly) -> IntPoly:
-    nc = _rp(num)
-    dc = _rp(den)
-    dd = len(dc) - 1
-    out = [Fraction(0)] * max(len(nc) - dd, 0)
-    while len(nc) - 1 >= dd and nc:
-        k = len(nc) - 1 - dd
-        q = nc[-1] / dc[-1]
-        out[k] = q
-        for i in range(len(dc)):
-            nc[k + i] -= q * dc[i]
-        nc.pop()
-        _rp_trim(nc)
-    assert not nc, "exact polynomial division expected"
-    return clear_denominators(out).primitive()
-
-
-def sturm_chain(p: IntPoly) -> list[list[Fraction]]:
-    """Sturm chain of the squarefree part of p."""
+    Member i+1 is the pseudo-remainder of members i-1 and i, content
+    removed.  Pseudo-division scales by lc^(delta + 1), with lc the leading
+    coefficient of member i and delta the drop in degree, so the sign
+    -sign(lc)^(delta + 1) makes every member a positive multiple of the
+    classical rational member -rem(f_{i-1}, f_i).  Signs at every point, and
+    so all root counts, are those of the classical chain.
+    """
     sf = squarefree_part(p)
-    chain = [_rp(sf), _rp(sf.derivative())]
+    chain = [list(sf.coeffs), list(sf.derivative().primitive().coeffs)]
     while len(chain[-1]) > 1:
-        rem = _rp_rem(chain[-2][:], chain[-1])
+        prev, cur = chain[-2], chain[-1]
+        rem = _divmod(prev, cur)[1]
         if not rem:
             break
-        chain.append([-c for c in rem])
-    if chain[-1] == []:
+        sign = -((1 if cur[-1] > 0 else -1) ** (len(prev) - len(cur) + 1))
+        g = sign * gcd(*rem)
+        chain.append([c // g for c in rem])
+    if not chain[-1]:
         chain.pop()
     return chain
 
 
-def _sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _rp_eval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, bool]:
+    """Sign changes along the chain at a/b (b > 0), and whether a/b is a root.
+
+    The sign of f(a/b) is that of b^deg f(a/b) = sum c_i a^i b^(deg - i),
+    summed by a homogenised Horner scheme in integers.
+    """
+    powers = [1]
+    for _ in range(len(chain[0]) - 1):
+        powers.append(powers[-1] * b)
+    values = []
+    for cs in chain:
+        acc = 0
+        for c, bp in zip(reversed(cs), powers):
+            acc = acc * a + c * bp
+        values.append(acc)
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
 
 def cauchy_bound(p: IntPoly) -> Fraction:
@@ -423,7 +365,9 @@ def count_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     if not lo < hi:
         raise ValueError("need lo < hi")
     chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_variations(chain, lo.numerator, lo.denominator)[0]
+            - _variations(chain, hi.numerator, hi.denominator)[0])
 
 
 @dataclass(frozen=True)
@@ -445,6 +389,10 @@ class RootInterval:
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
 
+# The bisections below keep an interval as integers (lo, hi, den) standing
+# for (lo/den, hi/den]; a step doubles all three, so the midpoint is the
+# integer lo + hi over the new den.
+
 
 def sturm_isolate_largest_root(
     p: IntPoly, precision: Fraction = DEFAULT_PRECISION
@@ -456,26 +404,26 @@ def sturm_isolate_largest_root(
     """
     if p.is_zero() or p.degree == 0:
         raise ValueError("nonconstant polynomial required")
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-    bound = cauchy_bound(sf)
-    lo, hi = -bound, bound
-    if _sign_variations(chain, lo) - _sign_variations(chain, hi) == 0:
+    chain = sturm_chain(p)
+    bound = cauchy_bound(IntPoly(chain[0]))
+    prec = Fraction(precision)
+    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
+    v_hi = _variations(chain, hi, den)[0]
+    if _variations(chain, lo, den)[0] == v_hi:
         raise ValueError("polynomial has no real root")
-    # invariant: largest root lies in (lo, hi]
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if _rp_eval(chain[0], mid) == 0:
-            # mid is a root; it is the largest iff no roots remain above it
-            if _sign_variations(chain, mid) - _sign_variations(chain, hi) == 0:
-                return RootInterval(mid, mid)
+    # invariant: largest root lies in (lo/den, hi/den]
+    while (hi - lo) * prec.denominator > prec.numerator * den:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        v_mid, on_root = _variations(chain, mid, den)
+        if v_mid > v_hi:
             lo = mid
-            continue
-        if _sign_variations(chain, mid) - _sign_variations(chain, hi) > 0:
-            lo = mid
+        elif on_root:
+            # mid is a root and none lies above it
+            return RootInterval(Fraction(mid, den), Fraction(mid, den))
         else:
-            hi = mid
-    return RootInterval(lo, hi)
+            hi, v_hi = mid, v_mid
+    return RootInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def isolate_real_roots(
@@ -488,34 +436,38 @@ def isolate_real_roots(
     """
     if p.is_zero() or p.degree == 0:
         raise ValueError("nonconstant polynomial required")
+    prec = Fraction(precision)
     found: list[tuple[Fraction, Fraction, int]] = []
     for factor, mult in squarefree_decomposition(p):
         chain = sturm_chain(factor)
         bound = cauchy_bound(factor)
 
-        def refine(lo: Fraction, hi: Fraction, count: int):
-            # count = number of roots of `factor` in (lo, hi]
-            if count == 0:
+        def refine(lo: int, hi: int, den: int, v_lo: int, v_hi: int):
+            # v_lo - v_hi = number of roots of `factor` in (lo/den, hi/den]
+            if v_lo == v_hi:
                 return
-            if count == 1:
-                while hi - lo > precision:
-                    mid = (lo + hi) / 2
-                    if _rp_eval(chain[0], mid) == 0:
+            if v_lo - v_hi == 1:
+                while (hi - lo) * prec.denominator > prec.numerator * den:
+                    mid = lo + hi
+                    lo, hi, den = 2 * lo, 2 * hi, 2 * den
+                    v_mid, on_root = _variations(chain, mid, den)
+                    if on_root:
                         lo = hi = mid
                         break
-                    if _sign_variations(chain, mid) - _sign_variations(chain, hi) == 1:
+                    if v_mid - v_hi == 1:
                         lo = mid
                     else:
-                        hi = mid
-                found.append((lo, hi, mult))
+                        hi, v_hi = mid, v_mid
+                found.append((Fraction(lo, den), Fraction(hi, den), mult))
                 return
-            mid = (lo + hi) / 2
-            upper = _sign_variations(chain, mid) - _sign_variations(chain, hi)
-            refine(lo, mid, count - upper)
-            refine(mid, hi, upper)
+            mid = lo + hi
+            v_mid = _variations(chain, mid, 2 * den)[0]
+            refine(2 * lo, mid, 2 * den, v_lo, v_mid)
+            refine(mid, 2 * hi, 2 * den, v_mid, v_hi)
 
-        total = _sign_variations(chain, -bound) - _sign_variations(chain, bound)
-        refine(-bound, bound, total)
+        top, den = bound.numerator, bound.denominator
+        refine(-top, top, den, _variations(chain, -top, den)[0],
+               _variations(chain, top, den)[0])
     found.sort(key=lambda item: item[0])
     return [(RootInterval(lo, hi), mult) for lo, hi, mult in found]
 

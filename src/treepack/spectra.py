@@ -4,17 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
 
-from .exact import (
-    IntPoly,
-    char_poly_exact,
-    char_poly_rational,
-    clear_denominators,
-    isolate_real_roots,
-)
+from .exact import IntPoly, char_poly_exact, isolate_real_roots
 from .graphs import Graph, VertexPartition, average_degree, crossing_edges
 
 SYMMETRY_RTOL = 1e-12
@@ -136,10 +131,15 @@ class QuotientMatrix:
         return [[int(x) for x in row] for row in self.entries]
 
     def char_poly(self) -> IntPoly:
-        """Exact char poly, denominators cleared (roots unchanged)."""
-        if self.is_integer():
-            return char_poly_exact(self.as_int())
-        return clear_denominators(char_poly_rational(self.entries))
+        """Exact char poly, denominators cleared (roots unchanged).
+
+        With L the lcm of the denominators, cp(x) = det(xI - LQ) has
+        cp(Lx) = L^t chi_Q(x): the coefficients c_i L^i of cp(Lx) are those
+        of chi_Q up to a constant factor, which .primitive() removes.
+        """
+        scale = lcm(*(x.denominator for row in self.entries for x in row))
+        cp = char_poly_exact([[int(x * scale) for x in row] for row in self.entries])
+        return IntPoly([c * scale ** i for i, c in enumerate(cp.coeffs)]).primitive()
 
     def eigenvalues_exact(self, precision: Fraction = Fraction(1, 10**12)) -> list[float]:
         """Eigenvalues via the exact char-poly + Sturm route, descending.

@@ -1,19 +1,25 @@
 """End-to-end CLI checks: every subcommand exercised in-process via main()."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from treepack import cli
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
+from treepack.families import build_Gd
 from treepack.graphs import (
     complete_graph,
     disjoint_union,
     cycle_graph,
     parse_edge_list,
+    petersen_graph,
     to_edge_list,
 )
 from treepack.randgen import Counterexample, TheoremReport
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_graph(tmp_path, g, name="g.el"):
@@ -109,6 +115,20 @@ class TestConstruct:
         assert code == EXIT_USAGE
 
 
+# SHA-256 of the stdout of `verify-family` for one degree; equal to the
+# benchmark goldens of the same name.
+PINNED_FAMILY_JSON = {
+    "Gd-d4-default": "2ea8a3a7aa69110c6c931992a438cf1422d15f0c0912f71f02738610a4bd7d3f",
+    "Gd-d4-exact": "46bf83ec7b56b6e515c06bb0e20e5e1653ba7916312c117e323947aef46692d5",
+    "Gd-d12-default": "58170661b736b97e5759c87519f73899f74c454fa8c1311bf357e7466653c605",
+    "Gd-d12-exact": "6e8d3a718e2b5b27a7ae510d8a785d9ee6a8a223b1a45fc75ca0097c5b012f98",
+    "Hd-d6-default": "97bfc38daa76548672bb4bb10d8f82f72cbe8f97b0f1f3e965228f3a66e73f6c",
+    "Hd-d6-exact": "681101d56f9f0d5d04cae41347c0ba76fcaf8270cb4edd7aff772bbcbe39cb70",
+    "Hd-d16-default": "4f86427a185e887e1501a8e7987e53312f8df6d9bd5d41198759baf3824811ec",
+    "Hd-d16-exact": "e4d8656176b4915571de6935f166161f5998b5dfc2832081316c32b0d8056a18",
+}
+
+
 class TestVerifyFamily:
     def test_gd_range_passes(self, capsys):
         code, out = run(capsys, ["verify-family", "Gd", "--d-min", "4", "--d-max", "6"])
@@ -122,6 +142,18 @@ class TestVerifyFamily:
                                  "--exact-range"])
         assert code == EXIT_OK
         assert json.loads(out)["all_passed"] is True
+
+    @pytest.mark.parametrize("key", sorted(PINNED_FAMILY_JSON))
+    def test_output_is_pinned(self, capsys, key):
+        family, d, precision = key.split("-")
+        argv = ["verify-family", family, "--d-min", d[1:], "--d-max", d[1:]]
+        code, out = run(capsys, argv + (["--exact-range"] if precision == "exact" else []))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FAMILY_JSON[key]
+
+    def test_pins_match_benchmark_goldens(self):
+        goldens = json.loads((ROOT / "perfbench" / "goldens" / "family.json").read_text())
+        assert {k: goldens[k] for k in PINNED_FAMILY_JSON} == PINNED_FAMILY_JSON
 
 
 class TestHunt:
@@ -182,6 +214,23 @@ class TestHunt:
             assert captured.out == ""
 
 
+QUOTIENT_CASES = {
+    "G4-natural": (build_Gd(4), [range(0, 5), range(5, 10), range(10, 15)]),
+    "Petersen-3-7": (petersen_graph(), [range(0, 3), range(3, 10)]),
+    "Petersen-1-2-3-4": (petersen_graph(), [[0], [1, 2], [3, 4, 5], range(6, 10)]),
+}
+
+# SHA-256 of the stdout of `quotient` with the graph path replaced by "G".
+PINNED_QUOTIENT_JSON = {
+    "G4-natural":
+        "69bf7f1aca21a5e7e5cce63bd3601206c84d938ac684093589e4dc5471267d99",
+    "Petersen-3-7":
+        "b33b9fd839747d4bb80642a7bb90a0f4a342839296a24c79c0c3466fe7328958",
+    "Petersen-1-2-3-4":
+        "2c7e738c213a74e8e6bc3b8b13d53682d409ecff2dc2350766d48750a18a14cf",
+}
+
+
 class TestQuotient:
     def test_gd_natural_partition(self, tmp_path, capsys):
         g_path = tmp_path / "g4.el"
@@ -199,6 +248,17 @@ class TestQuotient:
                 if i != j:
                     assert doc["matrix"][i][j] == "1/5"
         assert doc["interlacing"]["ok"] is True
+
+    @pytest.mark.parametrize("name", sorted(PINNED_QUOTIENT_JSON))
+    def test_non_integer_partition_output_is_pinned(self, tmp_path, capsys, name):
+        graph, blocks = QUOTIENT_CASES[name]
+        g_path = write_graph(tmp_path, graph)
+        part = tmp_path / "blocks.txt"
+        part.write_text("".join(" ".join(map(str, b)) + "\n" for b in blocks))
+        code, out = run(capsys, ["quotient", g_path, str(part)])
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.replace(g_path, "G").encode()).hexdigest()
+        assert digest == PINNED_QUOTIENT_JSON[name]
 
     def test_bad_partition_file(self, tmp_path, capsys):
         g_path = write_graph(tmp_path, complete_graph(4))

@@ -1,26 +1,39 @@
+import hashlib
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treepack.exact import (
     IntPoly,
     cauchy_bound,
     char_poly_exact,
-    char_poly_rational,
-    clear_denominators,
     count_real_roots,
     descartes_positivity_check,
     det_exact,
     isolate_real_roots,
     squarefree_decomposition,
     squarefree_part,
+    sturm_chain,
     sturm_isolate_largest_root,
+    _variations,
 )
+from treepack.families import (
+    claimed_charpoly_A9,
+    claimed_charpoly_A25,
+    p3_poly,
+    p10_poly,
+)
+from treepack.graphs import petersen_graph
+from treepack.spectra import QuotientMatrix
 
 ints = st.integers(min_value=-50, max_value=50)
 small_polys = st.lists(ints, min_size=1, max_size=6).map(IntPoly)
+small_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 
 
 def poly_from_roots(roots):
@@ -30,10 +43,29 @@ def poly_from_roots(roots):
     return p
 
 
+def faddeev_leverrier_fraction(rows):
+    """Reference: monic char poly of a rational matrix over Fraction,
+    ascending coefficients."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    dim = len(m)
+    coeffs = [Fraction(0)] * dim + [Fraction(1)]
+    mk = [row[:] for row in m]
+    for k in range(1, dim + 1):
+        if k > 1:
+            shifted = [row[:] for row in mk]
+            for i in range(dim):
+                shifted[i][i] += coeffs[dim - k + 1]
+            mk = [[sum(m[i][l] * shifted[l][j] for l in range(dim)) for j in range(dim)]
+                  for i in range(dim)]
+        coeffs[dim - k] = -sum(mk[i][i] for i in range(dim)) / k
+    return coeffs
+
+
 class TestIntPoly:
     def test_trims_trailing_zeros(self):
         assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])
-        assert IntPoly([0, 0]).is_zero
+        assert IntPoly([0, 0]).is_zero()
+        assert not IntPoly([0, 1]).is_zero()
         assert IntPoly([0]).degree == -1
 
     def test_rejects_floats(self):
@@ -85,9 +117,21 @@ class TestCharPoly:
         lambda n: st.lists(st.lists(ints, min_size=n, max_size=n),
                            min_size=n, max_size=n)))
     def test_rational_route_agrees(self, rows):
-        exact = char_poly_exact(rows)
-        rational = char_poly_rational([[Fraction(x) for x in row] for row in rows])
-        assert clear_denominators(rational) == exact
+        reference = faddeev_leverrier_fraction(rows)
+        assert all(c.denominator == 1 for c in reference)
+        assert char_poly_exact(rows) == IntPoly([int(c) for c in reference])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(small_fractions, min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_quotient_char_poly_matches_rational_reference(self, rows):
+        # the char poly of L*Q rescaled by x -> x/L, against Faddeev-LeVerrier
+        # over Fraction with the denominators cleared
+        q = QuotientMatrix(tuple(tuple(row) for row in rows), None)
+        reference = faddeev_leverrier_fraction(rows)
+        lcm_den = math.lcm(*(c.denominator for c in reference))
+        assert q.char_poly() == IntPoly([int(c * lcm_den) for c in reference])
 
 
 class TestDeterminant:
@@ -119,6 +163,37 @@ def test_squarefree_decomposition():
     assert squarefree_part(p) == poly_from_roots([1, -2]).primitive()
 
 
+def fraction_sturm_chain(sf):
+    """Reference: the classical Sturm chain f, f', -rem(f_{i-1}, f_i), ...
+    over Fraction."""
+    chain = [[Fraction(c) for c in sf.coeffs], [Fraction(c) for c in sf.derivative().coeffs]]
+    while len(chain[-1]) > 1:
+        rem, den = chain[-2][:], chain[-1]
+        while len(rem) >= len(den):
+            q = rem[-1] / den[-1]
+            shift = len(rem) - len(den)
+            for i, c in enumerate(den):
+                rem[shift + i] -= q * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return [c for c in chain if c]
+
+
+def fraction_variations(chain, x):
+    values = []
+    for cs in chain:
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        values.append(acc)
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 class TestSturm:
     def test_count_half_open_semantics(self):
         p = poly_from_roots([1, 2, 3])
@@ -142,6 +217,26 @@ class TestSturm:
         p = poly_from_roots(roots)
         expected = len({r for r in roots if lo < r <= hi})
         assert count_real_roots(p, lo, hi) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
+           st.lists(ints, min_size=1, max_size=5),
+           st.lists(st.builds(Fraction, st.integers(-800, 800), st.integers(1, 64)),
+                    min_size=1, max_size=8))
+    # x^4 + x: the chain x^4 + x, x^3, -x, 1 drops two degrees under a
+    # negative leading coefficient, where the sign rule is not simply -1
+    @example([0, -1], [1, -1, 1], [Fraction(-2), Fraction(-1, 2), Fraction(1, 3)])
+    def test_variations_match_fraction_chain(self, roots, extra, points):
+        p = poly_from_roots(roots) * IntPoly(extra)
+        if p.is_zero():
+            return
+        reference = fraction_sturm_chain(squarefree_part(p))
+        chain = sturm_chain(p)
+        assert len(chain) == len(reference)
+        for x in points:
+            count, on_root = _variations(chain, x.numerator, x.denominator)
+            assert count == fraction_variations(reference, x)
+            assert on_root == (squarefree_part(p).evaluate_at(x) == 0)
 
     def test_cauchy_bound_exceeds_roots(self):
         p = poly_from_roots([3, -7, 11])
@@ -191,3 +286,75 @@ def test_descartes_positivity():
     assert not descartes_positivity_check(p, 0).all_positive
     # all derivatives positive at a point implies no roots at or beyond it
     assert count_real_roots(p, Fraction(4), cauchy_bound(p)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Root isolation pinned on a fixed corpus.  The hashes were recorded with the
+# Sturm chain over Fraction that the integer chain replaced; every interval
+# endpoint, multiplicity and count must stay exactly as it was.
+
+
+def _pin_corpus():
+    polys = [p3_poly(d) for d in range(4, 13)]
+    polys += [p10_poly(d) for d in range(6, 17)]
+    polys += [claimed_charpoly_A9(d) for d in range(4, 13)]
+    polys += [claimed_charpoly_A25(d) for d in range(6, 17)]
+    polys.append(char_poly_exact(petersen_graph().adjacency_int()))
+    # seeded products of repeated rational roots b x - a, some with a
+    # quadratic factor that may have no real roots
+    rng = random.Random(20130501)
+    for _ in range(16):
+        p = IntPoly([rng.choice([-3, -1, 1, 2])])
+        for _ in range(rng.randint(1, 3)):
+            root = IntPoly([-rng.randint(-9, 9), rng.randint(1, 4)])
+            p = p * root ** rng.randint(1, 3)
+        if rng.random() < 0.5:
+            p = p * IntPoly([rng.randint(-6, 6), rng.randint(-4, 4), 1])
+        polys.append(p)
+    return polys
+
+
+def _count_points(p):
+    """Interval ends for count_real_roots: halves and thirds on [-20, 20]
+    (some fall exactly on rational roots) and the Cauchy bound."""
+    bound = cauchy_bound(p)
+    pts = {Fraction(k, 2) for k in range(-40, 41)}
+    pts |= {Fraction(k, 3) for k in range(-59, 60, 2)}
+    pts |= {-bound, bound}
+    return sorted(pts)
+
+
+def _pin_record(name, prec):
+    rows = []
+    for p in _pin_corpus():
+        if name == "isolate_real_roots":
+            rows.append([[str(iv.lo), str(iv.hi), m] for iv, m in isolate_real_roots(p, prec)])
+        elif name == "sturm_isolate_largest_root":
+            iv = sturm_isolate_largest_root(p, prec)
+            rows.append([str(iv.lo), str(iv.hi)])
+        else:
+            pts = _count_points(p)
+            rows.append([count_real_roots(p, lo, hi) for lo, hi in zip(pts, pts[1:])]
+                        + [count_real_roots(p, pts[0], hi) for hi in pts[1::5]])
+    blob = json.dumps(rows, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+PINNED_ROOTS = {
+    ("isolate_real_roots", 12):
+        "d469a71faff3e9ab9cef62c6e859712c24e8d521f3e0c0e8167772470aafbc31",
+    ("isolate_real_roots", 30):
+        "1c557771985537fe081c3049c0ddb1f352151fe308b0afefebbc92022414327f",
+    ("sturm_isolate_largest_root", 12):
+        "f44ee6eda74408292b061e4233a0ad8c19b42421a66281f1b8b37c76070e0904",
+    ("sturm_isolate_largest_root", 30):
+        "3077141725cb58d09900bc662994bd13c93686deaa23a6d84c2989af02ac9c8e",
+    ("count_real_roots", 0):
+        "f43e7fb45fa69b592e3077f73142dc8cf28dc6b4158b270508389548ef202321",
+}
+
+
+@pytest.mark.parametrize("name,digits", sorted(PINNED_ROOTS))
+def test_root_isolation_is_pinned(name, digits):
+    prec = Fraction(1, 10 ** digits)
+    assert _pin_record(name, prec) == PINNED_ROOTS[name, digits]
