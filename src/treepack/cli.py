@@ -44,15 +44,18 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
+def _blocks_doc(p: VertexPartition | None) -> list[list[int]] | None:
+    """Partition blocks, each sorted, ordered by their smallest vertex."""
+    if p is None:
+        return None
+    return sorted((sorted(b) for b in p.blocks), key=lambda b: b[0])
+
+
 def _certificate_payload(result: TreePackingResult) -> dict:
-    witness = None
-    if result.witness_partition is not None:
-        witness = [sorted(b) for b in result.witness_partition.blocks]
-        witness.sort(key=lambda b: b[0])
     return {
         "sigma": result.sigma,
         "trees": [sorted([u, v] for u, v in t) for t in result.trees],
-        "witness": witness,
+        "witness": _blocks_doc(result.witness_partition),
     }
 
 
@@ -68,7 +71,9 @@ def _certificate_digest(result: TreePackingResult) -> str:
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
     degree = g.degree_if_regular()
-    packing = sigma(g)
+    kappa = edge_connectivity(g).value if g.n >= 2 else None
+    # Kundu: sigma >= floor(kappa'/2), so the search starts there
+    packing = sigma(g, (kappa or 0) // 2)
     cert = verify_certificate(g, packing)
 
     report: dict = {
@@ -88,7 +93,7 @@ def _cmd_analyze(args) -> int:
     report["sigma"] = packing.sigma
     report["certificate_digest"] = _certificate_digest(packing)
     report["certificate_valid"] = cert.ok
-    report["kappa_prime"] = edge_connectivity(g).value if g.n >= 2 else None
+    report["kappa_prime"] = kappa
     if g.n >= 1:
         count = count_spanning_trees(g)
         report["spanning_trees"] = count.exact
@@ -235,7 +240,7 @@ def _cmd_hunt(args) -> int:
         stem = f"counterexample-d{c.d}-n{c.n}-k{c.k}-seed{c.seed}"
         (out / f"{stem}.el").write_text(to_edge_list(c.graph), encoding="utf-8")
         sidecar = {"d": c.d, "n": c.n, "k": c.k, "lambda2": _sig15(c.lambda2),
-                   "sigma": c.sigma, "seed": c.seed}
+                   "sigma": c.sigma, "seed": c.seed, "witness": _blocks_doc(c.witness)}
         (out / f"{stem}.json").write_text(
             json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     _emit(_hunt_doc(rep, verdict), args.json)

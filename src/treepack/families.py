@@ -29,7 +29,7 @@ from .exact import (
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, make_graph, partition
 from .packing import pack_trees, sigma as tree_packing_sigma, verify_certificate
 from .randgen import GenConfig, random_regular, splitmix64
-from .spectra import adjacency_spectrum, is_equitable, lambda2, quotient_matrix
+from .spectra import adjacency_spectrum, is_equitable, quotient_matrix
 
 ROOT_PRECISION = Fraction(1, 10 ** 12)
 SPECTRUM_TOL = 1e-7
@@ -361,16 +361,16 @@ def verify_Gd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
     checks.append(NamedCheck("copy_crossing_edges", cross.total == 3 and pairwise_one,
                              f"total={cross.total}", "total=3, one per pair"))
 
-    packing = tree_packing_sigma(g)
+    cut = edge_connectivity(g)
+    packing = tree_packing_sigma(g, cut.value // 2)
     cert = verify_certificate(g, packing)
     checks.append(NamedCheck("sigma", packing.sigma == 1, str(packing.sigma), "1"))
     checks.append(NamedCheck("sigma_certificate", cert.ok,
                              cert.reason or "verified", "verified"))
-
-    cut = edge_connectivity(g)
     checks.append(NamedCheck("edge_connectivity", cut.value == 2, str(cut.value), "2"))
 
-    lam2 = lambda2(g)
+    spectrum = adjacency_spectrum(g)
+    lam2 = spectrum.values[1]
     iso = sturm_isolate_largest_root(p3, precision)
     root = iso.as_float()
     checks.append(NamedCheck(
@@ -404,7 +404,7 @@ def verify_Gd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
         f"theta > {premise_bound}", "required since sigma = 1"))
 
     expected = _gd_expected_spectrum(d, precision)
-    spec_ok, worst = _spectrum_check(adjacency_spectrum(g).values, expected)
+    spec_ok, worst = _spectrum_check(spectrum.values, expected)
     checks.append(NamedCheck(
         "spectrum_multiset", spec_ok,
         f"max deviation {worst:.3e}", f"within {SPECTRUM_TOL}", margin=worst))
@@ -450,17 +450,17 @@ def verify_Hd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
     checks.append(NamedCheck("copy_crossing_edges", cross.total == 10,
                              f"total={cross.total}", "total=10"))
 
-    packing = tree_packing_sigma(g)
+    cut = edge_connectivity(g)
+    packing = tree_packing_sigma(g, cut.value // 2)
     cert = verify_certificate(g, packing)
     checks.append(NamedCheck("sigma", packing.sigma == 2, str(packing.sigma), "2"))
     checks.append(NamedCheck("sigma_certificate", cert.ok,
                              cert.reason or "verified", "verified"))
-
-    cut = edge_connectivity(g)
     checks.append(NamedCheck("edge_connectivity_derived", cut.value == 4,
                              str(cut.value), "4 (each copy boundary has 4 edges)"))
 
-    lam2 = lambda2(g)
+    spectrum = adjacency_spectrum(g)
+    lam2 = spectrum.values[1]
     iso = sturm_isolate_largest_root(p10, precision)
     root = iso.as_float()
     checks.append(NamedCheck(
@@ -472,8 +472,10 @@ def verify_Hd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
         "descartes_all_derivatives_positive", descartes.all_positive,
         f"{sum(v > 0 for v in descartes.values)}/11 positive", "11/11 positive"))
 
-    inside = (_largest_root_above(p10, lo, strict=False)
-              and _largest_root_below(p10, hi))
+    # the largest root is at least lo: half of the interval claim, and the
+    # whole of the three-tree premise check below
+    at_least_lo = _largest_root_above(p10, lo, strict=False)
+    inside = at_least_lo and _largest_root_below(p10, hi)
     checks.append(NamedCheck(
         "gamma_interval_exact", inside,
         f"largest root isolated in ({iso.lo}, {iso.hi}]",
@@ -482,11 +484,11 @@ def verify_Hd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
     # sigma(Hd) = 2 < 3, so the spectral premise for packing three trees
     # must fail: gamma_d must be at least d - 5/(d+1)
     checks.append(NamedCheck(
-        "three_tree_premise_fails", _largest_root_above(p10, lo, strict=False),
+        "three_tree_premise_fails", at_least_lo,
         f"gamma >= {lo}", "required since sigma = 2"))
 
     expected = _hd_expected_spectrum(d, precision)
-    spec_ok, worst = _spectrum_check(adjacency_spectrum(g).values, expected)
+    spec_ok, worst = _spectrum_check(spectrum.values, expected)
     checks.append(NamedCheck(
         "spectrum_multiset", spec_ok,
         f"max deviation {worst:.3e}", f"within {SPECTRUM_TOL}", margin=worst))

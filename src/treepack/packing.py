@@ -274,28 +274,42 @@ class TreePackingResult:
     witness_partition: VertexPartition | None
 
 
-def sigma(g: Graph) -> TreePackingResult:
+def sigma(g: Graph, lower: int = 1) -> TreePackingResult:
     """Spanning-tree packing number with certificates for both directions.
 
-    Ascends k = 1, 2, ... up to the trivial bound floor(m / (n-1)); the
-    witness for sigma+1 is included whenever sigma+1 is within that bound
-    (otherwise the edge count itself certifies).
+    The search starts at k = lower clamped to [1, floor(m / (n-1))], the
+    trivial edge bound.  While packs succeed it climbs; if the first pack
+    fails it steps down until one succeeds.  Every pack is a fresh
+    pack_trees(g, k) and the packer is exact, so the trees always come
+    from pack_trees(g, sigma) and the witness from pack_trees(g, sigma+1):
+    the result is the same for every `lower`, and a good lower bound
+    (Kundu: floor(kappa'/2)) only saves the packs below it.  A bound that
+    is too high costs extra packs, never a wrong answer.  The witness is
+    None when sigma+1 exceeds the edge bound (the edge count certifies).
     """
     if g.n <= 1:
         return TreePackingResult(0, (), None)
     kmax = g.m // (g.n - 1)
-    best: tuple[frozenset[Edge], ...] = ()
-    witness = None
-    value = 0
-    for k in range(1, kmax + 1):
-        res = pack_trees(g, k)
+    k = min(max(lower, 1), kmax)
+    if k == 0:
+        return TreePackingResult(0, (), None)
+    res = pack_trees(g, k)
+    if res.success:
+        trees, witness = res.trees, None
+        while k < kmax:
+            res = pack_trees(g, k + 1)
+            if not res.success:
+                witness = res.witness
+                break
+            k, trees = k + 1, res.trees
+        return TreePackingResult(k, trees, witness)
+    witness = res.witness
+    while k > 1:
+        res = pack_trees(g, k - 1)
         if res.success:
-            value = k
-            best = res.trees
-        else:
-            witness = res.witness
-            break
-    return TreePackingResult(value, best, witness)
+            return TreePackingResult(k - 1, res.trees, witness)
+        k, witness = k - 1, res.witness
+    return TreePackingResult(0, (), witness)
 
 
 @dataclass(frozen=True)
@@ -423,43 +437,24 @@ def _is_spanning_tree(g: Graph, edges: frozenset[Edge]) -> bool:
 def verify_certificate(g: Graph, result: TreePackingResult) -> CertificateCheck:
     """Re-validate a TreePackingResult from scratch.
 
-    Checks the trees (count, disjointness, membership, spanning), and the
-    witness (valid partition with crossing <= (sigma+1)(t-1) - 1) or, when
-    the witness is absent, that the trivial edge-count bound certifies.
+    The trees are checked as a successful pack at k = sigma and the
+    witness as a failed pack at sigma+1 (``verify_pack_result``).  When
+    the witness is absent, the trivial edge-count bound must certify.
     """
     k = result.sigma
-    if k < 0:
-        return CertificateCheck(False, "negative sigma")
-    if len(result.trees) != k:
-        return CertificateCheck(False, "tree count does not match sigma")
-
+    w = result.witness_partition
     if g.n <= 1:
-        if k != 0 or result.trees or result.witness_partition is not None:
+        if k != 0 or result.trees or w is not None:
             return CertificateCheck(False, "trivial graph must certify sigma 0 trivially")
         return CertificateCheck(True)
-
-    for tree in result.trees:
-        if not tree <= g.edges:
-            return CertificateCheck(False, "tree uses an edge not in the graph")
-        if not _is_spanning_tree(g, tree):
-            return CertificateCheck(False, "edge set is not a spanning tree")
-    used = sum(len(t) for t in result.trees)
-    if len(frozenset().union(*result.trees) if result.trees else frozenset()) != used:
-        return CertificateCheck(False, "trees share an edge")
-
-    w = result.witness_partition
+    check = verify_pack_result(g, PackResult(k, True, result.trees, None))
+    if not check.ok:
+        return check
     if w is None:
         if g.m >= (k + 1) * (g.n - 1):
             return CertificateCheck(False, "missing witness: edge bound does not certify")
         return CertificateCheck(True)
-    if w.n != g.n:
-        return CertificateCheck(False, "witness partition wrong vertex count")
-    if w.t < 2:
-        return CertificateCheck(False, "witness needs at least 2 blocks")
-    total = crossing_edges(g, w).total
-    if total > (k + 1) * (w.t - 1) - 1:
-        return CertificateCheck(False, "witness crossing count is not violating")
-    return CertificateCheck(True)
+    return verify_pack_result(g, PackResult(k + 1, False, None, w))
 
 
 def verify_pack_result(g: Graph, result: PackResult) -> CertificateCheck:
@@ -469,7 +464,7 @@ def verify_pack_result(g: Graph, result: PackResult) -> CertificateCheck:
         if len(trees) != result.k:
             return CertificateCheck(False, "tree count does not match k")
         if g.n <= 1:
-            if any(trees) if trees else False:
+            if any(trees):
                 return CertificateCheck(False, "trivial graph packs empty trees")
             return CertificateCheck(True)
         seen: set[Edge] = set()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Edge, Graph, make_graph
+from .graphs import Edge, Graph, VertexPartition, make_graph
 from .packing import pack_trees, sigma as packing_sigma, verify_pack_result
 from .spectra import lambda2
 
@@ -80,7 +80,11 @@ def _pairing_attempt(rng: random.Random, n: int, d: int) -> list[Edge] | None:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """A graph where the spectral premise held but the packing fell short."""
+    """A graph where the spectral premise held but the packing fell short.
+
+    witness: the partition from the failed k-packing, whose crossing-edge
+    total is at most k(t-1) - 1 (None when not recorded).
+    """
 
     graph: Graph
     d: int
@@ -89,6 +93,7 @@ class Counterexample:
     lambda2: float
     sigma: int
     seed: int
+    witness: VertexPartition | None = None
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,7 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
             bad.append(Counterexample(
                 graph=g, d=d, n=n, k=k, lambda2=lam2,
                 sigma=packing_sigma(g).sigma, seed=trial_seed,
+                witness=packed.witness,
             ))
         elif packed.success:
             conclusion_only += 1

@@ -8,16 +8,19 @@ import pytest
 
 from treepack import cli
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
-from treepack.families import build_Gd
+from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
     complete_graph,
+    crossing_edges,
     disjoint_union,
     cycle_graph,
     parse_edge_list,
+    partition,
     petersen_graph,
     to_edge_list,
 )
-from treepack.randgen import Counterexample, TheoremReport
+from treepack.packing import pack_trees
+from treepack.randgen import Counterexample, GenConfig, TheoremReport, random_regular
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,6 +91,50 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "line 3: duplicate edge" in captured.err
         assert captured.out == ""
+
+
+ANALYZE_CASES = {
+    "K5": lambda: complete_graph(5),
+    "Petersen": petersen_graph,
+    "G4": lambda: build_Gd(4),
+    "H6": lambda: build_Hd(6),
+    "C3+C3": lambda: disjoint_union(cycle_graph(3), cycle_graph(3)),
+    "rr10-80-s1": lambda: random_regular(GenConfig(10, 80, 1)),
+    "rr10-80-s2": lambda: random_regular(GenConfig(10, 80, 2)),
+}
+
+# SHA-256 of the stdout of `analyze` with the graph path replaced by "G".
+# The stdout carries the certificate digest, so these pin the sigma trees
+# and witness as well as every reported number.
+PINNED_ANALYZE_JSON = {
+    "C3+C3":
+        "305165b2c0fd36e00ce2bee82007127a78cb5ba3823edecfafa05034ea94e918",
+    "G4":
+        "8eafb83ec884922988f36d27b1cf17142f6838d13cd93357586648004b373c5e",
+    "H6":
+        "e4c04ca116dfa7abb5ad90aafee1f69d03ba8946f6dad034d1712e488ad18645",
+    "K5":
+        "1d4dec06b4a7dfa520a38640207b1213355b9cc0933ee5b59edd31b96173801c",
+    "Petersen":
+        "002e23df74b1b797877195b75c1d61e6fc15d7cf7f02adf9ce0d2225d482640a",
+    "rr10-80-s1":
+        "478093b269b1203bf7bda2ea7da3b72e7401e36a15c70d6201504023a44ab100",
+    "rr10-80-s2":
+        "8c8841def1c79e109d47e03e3040fa87ca9514d9fc77587706184b2494fc2712",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ANALYZE_JSON))
+def test_analyze_output_is_pinned(tmp_path, capsys, name):
+    g_path = write_graph(tmp_path, ANALYZE_CASES[name]())
+    code, out = run(capsys, ["analyze", g_path])
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.replace(g_path, "G").encode()).hexdigest()
+    assert digest == PINNED_ANALYZE_JSON[name]
+
+
+def test_pinned_analyze_cases_are_complete():
+    assert sorted(PINNED_ANALYZE_JSON) == sorted(ANALYZE_CASES)
 
 
 class TestConstruct:
@@ -181,7 +228,8 @@ class TestHunt:
 
     def test_finding_written_into_new_directory(self, tmp_path, capsys, monkeypatch):
         g = complete_graph(5)
-        hit = Counterexample(graph=g, d=4, n=5, k=4, lambda2=-1.0, sigma=2, seed=7)
+        hit = Counterexample(graph=g, d=4, n=5, k=4, lambda2=-1.0, sigma=2, seed=7,
+                             witness=pack_trees(g, 4).witness)
 
         def fake_check(d, n, k, trials, seed):
             return TheoremReport(d=d, n=n, k=k, trials=trials, seed=seed,
@@ -194,8 +242,16 @@ class TestHunt:
         assert code == EXIT_FINDING
         assert json.loads(out)["verdict"] == "finding"
         stem = out_dir / "counterexample-d4-n5-k4-seed7"
-        assert parse_edge_list(stem.with_suffix(".el").read_text()) == g
-        assert json.loads(stem.with_suffix(".json").read_text())["sigma"] == 2
+        written = parse_edge_list(stem.with_suffix(".el").read_text())
+        assert written == g
+        sidecar = json.loads(stem.with_suffix(".json").read_text())
+        assert sidecar["sigma"] == 2
+        # the two files alone re-check the finding: the witness partition
+        # has too few crossing edges for k = 4 spanning trees
+        blocks = sidecar["witness"]
+        assert blocks == sorted((sorted(b) for b in blocks), key=lambda b: b[0])
+        w = partition(written.n, blocks)
+        assert crossing_edges(written, w).total <= sidecar["k"] * (w.t - 1) - 1
 
     def test_out_path_that_is_a_file_fails_before_compute(self, tmp_path, capsys,
                                                           monkeypatch):

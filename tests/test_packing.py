@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from treepack import packing
 from treepack.cli import _certificate_digest
 from treepack.connectivity import edge_connectivity
 from treepack.families import build_Gd, build_Hd
@@ -157,11 +158,13 @@ class TestSigmaBruteforce:
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs(min_n=2, max_n=8))
-def test_sigma_matches_oracle(g):
+@given(graphs(min_n=2, max_n=8), st.integers(min_value=-1, max_value=8))
+def test_sigma_matches_oracle(g, lower):
     result = sigma(g)
     assert result.sigma == sigma_bruteforce(g).sigma
     assert verify_certificate(g, result).ok
+    # the lower bound only moves where the search starts
+    assert sigma(g, lower) == result
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,6 +394,55 @@ def test_packing_output_is_pinned(name):
 
 def test_pinned_corpus_is_complete():
     assert sorted(PINNED_FINGERPRINTS) == sorted(_determinism_corpus())
+
+
+# ---------------------------------------------------------------------------
+# sigma's lower bound moves only where the search starts: below sigma it
+# climbs, above it steps down, and the result is the ascending search's.
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+def test_sigma_is_independent_of_its_lower_bound(name):
+    g = _determinism_corpus()[name]
+    reference = sigma(g)
+    for lower in range(0, g.m // (g.n - 1) + 2):
+        assert sigma(g, lower) == reference, lower
+
+
+def _k5_bridge_k8():
+    """K5 and K8 joined by one edge: sigma 1 and edge bound 3.  The k = 2
+    witness is the two cliques; K5 packs only two trees, so the k = 3
+    witness splits it into singletons."""
+    edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(u, v) for u in range(5, 13) for v in range(u + 1, 13)]
+    return make_graph(13, edges + [(4, 5)])
+
+
+def test_sigma_two_step_descent_keeps_the_sigma_plus_one_witness():
+    g = _k5_bridge_k8()
+    reference = sigma(g)
+    assert reference.sigma == 1
+    assert pack_trees(g, 3).witness != reference.witness_partition
+    assert sigma(g, 3) == reference
+
+
+@pytest.mark.parametrize("name,lower,packs", [
+    ("rr10-80-s1", 5, 1),   # lower = sigma = edge bound: one pack
+    ("H7", 2, 2),           # lower = sigma: one success, one failure
+    ("G5", 2, 2),           # lower = sigma + 1: one failure, one success
+    ("K5-K8", 3, 3),        # lower = sigma + 2: two failures, one success
+])
+def test_sigma_pack_count(monkeypatch, name, lower, packs):
+    g = _k5_bridge_k8() if name == "K5-K8" else _determinism_corpus()[name]
+    calls = []
+
+    def counted(g, k):
+        calls.append(k)
+        return pack_trees(g, k)
+
+    monkeypatch.setattr(packing, "pack_trees", counted)
+    sigma(g, lower)
+    assert len(calls) == packs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import pytest
 
-from treepack.graphs import complete_graph
+from treepack import randgen
+from treepack.families import build_Gd
+from treepack.graphs import complete_graph, crossing_edges
 from treepack.randgen import (
     GenConfig,
     random_regular,
@@ -90,3 +92,15 @@ class TestTheoremCheck:
         a = theorem_check(d=6, n=14, k=2, trials=10, seed=11)
         b = theorem_check(d=6, n=14, k=2, trials=10, seed=11)
         assert (a.premise_and_conclusion, a.neither) == (b.premise_and_conclusion, b.neither)
+
+    def test_counterexample_carries_the_failed_pack_witness(self, monkeypatch):
+        # G4 is 4-regular with sigma 1; with the premise forced true every
+        # trial is a counterexample for k = 2
+        g4 = build_Gd(4)
+        monkeypatch.setattr(randgen, "random_regular", lambda cfg: g4)
+        monkeypatch.setattr(randgen, "lambda2", lambda g: 0.0)
+        r = theorem_check(d=4, n=15, k=2, trials=2, seed=0)
+        assert r.premise_only == 2 and len(r.counterexamples) == 2
+        for c in r.counterexamples:
+            assert c.sigma == 1
+            assert crossing_edges(g4, c.witness).total <= 2 * (c.witness.t - 1) - 1
