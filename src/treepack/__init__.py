@@ -15,7 +15,9 @@ from .exact import (
     sturm_isolate_largest_root,
 )
 from .families import (
+    FAMILIES,
     FamilyReport,
+    FamilySpec,
     build_A9,
     build_A25,
     build_Gd,
@@ -27,6 +29,7 @@ from .families import (
     proposition_search,
     verify_Gd,
     verify_Hd,
+    verify_family,
 )
 from .graphs import (
     Graph,

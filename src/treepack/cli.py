@@ -3,7 +3,10 @@
 Every subcommand emits a single JSON document on stdout (UTF-8, stable
 key order, floats at 15 significant digits) so reports can be diffed and
 round-tripped byte-identically.  Exit codes: 0 pass, 1 usage or parse
-error, 2 failed check (an implementation bug), 3 conjecture finding.
+error, 2 failed check (an implementation bug), 3 a `hunt` hit at k >= 4.
+The k >= 4 statement is reported proved (Liu, Hong, Gu & Lai, Linear
+Algebra Appl. 2014; citation unchecked), so such a hit is a suspected bug
+to re-verify, not a discovery; it keeps its own verdict and exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .connectivity import edge_connectivity
-from .families import FamilyReport, build_Gd, build_Hd, verify_Gd, verify_Hd
+from .families import FAMILIES, FamilyReport, build_family, verify_family
 from .graphs import Graph, VertexPartition, parse_edge_list, partition, to_edge_list
 from .packing import TreePackingResult, count_spanning_trees, sigma, verify_certificate
 from .randgen import TheoremReport, theorem_check
@@ -136,8 +139,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    builder = build_Gd if args.family == "Gd" else build_Hd
-    g = builder(args.d)
+    g = build_family(FAMILIES[args.family], args.d)
     Path(args.output).write_text(to_edge_list(g), encoding="utf-8")
     _emit({"family": args.family, "d": args.d, "n": g.n, "m": g.m,
            "output": args.output}, None)
@@ -171,9 +173,9 @@ def _family_report_doc(rep: FamilyReport) -> dict:
 def _cmd_verify_family(args) -> int:
     if args.d_min > args.d_max:
         raise ValueError("--d-min must not exceed --d-max")
-    verifier = verify_Gd if args.family == "Gd" else verify_Hd
+    spec = FAMILIES[args.family]
     precision = Fraction(1, 10 ** 30) if args.exact_range else Fraction(1, 10 ** 12)
-    reports = [verifier(d, precision=precision)
+    reports = [verify_family(spec, d, precision=precision)
                for d in range(args.d_min, args.d_max + 1)]
     doc = {
         "family": args.family,
@@ -301,13 +303,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("construct", help="write a family graph as an edge list")
-    p.add_argument("family", choices=["Gd", "Hd"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify-family", help="re-check family claims over a d range")
-    p.add_argument("family", choices=["Gd", "Hd"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--d-min", type=int, required=True)
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--exact-range", action="store_true",
@@ -316,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_family)
 
     p = sub.add_parser("hunt", help="random-regular implication sweep "
-                                    "(k in {2,3}: theorem; k >= 4: conjecture)")
+                                    "(k in {2,3}: a hit is a bug, exit 2; k >= 4: "
+                                    "a hit is a suspected bug to re-verify, exit 3)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

@@ -9,16 +9,27 @@ and gamma_d in [d - 5/(d+1), d - 5/(d+3)).  Both spectra reduce to small
 equitable-quotient matrices (9x9 and 25x25) whose characteristic
 polynomials factor through the certificate polynomials P3 and P10; every
 claim is re-checked here in exact arithmetic.
+
+Each family is a `FamilySpec` record (`GD`, `HD`, looked up by name in
+`FAMILIES`): the copy count, the missing edges and the connectors, the
+certificate polynomial, the hand-written quotient rows, the simple
+eigenvalues and the expected sigma and kappa'.  One builder, one pair of
+partition functions and one verifier, `verify_family`, serve both; only
+the interval evidence differs and is the spec's own function.  The
+quotient rows stay hand-written because they are the paper's matrices,
+which the built graph is checked against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .connectivity import edge_connectivity
 from .exact import (
     IntPoly,
+    RootInterval,
     cauchy_bound,
     char_poly_exact,
     count_real_roots,
@@ -69,101 +80,83 @@ def hd_interval(d: int) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# family records, builder and partitions
 
 
-def _block_offsets(copies: int, d: int) -> list[int]:
-    return [i * (d + 1) for i in range(copies)]
+@dataclass(frozen=True)
+class FamilySpec:
+    """One tight family as data: `copies` copies of K_{d+1}, each missing
+    the edges between the label pairs in `missing`, joined by `connectors`.
+
+    Vertex `label` of copy i is i*(d+1) + label.  Labels below `labelled`
+    name the vertices that touch a missing edge or a connector (a, b, ...);
+    the rest of each copy is its interior, one block of the equitable
+    partition.
+    """
+
+    name: str
+    copies: int
+    d_min: int
+    labelled: int
+    missing: tuple[tuple[int, int], ...]                        # label pairs
+    connectors: tuple[tuple[tuple[int, int], tuple[int, int]], ...]   # (copy, label) pairs
+    crossing_claim: str
+    poly: Callable[[int], IntPoly]              # certificate polynomial in d
+    poly_name: str
+    quotient_rows: Callable[[int], list[list[int]]]
+    # simple eigenvalues besides d: the claimed char poly of the quotient is
+    # (x - d) prod (x - s) (x + 1)^2 P^2, and -1 fills the rest of the spectrum
+    other_simple: tuple[int, ...]
+    factorization: str
+    sigma: int
+    kappa_prime: int
+    kappa_check: str
+    kappa_claim: str
+    interval_evidence: Callable[[int, IntPoly, RootInterval], list[NamedCheck]]
 
 
-def build_Gd(d: int) -> Graph:
-    """Three copies of K_{d+1} minus the edge {a_i, b_i}, joined by
-    a1-a2, b2-b3, a3-b1.  Aborts unless the result is d-regular with
-    exactly one edge between each pair of copies."""
-    if d < 4:
-        raise ValueError("Gd needs d >= 4")
+def build_family(spec: FamilySpec, d: int) -> Graph:
+    """The family member of degree d.  Aborts unless the result is
+    d-regular with exactly the connectors crossing between copies."""
+    if d < spec.d_min:
+        raise ValueError(f"{spec.name} needs d >= {spec.d_min}")
+    size = d + 1
     edges: list[Edge] = []
-    offsets = _block_offsets(3, d)
-    for off in offsets:
-        a, b = off, off + 1
-        for u in range(off, off + d + 1):
-            for v in range(u + 1, off + d + 1):
-                if (u, v) != (a, b):
-                    edges.append((u, v))
-    a = [off for off in offsets]
-    b = [off + 1 for off in offsets]
-    edges += [(a[0], a[1]), (b[1], b[2]), (a[2], b[0])]
-    g = make_graph(3 * (d + 1), edges)
-    _assert_family(g, d, gd_natural_partition(d), expected_crossing=3)
-    return g
-
-
-def build_Hd(d: int) -> Graph:
-    """Five copies of K_{d+1} minus the disjoint edges {a_i,c_i}, {b_i,d_i},
-    joined by b_i-a_{i+1} (cyclic) and c_i-d_{i+2} (step two).  Aborts
-    unless the result is d-regular with ten connecting edges."""
-    if d < 6:
-        raise ValueError("Hd needs d >= 6")
-    edges: list[Edge] = []
-    offsets = _block_offsets(5, d)
-    for off in offsets:
-        a, b, c, dd = off, off + 1, off + 2, off + 3
-        skip = {(a, c), (b, dd)}
-        for u in range(off, off + d + 1):
-            for v in range(u + 1, off + d + 1):
+    for i in range(spec.copies):
+        off = i * size
+        skip = {(off + x, off + y) for x, y in spec.missing}
+        for u in range(off, off + size):
+            for v in range(u + 1, off + size):
                 if (u, v) not in skip:
                     edges.append((u, v))
-    a = [off for off in offsets]
-    b = [off + 1 for off in offsets]
-    c = [off + 2 for off in offsets]
-    dd = [off + 3 for off in offsets]
-    for i in range(5):
-        edges.append((b[i], a[(i + 1) % 5]))
-        edges.append((c[i], dd[(i + 2) % 5]))
-    g = make_graph(5 * (d + 1), edges)
-    _assert_family(g, d, hd_natural_partition(d), expected_crossing=10)
+    edges += [(i * size + x, j * size + y) for (i, x), (j, y) in spec.connectors]
+    g = make_graph(spec.copies * size, edges)
+    if g.degree_if_regular() != d:
+        raise ValueError(f"construction error: not {d}-regular")
+    if crossing_edges(g, natural_partition(spec, d)).total != len(spec.connectors):
+        raise ValueError("construction error: wrong connector count")
     return g
 
 
-def _assert_family(g: Graph, d: int, blocks: VertexPartition, expected_crossing: int):
-    if g.degree_if_regular() != d:
-        raise ValueError(f"construction error: not {d}-regular")
-    if crossing_edges(g, blocks).total != expected_crossing:
-        raise ValueError("construction error: wrong connector count")
+def natural_partition(spec: FamilySpec, d: int) -> VertexPartition:
+    """The copy vertex sets."""
+    size = d + 1
+    return partition(spec.copies * size,
+                     [range(i * size, (i + 1) * size) for i in range(spec.copies)])
 
 
-def gd_natural_partition(d: int) -> VertexPartition:
-    """The three copy vertex sets of Gd."""
-    return partition(3 * (d + 1),
-                     [range(off, off + d + 1) for off in _block_offsets(3, d)])
-
-
-def hd_natural_partition(d: int) -> VertexPartition:
-    """The five copy vertex sets of Hd."""
-    return partition(5 * (d + 1),
-                     [range(off, off + d + 1) for off in _block_offsets(5, d)])
-
-
-def gd_equitable_partition(d: int) -> VertexPartition:
-    """Nine orbits of Gd: the three interiors, then (a_i, b_i) per copy."""
-    offsets = _block_offsets(3, d)
-    blocks: list[list[int]] = [list(range(off + 2, off + d + 1)) for off in offsets]
-    for off in offsets:
-        blocks += [[off], [off + 1]]
-    return partition(3 * (d + 1), blocks)
-
-
-def hd_equitable_partition(d: int) -> VertexPartition:
-    """Twenty-five orbits of Hd: five interiors, then a,b,c,d per copy."""
-    offsets = _block_offsets(5, d)
-    blocks: list[list[int]] = [list(range(off + 4, off + d + 1)) for off in offsets]
-    for off in offsets:
-        blocks += [[off], [off + 1], [off + 2], [off + 3]]
-    return partition(5 * (d + 1), blocks)
+def equitable_partition(spec: FamilySpec, d: int) -> VertexPartition:
+    """The orbits: the interiors of the copies, then each labelled vertex
+    alone, copy by copy -- the row order of the quotient transcription."""
+    size = d + 1
+    blocks = [range(i * size + spec.labelled, (i + 1) * size) for i in range(spec.copies)]
+    blocks += [[i * size + x] for i in range(spec.copies) for x in range(spec.labelled)]
+    return partition(spec.copies * size, blocks)
 
 
 # ---------------------------------------------------------------------------
-# quotient-matrix transcriptions
+# quotient-matrix transcriptions (the paper's matrices, written out by hand;
+# every verification checks them against the quotient of the built graph)
 
 
 def _a9_rows(d: int) -> list[list[int]]:
@@ -208,43 +201,25 @@ def _a25_rows(d: int) -> list[list[int]]:
     return rows
 
 
-def build_A9(d: int) -> list[list[int]]:
-    """9x9 quotient matrix of Gd; cross-validated against the graph."""
-    if d < 4:
-        raise ValueError("A9 needs d >= 4")
-    rows = _a9_rows(d)
-    _validate_transcription(build_Gd(d), gd_equitable_partition(d), rows)
-    return rows
-
-
-def build_A25(d: int) -> list[list[int]]:
-    """25x25 quotient matrix of Hd; cross-validated against the graph."""
-    if d < 6:
-        raise ValueError("A25 needs d >= 6")
-    rows = _a25_rows(d)
-    _validate_transcription(build_Hd(d), hd_equitable_partition(d), rows)
-    return rows
-
-
-def _validate_transcription(g: Graph, part: VertexPartition, rows: list[list[int]]):
+def _validate_transcription(spec: FamilySpec, d: int, g: Graph) -> list[list[int]]:
+    """The hand-written quotient rows, checked against the equitable
+    quotient of the built graph g."""
+    rows = spec.quotient_rows(d)
+    part = equitable_partition(spec, d)
     if not is_equitable(g, part):
         raise ValueError("transcription bug: partition is not equitable")
     q = quotient_matrix(g, part)
     if not q.is_integer() or q.as_int() != rows:
         raise ValueError("transcription bug: quotient differs from computed matrix")
+    return rows
 
 
-def claimed_charpoly_A9(d: int) -> IntPoly:
-    """(x - d)(x + 1)^2 P3(d)^2 -- the asserted factorization."""
-    x_minus_d = IntPoly([-d, 1])
-    x_plus_1 = IntPoly([1, 1])
-    return x_minus_d * x_plus_1 ** 2 * p3_poly(d) ** 2
-
-
-def claimed_charpoly_A25(d: int) -> IntPoly:
-    """(x - d)(x - 1)(x + 1)^2 (x + 3) P10(d)^2 -- the asserted factorization."""
-    lin = IntPoly([-d, 1]) * IntPoly([-1, 1]) * IntPoly([1, 1]) ** 2 * IntPoly([3, 1])
-    return lin * p10_poly(d) ** 2
+def claimed_charpoly(spec: FamilySpec, d: int) -> IntPoly:
+    """(x - d) prod (x - s) (x + 1)^2 P(d)^2 -- the asserted factorization."""
+    lin = IntPoly([-d, 1])
+    for s in spec.other_simple:
+        lin = lin * IntPoly([-s, 1])
+    return lin * IntPoly([1, 1]) ** 2 * spec.poly(d) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -342,180 +317,198 @@ def _spectrum_check(computed: tuple[float, ...],
     return worst <= SPECTRUM_TOL, worst
 
 
-def verify_Gd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
-    """Re-check every Gd claim: counts, sigma, connectivity, the exact
-    theta_d interval, the spectrum multiset, and the quotient identity."""
-    g = build_Gd(d)
-    p3 = p3_poly(d)
-    lo, hi = gd_interval(d)
+def verify_family(spec: FamilySpec, d: int,
+                  precision: Fraction = ROOT_PRECISION) -> FamilyReport:
+    """Re-check every claim about the family member of degree d: counts,
+    sigma, connectivity, the exact interval of lambda2, the spectrum
+    multiset, and the quotient identity."""
+    g = build_family(spec, d)
+    p = spec.poly(d)
+    n = spec.copies * (d + 1)
     checks: list[NamedCheck] = []
 
-    checks.append(NamedCheck("vertex_count", g.n == 3 * (d + 1),
-                             str(g.n), str(3 * (d + 1))))
+    checks.append(NamedCheck("vertex_count", g.n == n, str(g.n), str(n)))
     checks.append(NamedCheck("regularity", g.degree_if_regular() == d,
                              str(g.degree_if_regular()), str(d)))
 
-    cross = crossing_edges(g, gd_natural_partition(d))
-    pairwise_one = all(cross.pair_counts[i][j] == 1
-                       for i in range(3) for j in range(i + 1, 3))
-    checks.append(NamedCheck("copy_crossing_edges", cross.total == 3 and pairwise_one,
-                             f"total={cross.total}", "total=3, one per pair"))
+    cross = crossing_edges(g, natural_partition(spec, d))
+    claimed_pairs = sorted(tuple(sorted((i, j))) for (i, _), (j, _) in spec.connectors)
+    found_pairs = [(i, j) for i in range(spec.copies) for j in range(i + 1, spec.copies)
+                   for _ in range(cross.pair_counts[i][j])]
+    checks.append(NamedCheck("copy_crossing_edges", found_pairs == claimed_pairs,
+                             f"total={cross.total}", spec.crossing_claim))
 
     cut = edge_connectivity(g)
     packing = tree_packing_sigma(g, cut.value // 2)
     cert = verify_certificate(g, packing)
-    checks.append(NamedCheck("sigma", packing.sigma == 1, str(packing.sigma), "1"))
+    checks.append(NamedCheck("sigma", packing.sigma == spec.sigma,
+                             str(packing.sigma), str(spec.sigma)))
     checks.append(NamedCheck("sigma_certificate", cert.ok,
                              cert.reason or "verified", "verified"))
-    checks.append(NamedCheck("edge_connectivity", cut.value == 2, str(cut.value), "2"))
+    checks.append(NamedCheck(spec.kappa_check, cut.value == spec.kappa_prime,
+                             str(cut.value), spec.kappa_claim))
 
     spectrum = adjacency_spectrum(g)
     lam2 = spectrum.values[1]
-    iso = sturm_isolate_largest_root(p3, precision)
+    iso = sturm_isolate_largest_root(p, precision)
     root = iso.as_float()
     checks.append(NamedCheck(
-        "lambda2_matches_p3_root", abs(lam2 - root) <= ROOT_MATCH_TOL,
+        f"lambda2_matches_{spec.poly_name}_root", abs(lam2 - root) <= ROOT_MATCH_TOL,
         f"{lam2!r}", f"{root!r}", margin=abs(lam2 - root)))
 
-    val_lo = p3.evaluate_at(lo)
-    closed_lo = Fraction(-3 * (9 + d * (-2 + d + d * d)), (2 + d) ** 3)
-    checks.append(NamedCheck(
-        "p3_negative_at_lower_endpoint", val_lo < 0 and val_lo == closed_lo,
-        str(val_lo), f"{closed_lo} < 0"))
+    checks += spec.interval_evidence(d, p, iso)
 
-    val_hi = p3.evaluate_at(hi)
-    closed_hi = Fraction(6 * d * d - 81, (3 + d) ** 3)
-    checks.append(NamedCheck(
-        "p3_positive_at_upper_endpoint", val_hi > 0 and val_hi == closed_hi,
-        str(val_hi), f"{closed_hi} > 0"))
-
-    inside = (_largest_root_above(p3, lo, strict=True)
-              and _largest_root_below(p3, hi))
-    checks.append(NamedCheck(
-        "theta_interval_exact", inside,
-        f"largest root isolated in ({iso.lo}, {iso.hi}]",
-        f"strictly inside ({lo}, {hi})"))
-
-    # sigma(Gd) = 1 < 2, so the spectral premise for packing two trees
-    # must fail: theta_d must already exceed d - 3/(d+1)
-    premise_bound = Fraction(d) - Fraction(3, d + 1)
-    checks.append(NamedCheck(
-        "two_tree_premise_fails", _largest_root_above(p3, premise_bound, strict=True),
-        f"theta > {premise_bound}", "required since sigma = 1"))
-
-    expected = _gd_expected_spectrum(d, precision)
+    expected = expected_spectrum(spec, d, precision)
     spec_ok, worst = _spectrum_check(spectrum.values, expected)
     checks.append(NamedCheck(
         "spectrum_multiset", spec_ok,
         f"max deviation {worst:.3e}", f"within {SPECTRUM_TOL}", margin=worst))
 
-    a9 = build_A9(d)
-    identity = char_poly_exact(a9) == claimed_charpoly_A9(d)
+    rows = _validate_transcription(spec, d, g)
+    identity = char_poly_exact(rows) == claimed_charpoly(spec, d)
     checks.append(NamedCheck(
         "charpoly_factorization", identity,
-        "char poly of quotient", "(x-d)(x+1)^2 P3^2", margin=0.0 if identity else None))
+        "char poly of quotient", spec.factorization, margin=0.0 if identity else None))
 
     checks.append(NamedCheck(
         "kundu_bound", packing.sigma >= cut.value // 2,
         f"sigma={packing.sigma}", f">= floor({cut.value}/2)"))
 
     return FamilyReport(
-        family="Gd", d=d, graph=g, sigma=packing.sigma, kappa_prime=cut.value,
+        family=spec.name, d=d, graph=g, sigma=packing.sigma, kappa_prime=cut.value,
         lambda2=lam2, lambda2_interval=(iso.lo, iso.hi),
         spectrum_expected=expected, checks=tuple(checks),
     )
 
 
-def _gd_expected_spectrum(d: int, precision: Fraction) -> tuple[tuple[float, int], ...]:
-    roots = isolate_real_roots(p3_poly(d), precision)
-    expected = [(float(d), 1), (-1.0, 3 * d - 4)]
-    expected += [(interval.as_float(), 2 * mult) for interval, mult in roots]
+def expected_spectrum(spec: FamilySpec, d: int,
+                      precision: Fraction) -> tuple[tuple[float, int], ...]:
+    """The claimed adjacency spectrum as (value, multiplicity) pairs: the
+    simple eigenvalues, each root of P twice, and -1 for the rest."""
+    p = spec.poly(d)
+    simple = (d,) + spec.other_simple
+    minus_one = spec.copies * (d + 1) - 2 * p.degree - len(simple)
+    expected = [(float(s), 1) for s in simple] + [(-1.0, minus_one)]
+    expected += [(interval.as_float(), 2 * mult)
+                 for interval, mult in isolate_real_roots(p, precision)]
     return tuple(sorted(expected, reverse=True))
+
+
+def _gd_interval_evidence(d: int, p3: IntPoly, iso: RootInterval) -> list[NamedCheck]:
+    """Closed-form endpoint values of P3, theta_d strictly inside the open
+    interval, and the failure of the two-tree premise."""
+    lo, hi = gd_interval(d)
+    val_lo = p3.evaluate_at(lo)
+    closed_lo = Fraction(-3 * (9 + d * (-2 + d + d * d)), (2 + d) ** 3)
+    val_hi = p3.evaluate_at(hi)
+    closed_hi = Fraction(6 * d * d - 81, (3 + d) ** 3)
+    inside = (_largest_root_above(p3, lo, strict=True)
+              and _largest_root_below(p3, hi))
+    # sigma(Gd) = 1 < 2, so the spectral premise for packing two trees
+    # must fail: theta_d must already exceed d - 3/(d+1)
+    premise_bound = Fraction(d) - Fraction(3, d + 1)
+    return [
+        NamedCheck("p3_negative_at_lower_endpoint", val_lo < 0 and val_lo == closed_lo,
+                   str(val_lo), f"{closed_lo} < 0"),
+        NamedCheck("p3_positive_at_upper_endpoint", val_hi > 0 and val_hi == closed_hi,
+                   str(val_hi), f"{closed_hi} > 0"),
+        NamedCheck("theta_interval_exact", inside,
+                   f"largest root isolated in ({iso.lo}, {iso.hi}]",
+                   f"strictly inside ({lo}, {hi})"),
+        NamedCheck("two_tree_premise_fails",
+                   _largest_root_above(p3, premise_bound, strict=True),
+                   f"theta > {premise_bound}", "required since sigma = 1"),
+    ]
+
+
+def _hd_interval_evidence(d: int, p10: IntPoly, iso: RootInterval) -> list[NamedCheck]:
+    """The Descartes certificate at the upper endpoint, gamma_d inside the
+    half-open interval, and the failure of the three-tree premise."""
+    lo, hi = hd_interval(d)
+    descartes = descartes_positivity_check(p10, hi)
+    # the largest root is at least lo: half of the interval claim, and the
+    # whole of the three-tree premise check
+    at_least_lo = _largest_root_above(p10, lo, strict=False)
+    inside = at_least_lo and _largest_root_below(p10, hi)
+    return [
+        NamedCheck("descartes_all_derivatives_positive", descartes.all_positive,
+                   f"{sum(v > 0 for v in descartes.values)}/11 positive", "11/11 positive"),
+        NamedCheck("gamma_interval_exact", inside,
+                   f"largest root isolated in ({iso.lo}, {iso.hi}]",
+                   f"inside [{lo}, {hi})"),
+        # sigma(Hd) = 2 < 3, so the spectral premise for packing three trees
+        # must fail: gamma_d must be at least d - 5/(d+1)
+        NamedCheck("three_tree_premise_fails", at_least_lo,
+                   f"gamma >= {lo}", "required since sigma = 2"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the two families
+
+
+# Gd: three copies of K_{d+1} minus the edge {a_i, b_i}, joined by a1-a2,
+# b2-b3, a3-b1 (labels a = 0, b = 1).
+GD = FamilySpec(
+    name="Gd", copies=3, d_min=4, labelled=2,
+    missing=((0, 1),),
+    connectors=(((0, 0), (1, 0)), ((1, 1), (2, 1)), ((2, 0), (0, 1))),
+    crossing_claim="total=3, one per pair",
+    poly=p3_poly, poly_name="p3", quotient_rows=_a9_rows,
+    other_simple=(), factorization="(x-d)(x+1)^2 P3^2",
+    sigma=1, kappa_prime=2, kappa_check="edge_connectivity", kappa_claim="2",
+    interval_evidence=_gd_interval_evidence,
+)
+
+# Hd: five copies of K_{d+1} minus the disjoint edges {a_i, c_i}, {b_i, d_i},
+# joined by b_i-a_{i+1} (cyclic) and c_i-d_{i+2} (step two)
+# (labels a, b, c, d = 0, 1, 2, 3).
+HD = FamilySpec(
+    name="Hd", copies=5, d_min=6, labelled=4,
+    missing=((0, 2), (1, 3)),
+    connectors=tuple(edge for i in range(5)
+                     for edge in (((i, 1), ((i + 1) % 5, 0)), ((i, 2), ((i + 2) % 5, 3)))),
+    crossing_claim="total=10",
+    poly=p10_poly, poly_name="p10", quotient_rows=_a25_rows,
+    other_simple=(1, -3), factorization="(x-d)(x-1)(x+1)^2(x+3) P10^2",
+    sigma=2, kappa_prime=4, kappa_check="edge_connectivity_derived",
+    kappa_claim="4 (each copy boundary has 4 edges)",
+    interval_evidence=_hd_interval_evidence,
+)
+
+FAMILIES = {"Gd": GD, "Hd": HD}
+
+
+def build_Gd(d: int) -> Graph:
+    """Gd for degree d (d >= 4)."""
+    return build_family(GD, d)
+
+
+def build_Hd(d: int) -> Graph:
+    """Hd for degree d (d >= 6)."""
+    return build_family(HD, d)
+
+
+def build_A9(d: int) -> list[list[int]]:
+    """9x9 quotient matrix of Gd; cross-validated against the graph."""
+    return _validate_transcription(GD, d, build_family(GD, d))
+
+
+def build_A25(d: int) -> list[list[int]]:
+    """25x25 quotient matrix of Hd; cross-validated against the graph."""
+    return _validate_transcription(HD, d, build_family(HD, d))
+
+
+def verify_Gd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
+    """Re-check every Gd claim, including the closed-form values of P3 at
+    both ends of the open theta_d interval."""
+    return verify_family(GD, d, precision)
 
 
 def verify_Hd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
     """Re-check every Hd claim, including the Descartes certificate at the
     upper endpoint and the exact half-open gamma_d interval."""
-    g = build_Hd(d)
-    p10 = p10_poly(d)
-    lo, hi = hd_interval(d)
-    checks: list[NamedCheck] = []
-
-    checks.append(NamedCheck("vertex_count", g.n == 5 * (d + 1),
-                             str(g.n), str(5 * (d + 1))))
-    checks.append(NamedCheck("regularity", g.degree_if_regular() == d,
-                             str(g.degree_if_regular()), str(d)))
-
-    cross = crossing_edges(g, hd_natural_partition(d))
-    checks.append(NamedCheck("copy_crossing_edges", cross.total == 10,
-                             f"total={cross.total}", "total=10"))
-
-    cut = edge_connectivity(g)
-    packing = tree_packing_sigma(g, cut.value // 2)
-    cert = verify_certificate(g, packing)
-    checks.append(NamedCheck("sigma", packing.sigma == 2, str(packing.sigma), "2"))
-    checks.append(NamedCheck("sigma_certificate", cert.ok,
-                             cert.reason or "verified", "verified"))
-    checks.append(NamedCheck("edge_connectivity_derived", cut.value == 4,
-                             str(cut.value), "4 (each copy boundary has 4 edges)"))
-
-    spectrum = adjacency_spectrum(g)
-    lam2 = spectrum.values[1]
-    iso = sturm_isolate_largest_root(p10, precision)
-    root = iso.as_float()
-    checks.append(NamedCheck(
-        "lambda2_matches_p10_root", abs(lam2 - root) <= ROOT_MATCH_TOL,
-        f"{lam2!r}", f"{root!r}", margin=abs(lam2 - root)))
-
-    descartes = descartes_positivity_check(p10, hi)
-    checks.append(NamedCheck(
-        "descartes_all_derivatives_positive", descartes.all_positive,
-        f"{sum(v > 0 for v in descartes.values)}/11 positive", "11/11 positive"))
-
-    # the largest root is at least lo: half of the interval claim, and the
-    # whole of the three-tree premise check below
-    at_least_lo = _largest_root_above(p10, lo, strict=False)
-    inside = at_least_lo and _largest_root_below(p10, hi)
-    checks.append(NamedCheck(
-        "gamma_interval_exact", inside,
-        f"largest root isolated in ({iso.lo}, {iso.hi}]",
-        f"inside [{lo}, {hi})"))
-
-    # sigma(Hd) = 2 < 3, so the spectral premise for packing three trees
-    # must fail: gamma_d must be at least d - 5/(d+1)
-    checks.append(NamedCheck(
-        "three_tree_premise_fails", at_least_lo,
-        f"gamma >= {lo}", "required since sigma = 2"))
-
-    expected = _hd_expected_spectrum(d, precision)
-    spec_ok, worst = _spectrum_check(spectrum.values, expected)
-    checks.append(NamedCheck(
-        "spectrum_multiset", spec_ok,
-        f"max deviation {worst:.3e}", f"within {SPECTRUM_TOL}", margin=worst))
-
-    a25 = build_A25(d)
-    identity = char_poly_exact(a25) == claimed_charpoly_A25(d)
-    checks.append(NamedCheck(
-        "charpoly_factorization", identity,
-        "char poly of quotient", "(x-d)(x-1)(x+1)^2(x+3) P10^2",
-        margin=0.0 if identity else None))
-
-    checks.append(NamedCheck(
-        "kundu_bound", packing.sigma >= cut.value // 2,
-        f"sigma={packing.sigma}", f">= floor({cut.value}/2)"))
-
-    return FamilyReport(
-        family="Hd", d=d, graph=g, sigma=packing.sigma, kappa_prime=cut.value,
-        lambda2=lam2, lambda2_interval=(iso.lo, iso.hi),
-        spectrum_expected=expected, checks=tuple(checks),
-    )
-
-
-def _hd_expected_spectrum(d: int, precision: Fraction) -> tuple[tuple[float, int], ...]:
-    roots = isolate_real_roots(p10_poly(d), precision)
-    expected = [(float(d), 1), (1.0, 1), (-3.0, 1), (-1.0, 5 * d - 18)]
-    expected += [(interval.as_float(), 2 * mult) for interval, mult in roots]
-    return tuple(sorted(expected, reverse=True))
+    return verify_family(HD, d, precision)
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,12 @@ class TheoremReport:
     """Tallies of (premise, conclusion) over a seeded trial batch.
 
     Premise: lambda2 < d - (2k-1)/(d+1).  Conclusion: the graph packs k
-    edge-disjoint spanning trees.  For k in {2, 3} the implication is a
-    proved theorem, so any counterexample is an implementation bug; for
-    k >= 4 it is an open conjecture and a counterexample is a finding.
+    edge-disjoint spanning trees.  For k in {2, 3} the implication is
+    proved in the paper, so any counterexample is an implementation bug.
+    For k >= 4 it is reported proved as well (Liu, Hong, Gu & Lai, Linear
+    Algebra Appl. 2014; citation unchecked), so a counterexample there is a
+    suspected bug to re-verify.  `conjecture` still marks k >= 4, because
+    the CLI reports those hits under their own verdict and exit code.
     """
 
     d: int
@@ -131,9 +134,14 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
 
     The statements under test hypothesize d >= 2k; below that the premise
     is counted as false for every trial (the run is vacuous, never a bug).
+    A (d, n) with no d-regular graph and a trial count below 1 are rejected
+    before any graph is drawn.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    GenConfig(d=d, n=n, seed=seed)      # raises unless a d-regular graph on n vertices exists
     degree_ok = d >= 2 * k
     threshold = d - (2 * k - 1) / (d + 1)
     state = seed & _MASK64

@@ -13,11 +13,12 @@ import pytest
 from treepack.connectivity import edge_connectivity, edge_connectivity_bruteforce
 from treepack.exact import char_poly_exact, descartes_positivity_check
 from treepack.families import (
+    GD,
+    HD,
     build_A9,
     build_A25,
     build_Gd,
-    claimed_charpoly_A9,
-    claimed_charpoly_A25,
+    claimed_charpoly,
     p10_poly,
     verify_Gd,
     verify_Hd,
@@ -112,9 +113,9 @@ def test_02_hd_family_certified_for_all_small_d():
 def test_03_quotient_charpoly_factorizations_coefficient_exact():
     start = time.perf_counter()
     for d in range(4, 41):
-        assert char_poly_exact(build_A9(d)) == claimed_charpoly_A9(d), d
+        assert char_poly_exact(build_A9(d)) == claimed_charpoly(GD, d), d
     for d in range(6, 21):
-        assert char_poly_exact(build_A25(d)) == claimed_charpoly_A25(d), d
+        assert char_poly_exact(build_A25(d)) == claimed_charpoly(HD, d), d
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"budget blown: {elapsed:.1f}s"
 

@@ -253,6 +253,15 @@ class TestHunt:
         w = partition(written.n, blocks)
         assert crossing_edges(written, w).total <= sidecar["k"] * (w.t - 1) - 1
 
+    @pytest.mark.parametrize("d, n, trials", [("3", "5", "-4"), ("6", "14", "0")])
+    def test_bad_input_exits_1(self, tmp_path, capsys, d, n, trials):
+        code = main(["hunt", "--d", d, "--n", n, "--k", "2", "--trials", trials,
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_out_path_that_is_a_file_fails_before_compute(self, tmp_path, capsys,
                                                           monkeypatch):
         def no_compute(*args):

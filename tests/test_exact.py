@@ -23,8 +23,9 @@ from treepack.exact import (
     _variations,
 )
 from treepack.families import (
-    claimed_charpoly_A9,
-    claimed_charpoly_A25,
+    GD,
+    HD,
+    claimed_charpoly,
     p3_poly,
     p10_poly,
 )
@@ -297,8 +298,8 @@ def test_descartes_positivity():
 def _pin_corpus():
     polys = [p3_poly(d) for d in range(4, 13)]
     polys += [p10_poly(d) for d in range(6, 17)]
-    polys += [claimed_charpoly_A9(d) for d in range(4, 13)]
-    polys += [claimed_charpoly_A25(d) for d in range(6, 17)]
+    polys += [claimed_charpoly(GD, d) for d in range(4, 13)]
+    polys += [claimed_charpoly(HD, d) for d in range(6, 17)]
     polys.append(char_poly_exact(petersen_graph().adjacency_int()))
     # seeded products of repeated rational roots b x - a, some with a
     # quadratic factor that may have no real roots

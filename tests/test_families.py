@@ -1,6 +1,7 @@
 """Checks for the two extremal families, their quotient matrices, and the
 exact polynomial identities that pin lambda2 inside its interval."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from treepack.connectivity import edge_connectivity_bruteforce
 from treepack.exact import char_poly_exact, isolate_real_roots
 from treepack.families import (
+    GD,
+    HD,
     APPENDIX_M,
     APPENDIX_N,
     APPENDIX_Q,
@@ -17,20 +20,18 @@ from treepack.families import (
     build_A25,
     build_Gd,
     build_Hd,
-    claimed_charpoly_A9,
-    claimed_charpoly_A25,
-    gd_equitable_partition,
+    claimed_charpoly,
+    equitable_partition,
     gd_interval,
-    gd_natural_partition,
-    hd_equitable_partition,
     hd_interval,
-    hd_natural_partition,
+    natural_partition,
     p3_poly,
     p10_poly,
     p10_derivative_at_endpoint,
     proposition_search,
     verify_Gd,
     verify_Hd,
+    verify_family,
 )
 from treepack.graphs import crossing_edges
 from treepack.spectra import quotient_matrix, is_equitable
@@ -58,11 +59,11 @@ class TestBuilders:
             build_Hd(5)
 
     def test_copy_crossing_counts(self):
-        assert crossing_edges(build_Gd(4), gd_natural_partition(4)).total == 3
-        assert crossing_edges(build_Hd(6), hd_natural_partition(6)).total == 10
+        assert crossing_edges(build_Gd(4), natural_partition(GD, 4)).total == 3
+        assert crossing_edges(build_Hd(6), natural_partition(HD, 6)).total == 10
 
     def test_gd_pairwise_single_connector(self):
-        cross = crossing_edges(build_Gd(5), gd_natural_partition(5))
+        cross = crossing_edges(build_Gd(5), natural_partition(GD, 5))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert cross.pair_counts[i][j] == 1
@@ -85,23 +86,23 @@ class TestQuotientMatrices:
 
     def test_a9_is_the_equitable_quotient(self):
         g = build_Gd(5)
-        part = gd_equitable_partition(5)
+        part = equitable_partition(GD, 5)
         assert is_equitable(g, part)
         assert quotient_matrix(g, part).as_int() == build_A9(5)
 
     def test_a25_is_the_equitable_quotient(self):
         h = build_Hd(7)
-        part = hd_equitable_partition(7)
+        part = equitable_partition(HD, 7)
         assert is_equitable(h, part)
         assert quotient_matrix(h, part).as_int() == build_A25(7)
 
     @pytest.mark.parametrize("d", [4, 6, 9])
     def test_a9_charpoly_factorization(self, d):
-        assert char_poly_exact(build_A9(d)) == claimed_charpoly_A9(d)
+        assert char_poly_exact(build_A9(d)) == claimed_charpoly(GD, d)
 
     @pytest.mark.parametrize("d", [6, 8, 12])
     def test_a25_charpoly_factorization(self, d):
-        assert char_poly_exact(build_A25(d)) == claimed_charpoly_A25(d)
+        assert char_poly_exact(build_A25(d)) == claimed_charpoly(HD, d)
 
 
 class TestPolynomials:
@@ -189,6 +190,28 @@ class TestFamilyReports:
     def test_gd_kappa_agrees_with_bruteforce(self):
         # 15 vertices: small enough for the exhaustive cut oracle
         assert edge_connectivity_bruteforce(build_Gd(4)) == verify_Gd(4).kappa_prime
+
+
+class TestVerifierCatchesWrongClaims:
+    """A spec that claims something false must fail the check for that
+    claim and no other."""
+
+    def test_wrong_sigma_fails_only_the_sigma_check(self):
+        report = verify_family(dataclasses.replace(GD, sigma=2), 4)
+        assert report.failures() == ["sigma"]
+
+    def test_changed_transcription_entry_is_a_transcription_bug(self):
+        def rows(d):
+            changed = GD.quotient_rows(d)
+            changed[3][4] += 1
+            return changed
+
+        with pytest.raises(ValueError, match="transcription bug"):
+            verify_family(dataclasses.replace(GD, quotient_rows=rows), 5)
+
+    def test_wrong_simple_eigenvalues_fail_spectrum_and_charpoly(self):
+        report = verify_family(dataclasses.replace(GD, other_simple=(1,)), 4)
+        assert report.failures() == ["spectrum_multiset", "charpoly_factorization"]
 
 
 class TestPropositionSearch:

@@ -84,6 +84,16 @@ class TestTheoremCheck:
         with pytest.raises(ValueError):
             theorem_check(d=6, n=14, k=1, trials=1, seed=0)
 
+    @pytest.mark.parametrize("d, n, trials", [(3, 5, -4), (3, 5, 1), (6, 14, 0),
+                                              (6, 14, -1), (6, 6, 1)])
+    def test_bad_input_rejected_before_any_graph_is_drawn(self, monkeypatch, d, n, trials):
+        def no_compute(cfg):
+            raise AssertionError("a graph was drawn for rejected input")
+
+        monkeypatch.setattr(randgen, "random_regular", no_compute)
+        with pytest.raises(ValueError):
+            theorem_check(d=d, n=n, k=2, trials=trials, seed=0)
+
     def test_k4_run_is_flagged_as_conjecture_territory(self):
         r = theorem_check(d=8, n=18, k=4, trials=5, seed=3)
         assert r.conjecture
