@@ -20,10 +20,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .connectivity import edge_connectivity
+from .exact import DEFAULT_PRECISION
 from .families import FAMILIES, FamilyReport, build_family, verify_family
 from .graphs import Graph, VertexPartition, parse_edge_list, partition, to_edge_list
 from .packing import TreePackingResult, count_spanning_trees, sigma, verify_certificate
-from .randgen import TheoremReport, theorem_check
+from .randgen import TheoremReport, check_sweep_args, theorem_check, theorem_threshold
 from .spectra import adjacency_spectrum, check_interlacing, is_equitable, quotient_matrix
 
 EXIT_OK = 0
@@ -110,13 +111,13 @@ def _cmd_analyze(args) -> int:
         report["theorems"] = "not applicable: graph is not regular with n >= 2"
     else:
         verdicts = {}
-        lam2 = report["lambda2"]
+        lam2 = spectrum.values[1]
         for k in (2, 3):
             # both theorems hypothesize d >= 2k, so the verdict is vacuous
             # below that degree (e.g. the k = 3 statement says nothing
             # about 4-regular graphs)
             applicable = degree >= 2 * k
-            premise = lam2 < degree - (2 * k - 1) / (degree + 1)
+            premise = lam2 < theorem_threshold(degree, k)
             conclusion = packing.sigma >= k
             ok = not (applicable and premise and not conclusion)
             consistent = consistent and ok
@@ -174,7 +175,7 @@ def _cmd_verify_family(args) -> int:
     if args.d_min > args.d_max:
         raise ValueError("--d-min must not exceed --d-max")
     spec = FAMILIES[args.family]
-    precision = Fraction(1, 10 ** 30) if args.exact_range else Fraction(1, 10 ** 12)
+    precision = Fraction(1, 10 ** 30) if args.exact_range else DEFAULT_PRECISION
     reports = [verify_family(spec, d, precision=precision)
                for d in range(args.d_min, args.d_max + 1)]
     doc = {
@@ -229,6 +230,7 @@ def _writable_dir(path: str) -> Path:
 
 
 def _cmd_hunt(args) -> int:
+    check_sweep_args(args.d, args.n, args.k, args.trials)
     out = _writable_dir(args.out)
     rep = theorem_check(args.d, args.n, args.k, args.trials, args.seed)
     if rep.clean:

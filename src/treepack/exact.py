@@ -10,12 +10,11 @@ The workhorses are:
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities;
   signs at a rational point a/b come from the homogenised sum
-  sum c_i a^i b^(deg - i), so no ``Fraction`` arithmetic is involved;
+  sum c_i a^i b^(deg - i), so no ``Fraction`` arithmetic is involved.
+  Both isolations narrow an interval with one bisection, ``_bisect_top``,
+  which follows the largest root of the chain inside the interval;
 * ``descartes_positivity_check`` — exact sign report for p, p', ..., p^(deg)
   at a rational point.
-
-Rational scalars are plain ``fractions.Fraction`` values (always reduced,
-positive denominator), re-exported as ``RatScalar``.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
-
-RatScalar = Fraction
 
 
 class IntPoly:
@@ -131,14 +128,6 @@ class IntPoly:
         g = self.content()
         sign = 1 if self.leading() > 0 else -1
         return IntPoly([sign * c // g for c in self.coeffs])
-
-
-def poly_x() -> IntPoly:
-    return IntPoly([0, 1])
-
-
-def poly_const(c: int) -> IntPoly:
-    return IntPoly([c])
 
 
 # ---------------------------------------------------------------------------
@@ -389,29 +378,16 @@ class RootInterval:
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
 
-# The bisections below keep an interval as integers (lo, hi, den) standing
-# for (lo/den, hi/den]; a step doubles all three, so the midpoint is the
-# integer lo + hi over the new den.
 
+def _bisect_top(chain: Sequence[Sequence[int]], lo: int, hi: int, den: int,
+                v_hi: int, prec: Fraction) -> RootInterval:
+    """Halve (lo/den, hi/den] around the largest root of the chain in it
+    until the width is at most prec; v_hi is the variation count at hi/den.
 
-def sturm_isolate_largest_root(
-    p: IntPoly, precision: Fraction = DEFAULT_PRECISION
-) -> RootInterval:
-    """Interval of width <= precision containing the largest real root of p.
-
-    Bisection with exact Sturm counts; endpoints stay rational throughout.
-    Raises if p has no real root.
+    A step doubles lo, hi and den, so the midpoint is the integer lo + hi
+    over the new den.  A midpoint that is that root ends the search with a
+    point interval.
     """
-    if p.is_zero() or p.degree == 0:
-        raise ValueError("nonconstant polynomial required")
-    chain = sturm_chain(p)
-    bound = cauchy_bound(IntPoly(chain[0]))
-    prec = Fraction(precision)
-    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
-    v_hi = _variations(chain, hi, den)[0]
-    if _variations(chain, lo, den)[0] == v_hi:
-        raise ValueError("polynomial has no real root")
-    # invariant: largest root lies in (lo/den, hi/den]
     while (hi - lo) * prec.denominator > prec.numerator * den:
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
@@ -426,6 +402,25 @@ def sturm_isolate_largest_root(
     return RootInterval(Fraction(lo, den), Fraction(hi, den))
 
 
+def sturm_isolate_largest_root(
+    p: IntPoly, precision: Fraction = DEFAULT_PRECISION
+) -> RootInterval:
+    """Interval of width <= precision containing the largest real root of p.
+
+    Bisection with exact Sturm counts; endpoints stay rational throughout.
+    Raises if p has no real root.
+    """
+    if p.is_zero() or p.degree == 0:
+        raise ValueError("nonconstant polynomial required")
+    chain = sturm_chain(p)
+    bound = cauchy_bound(IntPoly(chain[0]))
+    lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
+    v_hi = _variations(chain, hi, den)[0]
+    if _variations(chain, lo, den)[0] == v_hi:
+        raise ValueError("polynomial has no real root")
+    return _bisect_top(chain, lo, hi, den, v_hi, Fraction(precision))
+
+
 def isolate_real_roots(
     p: IntPoly, precision: Fraction = DEFAULT_PRECISION
 ) -> list[tuple[RootInterval, int]]:
@@ -437,7 +432,7 @@ def isolate_real_roots(
     if p.is_zero() or p.degree == 0:
         raise ValueError("nonconstant polynomial required")
     prec = Fraction(precision)
-    found: list[tuple[Fraction, Fraction, int]] = []
+    found: list[tuple[RootInterval, int]] = []
     for factor, mult in squarefree_decomposition(p):
         chain = sturm_chain(factor)
         bound = cauchy_bound(factor)
@@ -447,18 +442,7 @@ def isolate_real_roots(
             if v_lo == v_hi:
                 return
             if v_lo - v_hi == 1:
-                while (hi - lo) * prec.denominator > prec.numerator * den:
-                    mid = lo + hi
-                    lo, hi, den = 2 * lo, 2 * hi, 2 * den
-                    v_mid, on_root = _variations(chain, mid, den)
-                    if on_root:
-                        lo = hi = mid
-                        break
-                    if v_mid - v_hi == 1:
-                        lo = mid
-                    else:
-                        hi, v_hi = mid, v_mid
-                found.append((Fraction(lo, den), Fraction(hi, den), mult))
+                found.append((_bisect_top(chain, lo, hi, den, v_hi, prec), mult))
                 return
             mid = lo + hi
             v_mid = _variations(chain, mid, 2 * den)[0]
@@ -468,8 +452,8 @@ def isolate_real_roots(
         top, den = bound.numerator, bound.denominator
         refine(-top, top, den, _variations(chain, -top, den)[0],
                _variations(chain, top, den)[0])
-    found.sort(key=lambda item: item[0])
-    return [(RootInterval(lo, hi), mult) for lo, hi, mult in found]
+    found.sort(key=lambda item: item[0].lo)
+    return found
 
 
 @dataclass(frozen=True)

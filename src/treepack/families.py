@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .connectivity import edge_connectivity
 from .exact import (
+    DEFAULT_PRECISION,
     IntPoly,
     RootInterval,
     cauchy_bound,
@@ -35,14 +36,12 @@ from .exact import (
     count_real_roots,
     descartes_positivity_check,
     isolate_real_roots,
-    sturm_isolate_largest_root,
 )
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, make_graph, partition
 from .packing import pack_trees, sigma as tree_packing_sigma, verify_certificate
-from .randgen import GenConfig, random_regular, splitmix64
+from .randgen import GenConfig, random_regular, splitmix64, theorem_threshold
 from .spectra import adjacency_spectrum, is_equitable, quotient_matrix
 
-ROOT_PRECISION = Fraction(1, 10 ** 12)
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
 
@@ -75,8 +74,9 @@ def gd_interval(d: int) -> tuple[Fraction, Fraction]:
 
 
 def hd_interval(d: int) -> tuple[Fraction, Fraction]:
-    """Half-open interval [d - 5/(d+1), d - 5/(d+3)) pinching gamma_d."""
-    return Fraction(d) - Fraction(5, d + 1), Fraction(d) - Fraction(5, d + 3)
+    """Half-open interval [d - 5/(d+1), d - 5/(d+3)) pinching gamma_d; the
+    lower end is the three-tree threshold theta_3."""
+    return theorem_threshold(d, 3), Fraction(d) - Fraction(5, d + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +293,13 @@ class FamilyReport:
         return [c.name for c in self.checks if not c.passed]
 
 
-def _largest_root_above(p: IntPoly, bound: Fraction, strict: bool) -> bool:
+def _largest_root_vs(p: IntPoly, bound: Fraction) -> int:
+    """Sign of (largest real root of p) - bound, decided by an exact Sturm
+    count above bound: 1, 0 or -1 (-1 also when p has no real root)."""
     hi = cauchy_bound(p)
-    count = count_real_roots(p, bound, hi) if bound < hi else 0
-    if count >= 1:
-        return True
-    return (not strict) and p.evaluate_at(bound) == 0
-
-
-def _largest_root_below(p: IntPoly, bound: Fraction) -> bool:
-    """All real roots strictly below bound."""
-    hi = cauchy_bound(p)
-    count = count_real_roots(p, bound, hi) if bound < hi else 0
-    return count == 0 and p.evaluate_at(bound) != 0
+    if bound < hi and count_real_roots(p, bound, hi):
+        return 1
+    return 0 if p.evaluate_at(bound) == 0 else -1
 
 
 def _spectrum_check(computed: tuple[float, ...],
@@ -318,7 +312,7 @@ def _spectrum_check(computed: tuple[float, ...],
 
 
 def verify_family(spec: FamilySpec, d: int,
-                  precision: Fraction = ROOT_PRECISION) -> FamilyReport:
+                  precision: Fraction = DEFAULT_PRECISION) -> FamilyReport:
     """Re-check every claim about the family member of degree d: counts,
     sigma, connectivity, the exact interval of lambda2, the spectrum
     multiset, and the quotient identity."""
@@ -350,7 +344,8 @@ def verify_family(spec: FamilySpec, d: int,
 
     spectrum = adjacency_spectrum(g)
     lam2 = spectrum.values[1]
-    iso = sturm_isolate_largest_root(p, precision)
+    roots = isolate_real_roots(p, precision)
+    iso = roots[-1][0]
     root = iso.as_float()
     checks.append(NamedCheck(
         f"lambda2_matches_{spec.poly_name}_root", abs(lam2 - root) <= ROOT_MATCH_TOL,
@@ -358,7 +353,7 @@ def verify_family(spec: FamilySpec, d: int,
 
     checks += spec.interval_evidence(d, p, iso)
 
-    expected = expected_spectrum(spec, d, precision)
+    expected = expected_spectrum(spec, d, roots)
     spec_ok, worst = _spectrum_check(spectrum.values, expected)
     checks.append(NamedCheck(
         "spectrum_multiset", spec_ok,
@@ -382,15 +377,14 @@ def verify_family(spec: FamilySpec, d: int,
 
 
 def expected_spectrum(spec: FamilySpec, d: int,
-                      precision: Fraction) -> tuple[tuple[float, int], ...]:
+                      roots: list[tuple[RootInterval, int]]) -> tuple[tuple[float, int], ...]:
     """The claimed adjacency spectrum as (value, multiplicity) pairs: the
-    simple eigenvalues, each root of P twice, and -1 for the rest."""
-    p = spec.poly(d)
+    simple eigenvalues, each root of P twice, and -1 for the rest.  `roots`
+    is `isolate_real_roots` of the certificate polynomial spec.poly(d)."""
     simple = (d,) + spec.other_simple
-    minus_one = spec.copies * (d + 1) - 2 * p.degree - len(simple)
+    minus_one = spec.copies * (d + 1) - 2 * spec.poly(d).degree - len(simple)
     expected = [(float(s), 1) for s in simple] + [(-1.0, minus_one)]
-    expected += [(interval.as_float(), 2 * mult)
-                 for interval, mult in isolate_real_roots(p, precision)]
+    expected += [(interval.as_float(), 2 * mult) for interval, mult in roots]
     return tuple(sorted(expected, reverse=True))
 
 
@@ -402,11 +396,10 @@ def _gd_interval_evidence(d: int, p3: IntPoly, iso: RootInterval) -> list[NamedC
     closed_lo = Fraction(-3 * (9 + d * (-2 + d + d * d)), (2 + d) ** 3)
     val_hi = p3.evaluate_at(hi)
     closed_hi = Fraction(6 * d * d - 81, (3 + d) ** 3)
-    inside = (_largest_root_above(p3, lo, strict=True)
-              and _largest_root_below(p3, hi))
+    inside = _largest_root_vs(p3, lo) > 0 and _largest_root_vs(p3, hi) < 0
     # sigma(Gd) = 1 < 2, so the spectral premise for packing two trees
-    # must fail: theta_d must already exceed d - 3/(d+1)
-    premise_bound = Fraction(d) - Fraction(3, d + 1)
+    # must fail: theta_d must already exceed theta_2 = d - 3/(d+1)
+    premise_bound = theorem_threshold(d, 2)
     return [
         NamedCheck("p3_negative_at_lower_endpoint", val_lo < 0 and val_lo == closed_lo,
                    str(val_lo), f"{closed_lo} < 0"),
@@ -416,7 +409,7 @@ def _gd_interval_evidence(d: int, p3: IntPoly, iso: RootInterval) -> list[NamedC
                    f"largest root isolated in ({iso.lo}, {iso.hi}]",
                    f"strictly inside ({lo}, {hi})"),
         NamedCheck("two_tree_premise_fails",
-                   _largest_root_above(p3, premise_bound, strict=True),
+                   _largest_root_vs(p3, premise_bound) > 0,
                    f"theta > {premise_bound}", "required since sigma = 1"),
     ]
 
@@ -428,8 +421,8 @@ def _hd_interval_evidence(d: int, p10: IntPoly, iso: RootInterval) -> list[Named
     descartes = descartes_positivity_check(p10, hi)
     # the largest root is at least lo: half of the interval claim, and the
     # whole of the three-tree premise check
-    at_least_lo = _largest_root_above(p10, lo, strict=False)
-    inside = at_least_lo and _largest_root_below(p10, hi)
+    at_least_lo = _largest_root_vs(p10, lo) >= 0
+    inside = at_least_lo and _largest_root_vs(p10, hi) < 0
     return [
         NamedCheck("descartes_all_derivatives_positive", descartes.all_positive,
                    f"{sum(v > 0 for v in descartes.values)}/11 positive", "11/11 positive"),
@@ -499,13 +492,13 @@ def build_A25(d: int) -> list[list[int]]:
     return _validate_transcription(HD, d, build_family(HD, d))
 
 
-def verify_Gd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
+def verify_Gd(d: int, precision: Fraction = DEFAULT_PRECISION) -> FamilyReport:
     """Re-check every Gd claim, including the closed-form values of P3 at
     both ends of the open theta_d interval."""
     return verify_family(GD, d, precision)
 
 
-def verify_Hd(d: int, precision: Fraction = ROOT_PRECISION) -> FamilyReport:
+def verify_Hd(d: int, precision: Fraction = DEFAULT_PRECISION) -> FamilyReport:
     """Re-check every Hd claim, including the Descartes certificate at the
     upper endpoint and the exact half-open gamma_d interval."""
     return verify_family(HD, d, precision)

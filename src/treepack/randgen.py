@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .graphs import Edge, Graph, VertexPartition, make_graph
 from .packing import pack_trees, sigma as packing_sigma, verify_pack_result
@@ -129,21 +130,34 @@ class TheoremReport:
         return not self.counterexamples
 
 
+def theorem_threshold(d: int, k: int) -> Fraction:
+    """theta_k = d - (2k-1)/(d+1): a d-regular graph with lambda2 below it
+    packs k edge-disjoint spanning trees (for d >= 2k)."""
+    return d - Fraction(2 * k - 1, d + 1)
+
+
+def check_sweep_args(d: int, n: int, k: int, trials: int) -> None:
+    """Raise ValueError unless theorem_check(d, n, k, trials, ...) can run:
+    k >= 2, trials >= 1 and a d-regular graph on n vertices exists."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    GenConfig(d=d, n=n, seed=0)
+
+
 def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremReport:
     """Test 'small lambda2 forces k disjoint spanning trees' empirically.
 
     The statements under test hypothesize d >= 2k; below that the premise
     is counted as false for every trial (the run is vacuous, never a bug).
-    A (d, n) with no d-regular graph and a trial count below 1 are rejected
-    before any graph is drawn.
+    Arguments that `check_sweep_args` rejects are rejected before any
+    graph is drawn.  The premise compares the float lambda2 exactly with
+    the rational threshold.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    GenConfig(d=d, n=n, seed=seed)      # raises unless a d-regular graph on n vertices exists
+    check_sweep_args(d, n, k, trials)
     degree_ok = d >= 2 * k
-    threshold = d - (2 * k - 1) / (d + 1)
+    threshold = theorem_threshold(d, k)
     state = seed & _MASK64
     both = premise_only = conclusion_only = neither = 0
     bad: list[Counterexample] = []

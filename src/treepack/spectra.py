@@ -19,19 +19,18 @@ GROUPING_TOL = 1e-7
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted descending, with a multiplicity-grouping tolerance."""
+    """Real eigenvalues sorted descending."""
 
     values: tuple[float, ...]
-    grouping_tol: float = GROUPING_TOL
 
     def __len__(self) -> int:
         return len(self.values)
 
     def multiplicities(self) -> list[tuple[float, int]]:
-        """Group near-equal values: list of (representative, count)."""
+        """Group values within GROUPING_TOL: list of (representative, count)."""
         groups: list[tuple[float, int]] = []
         for v in self.values:
-            if groups and abs(groups[-1][0] - v) <= self.grouping_tol:
+            if groups and abs(groups[-1][0] - v) <= GROUPING_TOL:
                 rep, cnt = groups[-1]
                 groups[-1] = (rep, cnt + 1)
             else:
@@ -87,21 +86,24 @@ def laplacian_spectrum(g: Graph) -> tuple[float, ...]:
     return tuple(reversed(spec.values))
 
 
-def exact_adjacency_roots(g: Graph, precision: Fraction = Fraction(1, 10**12)) -> list[float]:
+def _real_roots_descending(cp: IntPoly) -> list[float]:
+    """Every root of a characteristic polynomial, repeated by multiplicity
+    and sorted descending, as the float midpoints of Sturm intervals.
+    Raises unless all deg(cp) roots are real."""
+    out = [interval.as_float()
+           for interval, mult in isolate_real_roots(cp) for _ in range(mult)]
+    out.sort(reverse=True)
+    if len(out) != cp.degree:
+        raise AssertionError("characteristic polynomial must have only real roots")
+    return out
+
+
+def exact_adjacency_roots(g: Graph) -> list[float]:
     """All n adjacency eigenvalues from the exact characteristic polynomial.
 
-    Sturm-isolates the roots of char_poly_exact(A) and expands
-    multiplicities; the float midpoints come back sorted descending.
     Independent of the floating eigensolver, so the two can be compared.
     """
-    cp = char_poly_exact(g.adjacency_int())
-    out: list[float] = []
-    for interval, mult in isolate_real_roots(cp, precision):
-        out.extend([interval.as_float()] * mult)
-    out.sort(reverse=True)
-    if len(out) != g.n:
-        raise AssertionError("adjacency char poly must have n real roots")
-    return out
+    return _real_roots_descending(char_poly_exact(g.adjacency_int()))
 
 
 @dataclass(frozen=True)
@@ -118,9 +120,6 @@ class QuotientMatrix:
     @property
     def t(self) -> int:
         return len(self.entries)
-
-    def as_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
 
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
@@ -141,27 +140,18 @@ class QuotientMatrix:
         cp = char_poly_exact([[int(x * scale) for x in row] for row in self.entries])
         return IntPoly([c * scale ** i for i, c in enumerate(cp.coeffs)]).primitive()
 
-    def eigenvalues_exact(self, precision: Fraction = Fraction(1, 10**12)) -> list[float]:
+    def eigenvalues_exact(self) -> list[float]:
         """Eigenvalues via the exact char-poly + Sturm route, descending.
 
         Quotient matrices are not symmetric in general, but for a graph
         partition they are similar to a symmetric matrix, so all roots
         are real; this route avoids a nonsymmetric float eigensolver.
         """
-        out: list[float] = []
-        for interval, mult in isolate_real_roots(self.char_poly(), precision):
-            out.extend([interval.as_float()] * mult)
-        out.sort(reverse=True)
-        if len(out) != self.t:
-            raise AssertionError("quotient char poly must have t real roots")
-        return out
+        return _real_roots_descending(self.char_poly())
 
 
-def quotient_matrix(g: Graph, p: VertexPartition, exact: bool = True) -> QuotientMatrix | np.ndarray:
-    """Quotient matrix of a partition; exact Fractions by default.
-
-    With exact=False, just the float matrix is returned.
-    """
+def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:
+    """Quotient matrix of a partition, with exact Fraction entries."""
     cross = crossing_edges(g, p)
     sizes = p.sizes()
     t = p.t
@@ -179,8 +169,7 @@ def quotient_matrix(g: Graph, p: VertexPartition, exact: bool = True) -> Quotien
             else:
                 row.append(Fraction(cross.pair_counts[i][j], sizes[i]))
         rows.append(tuple(row))
-    q = QuotientMatrix(tuple(rows), p)
-    return q if exact else q.as_float()
+    return QuotientMatrix(tuple(rows), p)
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> bool:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,14 @@ from treepack.graphs import (
     to_edge_list,
 )
 from treepack.packing import pack_trees
-from treepack.randgen import Counterexample, GenConfig, TheoremReport, random_regular
+from treepack.randgen import (
+    Counterexample,
+    GenConfig,
+    TheoremReport,
+    random_regular,
+    theorem_threshold,
+)
+from treepack.spectra import Spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,6 +78,19 @@ class TestAnalyze:
         text = sidecar.read_text()
         assert out == text
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+    def test_premise_compares_unrounded_lambda2_with_exact_threshold(
+            self, tmp_path, capsys, monkeypatch):
+        # float(theta_3) at d = 6 lies below 6 - 5/7, but rounds up past it
+        # at 15 significant digits
+        theta = theorem_threshold(6, 3)
+        lam2 = float(theta)
+        assert Fraction(lam2) < theta < float(f"{lam2:.15g}")
+        monkeypatch.setattr(cli, "adjacency_spectrum",
+                            lambda g: Spectrum((6.0, lam2) + (-1.0,) * 5))
+        code, out = run(capsys, ["analyze", write_graph(tmp_path, complete_graph(7))])
+        assert code == EXIT_OK
+        assert json.loads(out)["theorems"]["k3"]["premise_lambda2_below_threshold"] is True
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["analyze", "/nonexistent/graph.el"])
@@ -256,11 +278,13 @@ class TestHunt:
     @pytest.mark.parametrize("d, n, trials", [("3", "5", "-4"), ("6", "14", "0")])
     def test_bad_input_exits_1(self, tmp_path, capsys, d, n, trials):
         code = main(["hunt", "--d", d, "--n", n, "--k", "2", "--trials", trials,
-                     "--out", str(tmp_path)])
+                     "--out", str(tmp_path / "hx" / "new")])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+        # arguments are checked before --out is created
+        assert not (tmp_path / "hx").exists()
 
     def test_out_path_that_is_a_file_fails_before_compute(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -2,15 +2,19 @@
 exact polynomial identities that pin lambda2 inside its interval."""
 
 import dataclasses
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from treepack import exact
 from treepack.connectivity import edge_connectivity_bruteforce
-from treepack.exact import char_poly_exact, isolate_real_roots
+from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots
 from treepack.families import (
     GD,
     HD,
+    _largest_root_vs,
     APPENDIX_M,
     APPENDIX_N,
     APPENDIX_Q,
@@ -133,6 +137,13 @@ class TestPolynomials:
         assert lo <= max(iv.lo for iv, _ in roots)
         assert max(iv.hi for iv, _ in roots) < hi
 
+    @pytest.mark.parametrize("bound, sign", [(Fraction(3, 2), 1), (Fraction(2), 0),
+                                             (Fraction(3), -1)])
+    def test_largest_root_vs_bound(self, bound, sign):
+        # (x - 2)(x^2 - 2): largest root 2, the other roots +-sqrt(2) < 3/2
+        p = IntPoly([-2, 1]) * IntPoly([-2, 0, 1])
+        assert _largest_root_vs(p, bound) == sign
+
 
 class TestAppendixIdentities:
     @pytest.mark.parametrize("d", list(range(6, 31)))
@@ -190,6 +201,24 @@ class TestFamilyReports:
     def test_gd_kappa_agrees_with_bruteforce(self):
         # 15 vertices: small enough for the exhaustive cut oracle
         assert edge_connectivity_bruteforce(build_Gd(4)) == verify_Gd(4).kappa_prime
+
+    @pytest.mark.parametrize("spec, d", [(GD, 4), (HD, 6)])
+    def test_certificate_polynomial_is_isolated_once(self, monkeypatch, spec, d):
+        calls = Counter()
+        modules = [m for name, m in sys.modules.items()
+                   if name == "treepack" or name.startswith("treepack.")]
+        for fname in ("isolate_real_roots", "sturm_isolate_largest_root"):
+            original = getattr(exact, fname)
+
+            def counted(*args, _fname=fname, _fn=original, **kwargs):
+                calls[_fname] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                if vars(mod).get(fname) is original:
+                    monkeypatch.setattr(mod, fname, counted)
+        assert verify_family(spec, d).all_passed
+        assert calls == Counter(isolate_real_roots=1)
 
 
 class TestVerifierCatchesWrongClaims:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from treepack import randgen
@@ -8,6 +10,7 @@ from treepack.randgen import (
     random_regular,
     splitmix64,
     theorem_check,
+    theorem_threshold,
 )
 
 
@@ -102,6 +105,15 @@ class TestTheoremCheck:
         a = theorem_check(d=6, n=14, k=2, trials=10, seed=11)
         b = theorem_check(d=6, n=14, k=2, trials=10, seed=11)
         assert (a.premise_and_conclusion, a.neither) == (b.premise_and_conclusion, b.neither)
+
+    def test_premise_compares_lambda2_with_exact_threshold(self, monkeypatch):
+        # float(theta_3) at d = 6 lies below the rational 6 - 5/7
+        lam2 = float(theorem_threshold(6, 3))
+        assert Fraction(lam2) < theorem_threshold(6, 3)
+        monkeypatch.setattr(randgen, "random_regular", lambda cfg: complete_graph(7))
+        monkeypatch.setattr(randgen, "lambda2", lambda g: lam2)
+        r = theorem_check(d=6, n=7, k=3, trials=1, seed=0)
+        assert r.premise_and_conclusion == 1
 
     def test_counterexample_carries_the_failed_pack_witness(self, monkeypatch):
         # G4 is 4-regular with sigma 1; with the premise forced true every
