@@ -32,6 +32,12 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_FINDING = 3
 
+# analyze refuses larger graphs before any compute.  Its time grows about
+# like n**4 (the exact determinant needs O(n) primes, each an O(n**3)
+# elimination): a random 10-regular graph took 54 s at n = 650 and 82 s at
+# n = 700 on a 2-vCPU x86 host, and denser graphs take longer.
+ANALYZE_MAX_VERTICES = 650
+
 
 def _sig15(x: float) -> float:
     return float(f"{x:.15g}")
@@ -74,6 +80,9 @@ def _certificate_digest(result: TreePackingResult) -> str:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
+    if g.n > ANALYZE_MAX_VERTICES:
+        raise ValueError(f"analyze is limited to {ANALYZE_MAX_VERTICES} vertices, "
+                         f"the graph has {g.n}")
     degree = g.degree_if_regular()
     kappa = edge_connectivity(g).value if g.n >= 2 else None
     # Kundu: sigma >= floor(kappa'/2), so the search starts there

@@ -5,7 +5,9 @@ The workhorses are:
 * ``IntPoly`` — integer-coefficient univariate polynomials (ascending
   coefficient order, trailing zeros trimmed);
 * ``char_poly_exact`` — Faddeev-LeVerrier over exact integers;
-* ``det_exact`` — Bareiss fraction-free determinant;
+* ``det_exact`` — multi-modular determinant: float64 elimination modulo
+  primes below 2**20, combined by the Chinese remainder theorem up to the
+  Hadamard bound;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities;
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import Sequence
+
+import numpy as np
 
 
 class IntPoly:
@@ -141,6 +145,10 @@ def _check_square_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
         if len(r) != dim:
             raise ValueError("matrix is not square")
         for x in r:
+            # bool subclasses int and np.bool_.item() is a bool: neither is
+            # an integer entry
+            if isinstance(x, (bool, np.bool_)):
+                raise ValueError("integer entries required, got a bool")
             if not isinstance(x, int):
                 # numpy int64 etc. are fine once converted; reject floats
                 if hasattr(x, "item") and isinstance(x.item(), int):
@@ -184,30 +192,95 @@ def char_poly_exact(m: Sequence[Sequence[int]]) -> IntPoly:
     return IntPoly(coeffs)
 
 
+# det_exact works modulo the primes just below 2**20.  Residues are below
+# 2**20, so every product is below 2**40, and an entry of the trailing block
+# that takes n unreduced updates stays below p + n*p**2.  float64 holds that
+# exactly while it is below 2**53, which bounds the dimension.
+_PRIME_CEILING = 1 << 20
+DET_MAX_DIM = (2**53 - _PRIME_CEILING) // _PRIME_CEILING**2
+# Primes per elimination: one batch covers the reduced Laplacian of a
+# 10-regular graph up to n ~ 95, and larger inputs go in batches, so the
+# (primes, n, n) work array stays 16 * n * n floats.
+_DET_BATCH = 16
+_det_primes: list[int] = []    # descending from _PRIME_CEILING, filled on first use
+
+
+def _det_prime(i: int) -> int:
+    """The i-th largest prime below 2**20."""
+    q = _det_primes[-1] if _det_primes else _PRIME_CEILING
+    while len(_det_primes) <= i:
+        q -= 1
+        if q < 3:
+            raise ValueError("determinant bound exceeds the primes below 2**20")
+        if q % 2 and all(q % f for f in range(3, isqrt(q) + 1, 2)):
+            _det_primes.append(q)
+    return _det_primes[i]
+
+
+def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
+    """det(ints) mod each prime, by one float64 Gaussian elimination over a
+    (primes, n, n) array."""
+    n = len(ints)
+    work = (ints[None] % np.array(primes, dtype=ints.dtype)[:, None, None]).astype(np.float64)
+    p_vec = np.array(primes, dtype=np.float64)
+    p_col = p_vec[:, None]
+    det = np.ones(len(primes))
+    for k in range(n):
+        # row k and column k are reduced only now that they are the pivots
+        col = work[:, k:, k] = np.remainder(work[:, k:, k], p_col)
+        if not col[:, 0].all():
+            for j in np.flatnonzero(col[:, 0] == 0):
+                below = np.flatnonzero(col[j])
+                if below.size:      # else the column is 0 mod p and det stays 0
+                    i = k + int(below[0])
+                    work[j, [k, i]] = work[j, [i, k]]
+                    det[j] = primes[j] - det[j]
+        row = work[:, k, k:] = np.remainder(work[:, k, k:], p_col)
+        det = np.remainder(det * row[:, 0], p_vec)
+        if k + 1 < n:
+            inv = np.array([pow(int(x), -1, p) if x else 0
+                            for x, p in zip(row[:, 0].tolist(), primes)], dtype=np.float64)
+            factor = np.remainder(work[:, k + 1:, k] * inv[:, None], p_col)
+            work[:, k + 1:, k + 1:] -= factor[:, :, None] * row[:, None, 1:]
+    return [int(r) for r in det]
+
+
 def det_exact(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant of an integer matrix by multi-modular elimination.
+
+    Primes are taken until their product M satisfies M**2 > 4 * prod of the
+    squared row norms, so Hadamard's bound gives |det| < M/2.  A float64
+    Gaussian elimination over a (primes, n, n) array, one per batch of
+    primes, yields det mod every prime, and the Chinese remainder theorem
+    combines them in (-M/2, M/2).
+    """
+    if len(m) > DET_MAX_DIM:
+        raise ValueError(f"det_exact is limited to dimension <= {DET_MAX_DIM}")
     a = _check_square_int(m)
-    dim = len(a)
-    if dim == 0:
+    n = len(a)
+    if n == 0:
         return 1
-    sign = 1
-    prev = 1
-    for k in range(dim - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, dim):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, dim):
-            for j in range(k + 1, dim):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[dim - 1][dim - 1]
+    # a zero row makes the bound 0: no primes, M = 1 and the sum below is 0
+    bound = 4 * prod(sum(x * x for x in row) for row in a)
+    primes: list[int] = []
+    modulus = 1
+    while modulus * modulus <= bound:
+        primes.append(_det_prime(len(primes)))
+        modulus *= primes[-1]
+
+    try:
+        ints = np.array(a, dtype=np.int64)
+    except OverflowError:
+        ints = np.array(a, dtype=object)
+    residues: list[int] = []
+    for i in range(0, len(primes), _DET_BATCH):
+        residues += _det_mod_primes(ints, primes[i:i + _DET_BATCH])
+    total = 0
+    for r, p in zip(residues, primes):
+        rest = modulus // p
+        total += r * rest * pow(rest, -1, p)
+    total %= modulus
+    return total - modulus if 2 * total > modulus else total
 
 
 # ---------------------------------------------------------------------------

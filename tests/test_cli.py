@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +96,29 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["analyze", "/nonexistent/graph.el"])
         assert code == EXIT_USAGE
+
+    def test_vertex_cap_refuses_at_once(self, tmp_path, capsys, monkeypatch):
+        # a header-only edgeless graph is cheap to parse but far over the cap;
+        # any compute past the guard would fail the test
+        monkeypatch.setattr(cli, "edge_connectivity", None)
+        path = tmp_path / "huge.el"
+        path.write_text(f"{10**7} 0\n")
+        t0 = time.perf_counter()
+        code = main(["analyze", str(path)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"limited to {cli.ANALYZE_MAX_VERTICES} vertices" in captured.err
+        assert f"has {10**7}" in captured.err
+        assert elapsed < 1.0
+
+    def test_vertex_cap_admits_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "edgeless.el"
+        path.write_text(f"{cli.ANALYZE_MAX_VERTICES} 0\n")
+        code, out = run(capsys, ["analyze", str(path)])
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == cli.ANALYZE_MAX_VERTICES
 
     def test_malformed_file_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.el"

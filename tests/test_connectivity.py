@@ -1,12 +1,16 @@
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_packing import _determinism_corpus
 
 from treepack.connectivity import (
     edge_connectivity,
     edge_connectivity_bruteforce,
 )
-from treepack.families import build_Gd
+from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
     complete_graph,
     crossing_edges,
@@ -17,6 +21,7 @@ from treepack.graphs import (
     path_graph,
     petersen_graph,
 )
+from treepack.randgen import GenConfig, random_regular
 
 
 @st.composite
@@ -89,3 +94,105 @@ def test_stoer_wagner_matches_bruteforce(g):
 @given(graphs())
 def test_cut_at_most_min_degree(g):
     assert edge_connectivity(g).value <= min(g.degrees)
+
+
+# ---------------------------------------------------------------------------
+# The cut side is pinned: (value, sorted side) as the dense O(n^3)
+# Stoer-Wagner returned them before the sparse heap version replaced it.
+# Both pick the next vertex by maximum attachment, ties to the smallest
+# index, so every phase, every contraction and the side are the same.
+
+PINNED_CUTS = {
+    'K4': (3, [3]),
+    'K5': (4, [4]),
+    'K6': (5, [5]),
+    'K8': (7, [7]),
+    'C7': (2, [6]),
+    'P6': (1, [5]),
+    'Petersen': (3, [9]),
+    'K3,3': (3, [5]),
+    'K4,5': (4, [8]),
+    'K8-3K2': (6, [5]),
+    'K5+K5': (0, [*range(0, 5)]),
+    'G5': (2, [*range(12, 18)]),
+    'H7': (4, [*range(32, 40)]),
+    'rr6-30-s1': (6, [27]),
+    'rr6-30-s2': (6, [20]),
+    'rr6-30-s3': (6, [21]),
+    'rr10-44-s1': (10, [40]),
+    'rr10-44-s2': (10, [32]),
+    'rr10-44-s3': (10, [41]),
+    'rr10-80-s1': (10, [73]),
+    'rr10-80-s2': (10, [70]),
+    'G4': (2, [*range(10, 15)]),
+    'G6': (2, [*range(14, 21)]),
+    'G7': (2, [*range(16, 24)]),
+    'G8': (2, [*range(18, 27)]),
+    'G9': (2, [*range(20, 30)]),
+    'G10': (2, [*range(22, 33)]),
+    'G11': (2, [*range(24, 36)]),
+    'G12': (2, [*range(26, 39)]),
+    'H6': (4, [*range(28, 35)]),
+    'H8': (4, [*range(36, 45)]),
+    'H9': (4, [*range(40, 50)]),
+    'H10': (4, [*range(44, 55)]),
+    'H11': (4, [*range(48, 60)]),
+    'H12': (4, [*range(52, 65)]),
+    'H13': (4, [*range(56, 70)]),
+    'H14': (4, [*range(60, 75)]),
+    'H15': (4, [*range(64, 80)]),
+    'H16': (4, [*range(68, 85)]),
+    'rr10-200-s1': (10, [189]),
+    'rr10-200-s2': (10, [191]),
+}
+
+
+@functools.cache
+def _cut_corpus():
+    corpus = dict(_determinism_corpus())
+    corpus.update({f"G{d}": build_Gd(d) for d in range(4, 13)})
+    corpus.update({f"H{d}": build_Hd(d) for d in range(6, 17)})
+    corpus.update({f"rr10-200-s{s}": random_regular(GenConfig(10, 200, s)) for s in (1, 2)})
+    return corpus
+
+
+def test_pinned_cuts_cover_the_corpus():
+    assert sorted(PINNED_CUTS) == sorted(_cut_corpus())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CUTS))
+def test_cut_side_is_pinned(name):
+    r = edge_connectivity(_cut_corpus()[name])
+    assert (r.value, sorted(r.side)) == PINNED_CUTS[name]
+
+
+
+@st.composite
+def clustered_graphs(draw, max_n):
+    """Two random blocks joined by a few edges, so the minimum cut is often
+    the join and not a vertex of minimum degree."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    split = draw(st.integers(min_value=1, max_value=n - 1))
+    density = draw(st.floats(min_value=0.1, max_value=0.9))
+    joins = draw(st.integers(min_value=0, max_value=6))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u < split) == (v < split) and rng.random() < density}
+    edges.update((rng.randrange(split), rng.randrange(split, n)) for _ in range(joins))
+    return make_graph(n, sorted(edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_graphs(max_n=16))
+def test_value_matches_bruteforce_up_to_16_vertices(g):
+    assert edge_connectivity(g).value == edge_connectivity_bruteforce(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_graphs(max_n=150))
+def test_side_certifies_the_value_up_to_150_vertices(g):
+    r = edge_connectivity(g)
+    assert 0 < len(r.side) < g.n
+    p = partition(g.n, [r.side, frozenset(range(g.n)) - r.side])
+    assert crossing_edges(g, p).total == r.value
+    assert r.value <= min(g.degrees)

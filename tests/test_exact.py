@@ -1,14 +1,21 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import treepack
 from treepack.exact import (
+    DET_MAX_DIM,
     IntPoly,
     cauchy_bound,
     char_poly_exact,
@@ -20,16 +27,19 @@ from treepack.exact import (
     squarefree_part,
     sturm_chain,
     sturm_isolate_largest_root,
+    _det_prime,
     _variations,
 )
 from treepack.families import (
     GD,
     HD,
+    build_Hd,
     claimed_charpoly,
     p3_poly,
     p10_poly,
 )
 from treepack.graphs import petersen_graph
+from treepack.randgen import GenConfig, random_regular
 from treepack.spectra import QuotientMatrix
 
 ints = st.integers(min_value=-50, max_value=50)
@@ -42,6 +52,46 @@ def poly_from_roots(roots):
     for r in roots:
         p = p * IntPoly([-r, 1])
     return p
+
+
+def bareiss_det(rows):
+    """Reference: Bareiss fraction-free elimination over Python integers."""
+    a = [list(r) for r in rows]
+    dim = len(a)
+    if dim == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(dim - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, dim):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, dim):
+            for j in range(k + 1, dim):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = pivot
+    return sign * a[dim - 1][dim - 1]
+
+
+@st.composite
+def integer_matrices(draw, max_n=10):
+    """Square matrices with entries up to 10**30 in size; about a third are
+    made singular by replacing a row with a combination of two others."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 3 and draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        c = draw(st.integers(-5, 5))
+        rows[k] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
 
 
 def faddeev_leverrier_fraction(rows):
@@ -154,6 +204,77 @@ class TestDeterminant:
         p = char_poly_exact(m)
         # p(0) = det(-M) = (-1)^3 det(M)
         assert p.evaluate_at(0) == -det_exact(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices())
+    @example([])
+    @example([[0] * 4] * 4)
+    @example([[10**30, 10**30], [10**30, 10**30]])
+    def test_matches_bareiss(self, rows):
+        assert det_exact(rows) == bareiss_det(rows)
+
+    def test_matches_bareiss_on_singular_matrices(self):
+        rng = random.Random(7)
+        for n in range(2, 11):
+            for big in (3, 10**30):
+                rows = [[rng.randint(-big, big) for _ in range(n)] for _ in range(n - 1)]
+                rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+                assert det_exact(rows) == bareiss_det(rows) == 0
+
+    def test_large_entries_need_several_batches_of_primes(self):
+        rng = random.Random(11)
+        for n in (6, 10):
+            rows = [[rng.randint(-10**30, 10**30) for _ in range(n)] for _ in range(n)]
+            assert det_exact(rows) == bareiss_det(rows) != 0
+
+    def test_first_pivot_zero_mod_the_first_prime(self):
+        p = _det_prime(0)
+        assert det_exact([[p, 1], [1, 1]]) == p - 1
+        m = [[p, 1, 2], [1, 1, 0], [3, 0, 2 * p + 1]]
+        assert det_exact(m) == bareiss_det(m)
+        # a residue of 0 under one prime is not a determinant of 0
+        assert det_exact([[p, 0], [0, 1]]) == p
+
+    def test_row_swap_under_every_prime(self):
+        # the first pivot is 0, and after it the second pivot is 0 as well
+        for m in ([[0, 2, 3], [4, 5, 6], [7, 8, 10]],
+                  [[1, 2, 3], [2, 4, 5], [3, 7, 1]]):
+            assert det_exact(m) == bareiss_det(m) != 0
+
+    def test_laplacian_minors_match_bareiss(self):
+        for g in (petersen_graph(), build_Hd(8), random_regular(GenConfig(10, 60, 3))):
+            lap = g.laplacian_int()
+            reduced = [row[1:] for row in lap[1:]]
+            assert det_exact(reduced) == bareiss_det(reduced)
+
+    def test_dimension_guard(self):
+        # float64 stays exact while p + n * p**2 < 2**53 for p < 2**20
+        assert DET_MAX_DIM * 2**40 + 2**20 < 2**53 < (DET_MAX_DIM + 1) * 2**40 + 2**20
+        # one shared row keeps the oversized input small: the guard
+        # fires before any copy is made
+        row = [0] * (DET_MAX_DIM + 1)
+        with pytest.raises(ValueError, match="dimension"):
+            det_exact([row] * (DET_MAX_DIM + 1))
+
+    def test_prime_table_is_built_on_first_use(self):
+        # a fresh interpreter, so no earlier det_exact call has filled it
+        code = ("import treepack.exact as e; assert e._det_primes == []; "
+                "e.det_exact([[2, 1], [1, 2]]); assert e._det_primes")
+        src = str(Path(treepack.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("entry", [True, False, np.bool_(True)])
+    def test_bool_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match="bool"):
+            det_exact([[entry]])
+        with pytest.raises(ValueError, match="bool"):
+            char_poly_exact([[entry]])
+
+    def test_numpy_integer_entries_accepted(self):
+        m = np.array([[2, 1], [1, 2]], dtype=np.int64)
+        assert det_exact(m) == 3
+        assert char_poly_exact(m) == IntPoly([3, -4, 1])
 
 
 def test_squarefree_decomposition():
