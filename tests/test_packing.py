@@ -37,7 +37,7 @@ from treepack.packing import (
     verify_certificate,
     verify_pack_result,
 )
-from treepack.randgen import GenConfig, random_regular
+from treepack.randgen import GenConfig, random_regular, splitmix64
 
 
 @st.composite
@@ -394,6 +394,35 @@ def test_packing_output_is_pinned(name):
 
 def test_pinned_corpus_is_complete():
     assert sorted(PINNED_FINGERPRINTS) == sorted(_determinism_corpus())
+
+
+# A wider pin on the graphs the sweep draws: ten seeded random regular graphs
+# for each (d, n) of the sweep mix and three 10-regular graphs on 80
+# vertices, packed at k = 1..floor(d/2)+1 (the last k always fails, so the
+# rejection path and its witness are covered too).  One SHA-256 covers the
+# trees in forest order and the witness blocks in partition order.
+PINNED_SWEEP_PACKS = "fb27698e7a48b253419d06ec18330415f2f77bc7e0e5717eb60b4bcd03a0fe0b"
+
+
+def _sweep_pack_corpus():
+    state = 1
+    for d, n, count in ((6, 30, 10), (8, 32, 10), (10, 44, 10), (10, 80, 3)):
+        for _ in range(count):
+            state, seed = splitmix64(state)
+            yield d, n, seed
+
+
+def test_pack_trees_is_pinned_on_seeded_regular_graphs():
+    h = hashlib.sha256()
+    for d, n, seed in _sweep_pack_corpus():
+        g = random_regular(GenConfig(d, n, seed))
+        for k in range(1, d // 2 + 2):
+            r = pack_trees(g, k)
+            doc = [d, n, seed, k, r.success,
+                   None if r.trees is None else [sorted(t) for t in r.trees],
+                   None if r.witness is None else [sorted(b) for b in r.witness.blocks]]
+            h.update(json.dumps(doc, separators=(",", ":")).encode())
+    assert h.hexdigest() == PINNED_SWEEP_PACKS
 
 
 # ---------------------------------------------------------------------------
