@@ -37,6 +37,11 @@ EXIT_FINDING = 3
 # elimination): a random 10-regular graph took 54 s at n = 650 and 82 s at
 # n = 700 on a 2-vCPU x86 host, and denser graphs take longer.
 ANALYZE_MAX_VERTICES = 650
+# It also refuses graphs whose packing work m * floor(m / (n - 1)), edges
+# times the most trees sigma can pack, is above this.  On the same host
+# analyze took 31.5 s on K140 (work 681,100), 32.8 s on K120,120 (864,000)
+# and 51.6 s on K160 (1,017,600, just over the cap).
+ANALYZE_MAX_PACKING_WORK = 1_000_000
 
 
 def _sig15(x: float) -> float:
@@ -83,6 +88,11 @@ def _cmd_analyze(args) -> int:
     if g.n > ANALYZE_MAX_VERTICES:
         raise ValueError(f"analyze is limited to {ANALYZE_MAX_VERTICES} vertices, "
                          f"the graph has {g.n}")
+    work = g.m * (g.m // (g.n - 1)) if g.n >= 2 else 0
+    if work > ANALYZE_MAX_PACKING_WORK:
+        raise ValueError(f"analyze is limited to packing work m*floor(m/(n-1)) <= "
+                         f"{ANALYZE_MAX_PACKING_WORK}, the graph has m = {g.m}, "
+                         f"n = {g.n}, work {work}")
     degree = g.degree_if_regular()
     kappa = edge_connectivity(g).value if g.n >= 2 else None
     # Kundu: sigma >= floor(kappa'/2), so the search starts there

@@ -36,11 +36,12 @@ class IntPoly:
 
     def __init__(self, coeffs: Sequence[int]):
         cs = list(coeffs)
+        for c in cs:
+            # bool subclasses int, but True is not a coefficient
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         self.coeffs: tuple[int, ...] = tuple(cs)
 
     # -- basic structure ---------------------------------------------------

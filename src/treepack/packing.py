@@ -3,14 +3,19 @@
 The packing routine is matroid-union augmentation over k forests
 (Roskind-Tarjan style).  Edges are scanned once in lexicographic order;
 an edge that cannot augment the current k forests is rejected for good
-(greedy is optimal in a matroid).  On overall failure the labeled
-closures of the rejected edges collapse into a partition witnessing the
-Nash-Williams/Tutte violation; the witness is re-validated by
-``verify_certificate`` rather than trusted.
+(greedy is optimal in a matroid).  Every edge goes through the one
+labeling search: its first step, a chain of length 0, is the plain insert
+into the first forest with the edge's ends apart.  On overall failure the
+labeled closures of the rejected edges collapse into a partition
+witnessing the Nash-Williams/Tutte violation; the witness is re-validated
+by ``verify_certificate`` rather than trusted.
 
-The labeling search asks for fundamental-cycle paths in the forests.  Each
-forest is kept in rooted form (parent and depth per vertex), re-rooted in
-one O(n) traversal only when it changed since its last query, so a path
+Each forest keeps a union-find array for "are u and v apart?" and a
+rooted form (parent and depth per vertex) for path queries.  After a
+chain, a forest that only gained edges takes them by union, and its
+rooted form is rebuilt at its next path query; a forest that lost an edge
+is re-rooted at once in one O(n) traversal, and a copy of its parent
+array becomes its union-find array (a root is its own parent).  A path
 query climbs from both ends to their lowest common ancestor in O(path
 length) instead of searching a whole component.  A forest has one u-v
 path, and the climb lists its edges in the same order a breadth-first
@@ -72,7 +77,6 @@ class _Packer:
     """State for one pack_trees run: k forests over the same vertex set."""
 
     def __init__(self, g: Graph, k: int):
-        self.g = g
         self.k = k
         self.n = g.n
         self.forest_adj: list[dict[int, set[int]]] = [dict() for _ in range(k)]
@@ -81,7 +85,8 @@ class _Packer:
         self.total = 0
         # rooted form of each forest, for path queries: parent and depth
         # per vertex (a root is its own parent).  Adding or removing an edge
-        # marks the forest stale; the next path query re-roots it.
+        # marks the forest stale; the next path query re-roots it, unless
+        # the chain that removed the edge has re-rooted it already.
         self.parent: list[list[int]] = [list(range(g.n)) for _ in range(k)]
         self.depth: list[list[int]] = [[0] * g.n for _ in range(k)]
         self.stale = [False] * k
@@ -103,14 +108,6 @@ class _Packer:
         self.forest_adj[i][v].discard(u)
         del self.edge_forest[e]
         self.stale[i] = True
-
-    def _rebuild_dsu(self, i: int):
-        d = _DSU(self.n)
-        for u, nbrs in self.forest_adj[i].items():
-            for v in nbrs:
-                if u < v:
-                    d.union(u, v)
-        self.dsu[i] = d
 
     def _root_forest(self, i: int):
         """Root every tree of forest i in one traversal."""
@@ -166,64 +163,61 @@ class _Packer:
     def try_insert(self, e: Edge) -> bool:
         """Insert e into the packing if possible; False means rejected.
 
-        Rejection merges the component of the labeled closure containing
-        e into the clump structure: that vertex set is spanned by every
-        one of the k forests, so edges inside it stay rejected.
+        Rejection merges the vertices of the labeled closure into the clump
+        structure: that vertex set is spanned by every one of the k
+        forests, so edges inside it stay rejected.
         """
         u, v = e
         if self.clumps.find(u) == self.clumps.find(v):
             return False
-        for i in range(self.k):
-            if self.dsu[i].find(u) != self.dsu[i].find(v):
-                self._forest_add(i, e)
-                self.dsu[i].union(u, v)
-                self.total += 1
-                return True
-
-        # e closes a cycle in every forest: breadth-first labeling over the
-        # exchange structure.  label[h] = edge on whose fundamental cycle h
-        # was first reached; label[e] = None marks the root.
+        # breadth-first labeling over the exchange structure.  label[h] =
+        # edge on whose fundamental cycle h was first reached; label[e] =
+        # None marks the root.  A dequeued edge first takes the first forest
+        # that has its ends apart (for e itself that is a plain insert);
+        # only then are its paths in the k forests labeled.
         label: dict[Edge, Edge | None] = {e: None}
         queue = deque([e])
         while queue:
             f = queue.popleft()
             fu, fv = f
-            for i in range(self.k):
-                if self.dsu[i].find(fu) != self.dsu[i].find(fv):
+            for i, d in enumerate(self.dsu):
+                if d.find(fu) != d.find(fv):
                     self._apply_chain(f, i, label)
                     return True
+            for i in range(self.k):
                 for h in self._tree_path(i, fu, fv):
                     if h not in label:
                         label[h] = f
                         queue.append(h)
 
-        # rejected: collapse the labeled closure to its component through e
-        closure = _DSU(self.n)
-        for (a, b) in label:
-            closure.union(a, b)
-        root = closure.find(u)
-        members = [x for x in range(self.n) if closure.find(x) == root]
-        first = members[0]
-        for x in members[1:]:
-            self.clumps.union(first, x)
+        # rejected: each labeled edge lies on a forest path between the ends
+        # of an edge labeled before it, so the labeled edges form one
+        # connected vertex set through e, and it becomes one clump
+        for a, b in label:
+            self.clumps.union(a, b)
         return False
 
     def _apply_chain(self, edge: Edge, forest: int, label: dict[Edge, Edge | None]):
         """Cascade of swaps: move `edge` into `forest`, its predecessor into
         the forest `edge` vacated, and so on back to the new edge."""
-        touched = {forest}
+        shrunk: set[int] = set()
         cur, target = edge, forest
         while label[cur] is not None:
             src = self.edge_forest[cur]
             self._forest_remove(src, cur)
             self._forest_add(target, cur)
-            touched.update((src, target))
+            self.dsu[target].union(*cur)
+            shrunk.add(src)
             cur, target = label[cur], src
         self._forest_add(target, cur)   # cur is the new edge
-        touched.add(target)
+        self.dsu[target].union(*cur)
         self.total += 1
-        for i in touched:
-            self._rebuild_dsu(i)
+        # a forest that only gained edges is up to date after its unions; one
+        # that lost an edge is re-rooted, and its rooted parent array, where a
+        # root is its own parent, replaces its union-find array as it stands
+        for i in shrunk:
+            self._root_forest(i)
+            self.dsu[i].parent = self.parent[i][:]
 
     def forests_as_edge_sets(self) -> list[frozenset[Edge]]:
         out: list[set[Edge]] = [set() for _ in range(self.k)]

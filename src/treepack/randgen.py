@@ -19,6 +19,8 @@ from .packing import pack_trees, sigma as packing_sigma, verify_pack_result
 from .spectra import lambda2
 
 _MASK64 = (1 << 64) - 1
+# random_regular gives up after this many pairing attempts
+MAX_PAIRING_ATTEMPTS = 10_000
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -35,29 +37,30 @@ class GenConfig:
     d: int
     n: int
     seed: int
-    max_retries: int = 10_000
 
     def __post_init__(self):
         if self.d < 1 or self.d >= self.n:
             raise ValueError("need 1 <= d < n")
         if (self.n * self.d) % 2 != 0:
             raise ValueError("n*d must be even")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be positive")
 
 
 def random_regular(cfg: GenConfig) -> Graph:
-    """Random d-regular simple graph, deterministic given cfg.seed."""
+    """Random d-regular simple graph, deterministic given cfg.seed.
+
+    Raises ValueError when no attempt in MAX_PAIRING_ATTEMPTS yields a
+    simple graph: (d, n) is then too dense for the pairing model.
+    """
     rng = random.Random(cfg.seed & _MASK64)
-    for _ in range(cfg.max_retries):
+    for _ in range(MAX_PAIRING_ATTEMPTS):
         edges = _pairing_attempt(rng, cfg.n, cfg.d)
         if edges is not None:
             g = make_graph(cfg.n, edges)
             assert g.degree_if_regular() == cfg.d
             return g
-    raise RuntimeError(
+    raise ValueError(
         f"no simple {cfg.d}-regular pairing on {cfg.n} vertices "
-        f"after {cfg.max_retries} attempts"
+        f"after {MAX_PAIRING_ATTEMPTS} attempts"
     )
 
 

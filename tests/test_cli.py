@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treepack import cli
+from treepack import cli, randgen
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
@@ -112,6 +112,35 @@ class TestAnalyze:
         assert f"limited to {cli.ANALYZE_MAX_VERTICES} vertices" in captured.err
         assert f"has {10**7}" in captured.err
         assert elapsed < 1.0
+
+    def test_packing_work_cap_refuses_at_once(self, tmp_path, capsys, monkeypatch):
+        # K160: 12,720 edges, up to 80 trees, work 1,017,600
+        monkeypatch.setattr(cli, "edge_connectivity", None)
+        path = write_graph(tmp_path, complete_graph(160))
+        t0 = time.perf_counter()
+        code = main(["analyze", path])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert (f"limited to packing work m*floor(m/(n-1)) <= "
+                f"{cli.ANALYZE_MAX_PACKING_WORK}") in captured.err
+        assert "m = 12720, n = 160, work 1017600" in captured.err
+        assert elapsed < 1.0
+
+    def test_packing_work_cap_admits_a_graph_under_it(self, tmp_path, monkeypatch):
+        # K159: work 992,319 passes the guard and reaches the compute
+        class Reached(Exception):
+            pass
+
+        def reached(g):
+            raise Reached
+
+        monkeypatch.setattr(cli, "edge_connectivity", reached)
+        g = complete_graph(159)
+        assert g.m * (g.m // (g.n - 1)) <= cli.ANALYZE_MAX_PACKING_WORK
+        with pytest.raises(Reached):
+            main(["analyze", write_graph(tmp_path, g)])
 
     def test_vertex_cap_admits_the_cap(self, tmp_path, capsys):
         path = tmp_path / "edgeless.el"
@@ -325,6 +354,20 @@ class TestHunt:
             assert code == EXIT_USAGE
             assert "not a writable directory" in captured.err
             assert captured.out == ""
+
+    def test_pairing_budget_exhausted_exits_1(self, tmp_path, capsys, monkeypatch):
+        # 40-regular graphs on 44 vertices are out of the pairing model's
+        # reach; with one attempt allowed the failure comes at once
+        monkeypatch.setattr(randgen, "MAX_PAIRING_ATTEMPTS", 1)
+        out_dir = tmp_path / "out"
+        code = main(["hunt", "--d", "40", "--n", "44", "--k", "2",
+                     "--trials", "1", "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == ("error: no simple 40-regular pairing on 44 "
+                                "vertices after 1 attempts\n")
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
 
 
 QUOTIENT_CASES = {

@@ -123,6 +123,13 @@ class TestIntPoly:
         with pytest.raises(TypeError):
             IntPoly([1.5, 2])
 
+    # bool subclasses int; a trailing False must not be trimmed away as 0
+    @pytest.mark.parametrize("coeffs", [[1, True], [True], [1, False], [False, 3],
+                                        [np.bool_(True)]])
+    def test_rejects_bools(self, coeffs):
+        with pytest.raises(TypeError, match="integer coefficient expected, got"):
+            IntPoly(coeffs)
+
     def test_arithmetic(self):
         x = IntPoly([0, 1])
         assert (x + IntPoly([1])) * (x - IntPoly([1])) == x * x - IntPoly([1])

@@ -25,10 +25,6 @@ class TestGenConfig:
         with pytest.raises(ValueError):
             GenConfig(d=0, n=4, seed=0)
 
-    def test_retries_positive(self):
-        with pytest.raises(ValueError):
-            GenConfig(d=3, n=4, seed=0, max_retries=0)
-
 
 class TestRandomRegular:
     def test_cubic_on_four_vertices_is_k4(self):
