@@ -13,10 +13,12 @@ from treepack import cli, randgen
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
+    add_edges,
     complete_graph,
     crossing_edges,
     disjoint_union,
     cycle_graph,
+    make_graph,
     parse_edge_list,
     partition,
     petersen_graph,
@@ -176,6 +178,14 @@ ANALYZE_CASES = {
     "C3+C3": lambda: disjoint_union(cycle_graph(3), cycle_graph(3)),
     "rr10-80-s1": lambda: random_regular(GenConfig(10, 80, 1)),
     "rr10-80-s2": lambda: random_regular(GenConfig(10, 80, 2)),
+    # n < 2: no kappa', no lambda2, no theorem verdicts
+    "K1": lambda: complete_graph(1),
+    "empty": lambda: make_graph(0, []),
+    # m < n - 1: sigma 0 from the edge count alone, with no witness
+    "P2+K1": lambda: make_graph(3, [(0, 1)]),
+    # irregular, kappa' 1, sigma 1
+    "K5-K8": lambda: add_edges(disjoint_union(complete_graph(5), complete_graph(8)),
+                               [(4, 5)]),
 }
 
 # SHA-256 of the stdout of `analyze` with the graph path replaced by "G".
@@ -188,14 +198,22 @@ PINNED_ANALYZE_JSON = {
         "8eafb83ec884922988f36d27b1cf17142f6838d13cd93357586648004b373c5e",
     "H6":
         "e4c04ca116dfa7abb5ad90aafee1f69d03ba8946f6dad034d1712e488ad18645",
+    "K1":
+        "e61244ff4645c0bc2dcd4b171adf3d437364b104ffb1538e5b5afffa23ca9a3d",
     "K5":
         "1d4dec06b4a7dfa520a38640207b1213355b9cc0933ee5b59edd31b96173801c",
+    "K5-K8":
+        "bdaa1404565ee43ff758c0f794e8dc516b957ddc174af1cf5b7d694e32005503",
+    "P2+K1":
+        "f0980bc23ef06ff3f8fd1cf231c3a9f57c02858787b0d379e2998c421fcf3e19",
     "Petersen":
         "002e23df74b1b797877195b75c1d61e6fc15d7cf7f02adf9ce0d2225d482640a",
     "rr10-80-s1":
         "478093b269b1203bf7bda2ea7da3b72e7401e36a15c70d6201504023a44ab100",
     "rr10-80-s2":
         "8c8841def1c79e109d47e03e3040fa87ca9514d9fc77587706184b2494fc2712",
+    "empty":
+        "7b7d713bb4b68c410853f5caa9d4a76dc4981d543d58844afcbdcefee0f7fac5",
 }
 
 
@@ -265,6 +283,13 @@ class TestVerifyFamily:
         assert code == EXIT_OK
         assert json.loads(out)["all_passed"] is True
 
+    def test_empty_degree_range_exits_1(self, capsys):
+        code = main(["verify-family", "Gd", "--d-min", "9", "--d-max", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == "error: --d-min must not exceed --d-max\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key", sorted(PINNED_FAMILY_JSON))
     def test_output_is_pinned(self, capsys, key):
         family, d, precision = key.split("-")
@@ -327,6 +352,24 @@ class TestHunt:
         assert blocks == sorted((sorted(b) for b in blocks), key=lambda b: b[0])
         w = partition(written.n, blocks)
         assert crossing_edges(written, w).total <= sidecar["k"] * (w.t - 1) - 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_hit_at_proved_k_is_a_bug(self, tmp_path, capsys, monkeypatch, k):
+        g = build_Gd(4)   # sigma 1: neither two nor three trees fit
+        hit = Counterexample(graph=g, d=4, n=g.n, k=k, lambda2=3.5, sigma=1, seed=7,
+                             witness=pack_trees(g, k).witness)
+
+        def fake_check(d, n, k, trials, seed):
+            return TheoremReport(d=d, n=n, k=k, trials=trials, seed=seed,
+                                 premise_only=1, counterexamples=(hit,))
+
+        monkeypatch.setattr(cli, "theorem_check", fake_check)
+        code, out = run(capsys, ["hunt", "--d", "4", "--n", str(g.n), "--k", str(k),
+                                 "--trials", "1", "--out", str(tmp_path)])
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out)["verdict"] == "bug"
+        stem = tmp_path / f"counterexample-d4-n{g.n}-k{k}-seed7"
+        assert parse_edge_list(stem.with_suffix(".el").read_text()) == g
 
     @pytest.mark.parametrize("d, n, trials", [("3", "5", "-4"), ("6", "14", "0")])
     def test_bad_input_exits_1(self, tmp_path, capsys, d, n, trials):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from treepack import exact
+from treepack import exact, families
 from treepack.connectivity import edge_connectivity_bruteforce
 from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots
 from treepack.families import (
@@ -37,7 +37,7 @@ from treepack.families import (
     verify_Hd,
     verify_family,
 )
-from treepack.graphs import crossing_edges
+from treepack.graphs import crossing_edges, cycle_graph
 from treepack.spectra import quotient_matrix, is_equitable
 
 
@@ -254,3 +254,11 @@ class TestPropositionSearch:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             proposition_search(3, trials=1)
+
+    def test_detects_a_smaller_graph_with_kappa_2_and_sigma_1(self, monkeypatch):
+        # a stub generator that always returns C6: kappa' 2, sigma 1
+        monkeypatch.setattr(families, "random_regular", lambda cfg: cycle_graph(6))
+        report = proposition_search(4, trials=3, seed=7)
+        assert report.attained
+        assert report.counterexamples == (cycle_graph(6),) * 3
+        assert not report.clean

@@ -248,6 +248,13 @@ class TestVerifyCertificate:
         check = verify_certificate(self.g, fake)
         assert not check.ok
 
+    def test_rejects_cyclic_tree(self):
+        # n - 1 = 3 edges, but a triangle on 0, 1, 2 leaves vertex 3 out
+        triangle = frozenset({(0, 1), (0, 2), (1, 2)})
+        fake = TreePackingResult(1, (triangle,), self.good.witness_partition)
+        check = verify_certificate(self.g, fake)
+        assert not check.ok and check.reason == "edge set is not a spanning tree"
+
     def test_rejects_wrong_tree_count(self):
         fake = TreePackingResult(3, self.good.trees, None)
         assert not verify_certificate(self.g, fake).ok
