@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .connectivity import edge_connectivity
 from .exact import DEFAULT_PRECISION
 from .families import FAMILIES, FamilyReport, build_family, verify_family
 from .graphs import Graph, VertexPartition, parse_edge_list, partition, to_edge_list
@@ -53,6 +52,29 @@ def _emit(doc: dict, json_path: str | None) -> None:
     sys.stdout.write(text)
     if json_path:
         Path(json_path).write_text(text, encoding="utf-8")
+
+
+def _writable_dir(path: str | Path, flag: str) -> Path:
+    """Create `path` if needed and check it can take new files.
+
+    Done before any compute, so a finding is never lost to a bad path.
+    """
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: not a writable directory ({exc.strerror})") from None
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise ValueError(f"{flag} {path}: not a writable directory")
+    return out
+
+
+def _check_json_dir(args) -> None:
+    """Check --json, like --out, before any compute."""
+    if args.json:
+        if Path(args.json).is_dir():
+            raise ValueError(f"--json {args.json}: is a directory")
+        _writable_dir(Path(args.json).parent, "--json")
 
 
 def _load_graph(path: str) -> Graph:
@@ -93,10 +115,9 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"analyze is limited to packing work m*floor(m/(n-1)) <= "
                          f"{ANALYZE_MAX_PACKING_WORK}, the graph has m = {g.m}, "
                          f"n = {g.n}, work {work}")
+    _check_json_dir(args)
     degree = g.degree_if_regular()
-    kappa = edge_connectivity(g).value if g.n >= 2 else None
-    # Kundu: sigma >= floor(kappa'/2), so the search starts there
-    packing = sigma(g, (kappa or 0) // 2)
+    packing = sigma(g)
     cert = verify_certificate(g, packing)
 
     report: dict = {
@@ -116,7 +137,7 @@ def _cmd_analyze(args) -> int:
     report["sigma"] = packing.sigma
     report["certificate_digest"] = _certificate_digest(packing)
     report["certificate_valid"] = cert.ok
-    report["kappa_prime"] = kappa
+    report["kappa_prime"] = packing.cut.value if packing.cut else None
     if g.n >= 1:
         count = count_spanning_trees(g)
         report["spanning_trees"] = count.exact
@@ -193,6 +214,7 @@ def _family_report_doc(rep: FamilyReport) -> dict:
 def _cmd_verify_family(args) -> int:
     if args.d_min > args.d_max:
         raise ValueError("--d-min must not exceed --d-max")
+    _check_json_dir(args)
     spec = FAMILIES[args.family]
     precision = Fraction(1, 10 ** 30) if args.exact_range else DEFAULT_PRECISION
     reports = [verify_family(spec, d, precision=precision)
@@ -233,24 +255,10 @@ def _hunt_doc(rep: TheoremReport, verdict: str) -> dict:
     }
 
 
-def _writable_dir(path: str) -> Path:
-    """Create `path` if needed and check it can take new files.
-
-    Done before any compute, so a finding is never lost to a bad path.
-    """
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"--out {path}: not a writable directory ({exc.strerror})") from None
-    if not os.access(out, os.W_OK | os.X_OK):
-        raise ValueError(f"--out {path}: not a writable directory")
-    return out
-
-
 def _cmd_hunt(args) -> int:
     check_sweep_args(args.d, args.n, args.k, args.trials)
-    out = _writable_dir(args.out)
+    out = _writable_dir(args.out, "--out")
+    _check_json_dir(args)
     rep = theorem_check(args.d, args.n, args.k, args.trials, args.seed)
     if rep.clean:
         verdict = "no finding" if rep.conjecture else "pass"
@@ -289,6 +297,7 @@ def _parse_partition_file(text: str, n: int) -> VertexPartition:
 def _cmd_quotient(args) -> int:
     g = _load_graph(args.graph)
     p = _parse_partition_file(Path(args.partition).read_text(encoding="utf-8"), g.n)
+    _check_json_dir(args)
     q = quotient_matrix(g, p)
     inner = q.eigenvalues_exact()
     outer = adjacency_spectrum(g)

@@ -332,8 +332,8 @@ def verify_family(spec: FamilySpec, d: int,
     checks.append(NamedCheck("copy_crossing_edges", found_pairs == claimed_pairs,
                              f"total={cross.total}", spec.crossing_claim))
 
-    cut = edge_connectivity(g)
-    packing = tree_packing_sigma(g, cut.value // 2)
+    packing = tree_packing_sigma(g)
+    cut = packing.cut
     cert = verify_certificate(g, packing)
     checks.append(NamedCheck("sigma", packing.sigma == spec.sigma,
                              str(packing.sigma), str(spec.sigma)))

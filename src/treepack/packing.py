@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
+from .connectivity import CutResult, edge_connectivity
 from .exact import det_exact
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition
 from .spectra import laplacian_spectrum
@@ -261,49 +262,47 @@ def pack_trees(g: Graph, k: int) -> PackResult:
 
 @dataclass(frozen=True)
 class TreePackingResult:
-    """sigma, the packed trees, and (when available) the sigma+1 witness."""
+    """sigma, the packed trees, (when available) the sigma+1 witness, and
+    the minimum cut whose kappa' started the search (None for n <= 1)."""
 
     sigma: int
     trees: tuple[frozenset[Edge], ...]
     witness_partition: VertexPartition | None
+    cut: CutResult | None = None
 
 
-def sigma(g: Graph, lower: int = 1) -> TreePackingResult:
+def sigma(g: Graph) -> TreePackingResult:
     """Spanning-tree packing number with certificates for both directions.
 
-    The search starts at k = lower clamped to [1, floor(m / (n-1))], the
-    trivial edge bound.  While packs succeed it climbs; if the first pack
-    fails it steps down until one succeeds.  Every pack is a fresh
-    pack_trees(g, k) and the packer is exact, so the trees always come
-    from pack_trees(g, sigma) and the witness from pack_trees(g, sigma+1):
-    the result is the same for every `lower`, and a good lower bound
-    (Kundu: floor(kappa'/2)) only saves the packs below it.  A bound that
-    is too high costs extra packs, never a wrong answer.  The witness is
-    None when sigma+1 exceeds the edge bound (the edge count certifies).
+    kappa' comes from Stoer-Wagner, and the search starts at
+    k = max(floor(kappa'/2), 1): Nash-Williams/Tutte, in the form Kundu
+    uses ("Bounds on the number of disjoint spanning trees", JCTB 1974),
+    gives sigma >= floor(kappa'/2).  While packs succeed it climbs, up to
+    floor(m / (n-1)), the trivial edge bound.  Every pack is a fresh
+    pack_trees(g, k) and the packer is exact, so the trees come from
+    pack_trees(g, sigma) and the witness from pack_trees(g, sigma+1).  The
+    witness is None when sigma+1 exceeds the edge bound (the edge count
+    certifies).  A failed first pack means k = 1 and a disconnected graph:
+    sigma is 0 with that pack's witness.  At a larger k only a packer bug
+    gets there, and the result lacks its sigma trees, which
+    ``verify_certificate`` rejects.
     """
     if g.n <= 1:
         return TreePackingResult(0, (), None)
+    cut = edge_connectivity(g)
     kmax = g.m // (g.n - 1)
-    k = min(max(lower, 1), kmax)
-    if k == 0:
-        return TreePackingResult(0, (), None)
-    res = pack_trees(g, k)
-    if res.success:
-        trees, witness = res.trees, None
-        while k < kmax:
-            res = pack_trees(g, k + 1)
-            if not res.success:
-                witness = res.witness
-                break
-            k, trees = k + 1, res.trees
-        return TreePackingResult(k, trees, witness)
-    witness = res.witness
-    while k > 1:
-        res = pack_trees(g, k - 1)
-        if res.success:
-            return TreePackingResult(k - 1, res.trees, witness)
-        k, witness = k - 1, res.witness
-    return TreePackingResult(0, (), witness)
+    # the first pack is at k + 1.  floor(kappa'/2) <= m/n never exceeds
+    # kmax, and kmax = 0 (m < n-1, so kappa' = 0) packs nothing and leaves
+    # the edge count as the only certificate
+    k = max(cut.value // 2, 1) - 1
+    trees, witness = (), None
+    while k < kmax:
+        res = pack_trees(g, k + 1)
+        if not res.success:
+            witness = res.witness
+            break
+        k, trees = k + 1, res.trees
+    return TreePackingResult(k, trees, witness, cut)
 
 
 @dataclass(frozen=True)

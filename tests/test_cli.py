@@ -3,14 +3,16 @@
 import hashlib
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from treepack import cli, randgen
+from treepack import cli, packing, randgen
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
+from treepack.connectivity import edge_connectivity
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
     add_edges,
@@ -22,9 +24,10 @@ from treepack.graphs import (
     parse_edge_list,
     partition,
     petersen_graph,
+    singleton_partition,
     to_edge_list,
 )
-from treepack.packing import pack_trees
+from treepack.packing import PackResult, pack_trees
 from treepack.randgen import (
     Counterexample,
     GenConfig,
@@ -47,6 +50,22 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _count_edge_connectivity(monkeypatch) -> list[int]:
+    """Count edge_connectivity calls at every treepack module that binds
+    it; the list gets the vertex count of each graph it runs on."""
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return edge_connectivity(g)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "treepack"
+                and getattr(module, "edge_connectivity", None) is edge_connectivity):
+            monkeypatch.setattr(module, "edge_connectivity", counted)
+    return calls
 
 
 class TestAnalyze:
@@ -102,7 +121,7 @@ class TestAnalyze:
     def test_vertex_cap_refuses_at_once(self, tmp_path, capsys, monkeypatch):
         # a header-only edgeless graph is cheap to parse but far over the cap;
         # any compute past the guard would fail the test
-        monkeypatch.setattr(cli, "edge_connectivity", None)
+        monkeypatch.setattr(cli, "sigma", None)
         path = tmp_path / "huge.el"
         path.write_text(f"{10**7} 0\n")
         t0 = time.perf_counter()
@@ -117,7 +136,7 @@ class TestAnalyze:
 
     def test_packing_work_cap_refuses_at_once(self, tmp_path, capsys, monkeypatch):
         # K160: 12,720 edges, up to 80 trees, work 1,017,600
-        monkeypatch.setattr(cli, "edge_connectivity", None)
+        monkeypatch.setattr(cli, "sigma", None)
         path = write_graph(tmp_path, complete_graph(160))
         t0 = time.perf_counter()
         code = main(["analyze", path])
@@ -138,7 +157,7 @@ class TestAnalyze:
         def reached(g):
             raise Reached
 
-        monkeypatch.setattr(cli, "edge_connectivity", reached)
+        monkeypatch.setattr(cli, "sigma", reached)
         g = complete_graph(159)
         assert g.m * (g.m // (g.n - 1)) <= cli.ANALYZE_MAX_PACKING_WORK
         with pytest.raises(Reached):
@@ -158,6 +177,27 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "line 3" in err
+
+    def test_packer_failure_above_k1_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # K5 has kappa' 4, so sigma's first pack is at k = 2; a packer that
+        # fails there leaves sigma 1 without its tree, and the certificate
+        # check rejects it
+        real = packing.pack_trees
+
+        def broken(g, k):
+            return real(g, k) if k < 2 else PackResult(k, False, None, singleton_partition(g.n))
+
+        monkeypatch.setattr(packing, "pack_trees", broken)
+        code, out = run(capsys, ["analyze", write_graph(tmp_path, complete_graph(5))])
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(out)
+        assert doc["sigma"] == 1 and doc["certificate_valid"] is False
+
+    def test_one_min_cut_per_graph(self, tmp_path, capsys, monkeypatch):
+        calls = _count_edge_connectivity(monkeypatch)
+        code, out = run(capsys, ["analyze", write_graph(tmp_path, build_Gd(4))])
+        assert code == EXIT_OK and json.loads(out)["kappa_prime"] == 2
+        assert calls == [15]
 
     @pytest.mark.parametrize("text", ["3 3\n0 1\n0 1\n1 2\n", "3 2\n0 1\n1 0\n"])
     def test_duplicate_edge_rejected(self, tmp_path, capsys, text):
@@ -282,6 +322,12 @@ class TestVerifyFamily:
                                  "--exact-range"])
         assert code == EXIT_OK
         assert json.loads(out)["all_passed"] is True
+
+    def test_one_min_cut_per_degree(self, capsys, monkeypatch):
+        calls = _count_edge_connectivity(monkeypatch)
+        code, _ = run(capsys, ["verify-family", "Hd", "--d-min", "6", "--d-max", "7"])
+        assert code == EXIT_OK
+        assert calls == [35, 40]
 
     def test_empty_degree_range_exits_1(self, capsys):
         code = main(["verify-family", "Gd", "--d-min", "9", "--d-max", "4"])
@@ -474,6 +520,57 @@ class TestQuotient:
         part.write_text("0 1\n")
         code, _ = run(capsys, ["quotient", g_path, str(part)])
         assert code == EXIT_USAGE
+
+
+# each subcommand that takes --json, with its compute stubbed out: a bad
+# --json directory must stop it before that compute runs
+JSON_COMPUTE = {
+    "analyze": ("sigma", lambda tmp: ["analyze", write_graph(tmp, complete_graph(4))]),
+    "verify-family": ("verify_family",
+                      lambda tmp: ["verify-family", "Gd", "--d-min", "4", "--d-max", "4"]),
+    "hunt": ("theorem_check", lambda tmp: ["hunt", "--d", "6", "--n", "14", "--k", "2",
+                                           "--trials", "1", "--out", str(tmp / "out")]),
+    "quotient": ("quotient_matrix", lambda tmp: [
+        "quotient", write_graph(tmp, complete_graph(4)), str(_write_blocks(tmp))]),
+}
+
+
+def _write_blocks(tmp_path):
+    path = tmp_path / "blocks.txt"
+    path.write_text("0 1\n2 3\n")
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMPUTE))
+@pytest.mark.parametrize("target", ["under-a-file", "a-directory"])
+def test_bad_json_path_fails_before_compute(tmp_path, capsys, monkeypatch, command, target):
+    stub, argv = JSON_COMPUTE[command]
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError(f"{stub} ran despite a bad --json")
+
+    monkeypatch.setattr(cli, stub, no_compute)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if target == "under-a-file":
+        json_path = blocker / "sub" / "report.json"
+        message = f"error: --json {blocker / 'sub'}: not a writable directory"
+    else:
+        json_path = tmp_path
+        message = f"error: --json {tmp_path}: is a directory"
+    code = main(argv(tmp_path) + ["--json", str(json_path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+
+
+def test_json_written_into_new_directory(tmp_path, capsys):
+    target = tmp_path / "not" / "yet" / "report.json"
+    code, out = run(capsys, ["analyze", write_graph(tmp_path, complete_graph(4)),
+                             "--json", str(target)])
+    assert code == EXIT_OK
+    assert target.read_text() == out
 
 
 class TestTopLevel:

@@ -102,6 +102,7 @@ class TestSigma:
     def test_trivial(self):
         r = sigma(make_graph(1, []))
         assert r.sigma == 0 and r.trees == () and r.witness_partition is None
+        assert r.cut is None
 
     def test_witness_absent_when_edge_bound_certifies(self):
         # a tree: m = n-1 < 2(n-1), so no witness is needed for sigma+1
@@ -158,13 +159,11 @@ class TestSigmaBruteforce:
 
 
 @settings(max_examples=120, deadline=None)
-@given(graphs(min_n=2, max_n=8), st.integers(min_value=-1, max_value=8))
-def test_sigma_matches_oracle(g, lower):
+@given(graphs(min_n=2, max_n=8))
+def test_sigma_matches_oracle(g):
     result = sigma(g)
     assert result.sigma == sigma_bruteforce(g).sigma
     assert verify_certificate(g, result).ok
-    # the lower bound only moves where the search starts
-    assert sigma(g, lower) == result
 
 
 @settings(max_examples=60, deadline=None)
@@ -433,42 +432,25 @@ def test_pack_trees_is_pinned_on_seeded_regular_graphs():
 
 
 # ---------------------------------------------------------------------------
-# sigma's lower bound moves only where the search starts: below sigma it
-# climbs, above it steps down, and the result is the ascending search's.
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
-def test_sigma_is_independent_of_its_lower_bound(name):
-    g = _determinism_corpus()[name]
-    reference = sigma(g)
-    for lower in range(0, g.m // (g.n - 1) + 2):
-        assert sigma(g, lower) == reference, lower
+# sigma starts at Kundu's bound max(floor(kappa'/2), 1) and climbs: one pack
+# when the bound is the edge bound, else one success at the bound and the
+# failure above it.
 
 
 def _k5_bridge_k8():
-    """K5 and K8 joined by one edge: sigma 1 and edge bound 3.  The k = 2
-    witness is the two cliques; K5 packs only two trees, so the k = 3
-    witness splits it into singletons."""
+    """K5 and K8 joined by one edge: kappa' 1, sigma 1 and edge bound 3."""
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     edges += [(u, v) for u in range(5, 13) for v in range(u + 1, 13)]
     return make_graph(13, edges + [(4, 5)])
 
 
-def test_sigma_two_step_descent_keeps_the_sigma_plus_one_witness():
-    g = _k5_bridge_k8()
-    reference = sigma(g)
-    assert reference.sigma == 1
-    assert pack_trees(g, 3).witness != reference.witness_partition
-    assert sigma(g, 3) == reference
-
-
-@pytest.mark.parametrize("name,lower,packs", [
-    ("rr10-80-s1", 5, 1),   # lower = sigma = edge bound: one pack
-    ("H7", 2, 2),           # lower = sigma: one success, one failure
-    ("G5", 2, 2),           # lower = sigma + 1: one failure, one success
-    ("K5-K8", 3, 3),        # lower = sigma + 2: two failures, one success
+@pytest.mark.parametrize("name,start,packs", [
+    ("rr10-80-s1", 5, 1),   # kappa' 10: the start is sigma and the edge bound
+    ("H7", 2, 2),           # kappa' 4: k = 2 = sigma packs, k = 3 fails
+    ("G5", 1, 2),           # kappa' 2: k = 1 = sigma packs, k = 2 fails
+    ("K5-K8", 1, 2),        # kappa' 1: floor(kappa'/2) = 0 is raised to 1
 ])
-def test_sigma_pack_count(monkeypatch, name, lower, packs):
+def test_sigma_pack_count(monkeypatch, name, start, packs):
     g = _k5_bridge_k8() if name == "K5-K8" else _determinism_corpus()[name]
     calls = []
 
@@ -477,7 +459,8 @@ def test_sigma_pack_count(monkeypatch, name, lower, packs):
         return pack_trees(g, k)
 
     monkeypatch.setattr(packing, "pack_trees", counted)
-    sigma(g, lower)
+    sigma(g)
+    assert calls[0] == start
     assert len(calls) == packs
 
 
@@ -624,7 +607,8 @@ def large_graphs(draw):
 def test_sigma_bounds_and_certificate_on_large_graphs(g):
     result = sigma(g)
     assert verify_certificate(g, result).ok
-    kappa = edge_connectivity(g).value
+    assert result.cut == edge_connectivity(g)
+    kappa = result.cut.value
     assert kappa // 2 <= result.sigma <= min(min(g.degrees), g.m // (g.n - 1))
 
 
