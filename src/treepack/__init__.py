@@ -62,7 +62,6 @@ from .packing import (
 from .randgen import GenConfig, TheoremReport, random_regular, splitmix64, theorem_check
 from .spectra import (
     QuotientMatrix,
-    Spectrum,
     adjacency_spectrum,
     check_interlacing,
     eig_symmetric,
@@ -70,6 +69,7 @@ from .spectra import (
     is_equitable,
     lambda2,
     laplacian_spectrum,
+    multiplicities,
     quotient_matrix,
 )
 

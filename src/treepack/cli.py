@@ -24,7 +24,9 @@ from .families import FAMILIES, FamilyReport, build_family, verify_family
 from .graphs import Graph, VertexPartition, parse_edge_list, partition, to_edge_list
 from .packing import TreePackingResult, count_spanning_trees, sigma, verify_certificate
 from .randgen import TheoremReport, check_sweep_args, theorem_check, theorem_threshold
-from .spectra import adjacency_spectrum, check_interlacing, is_equitable, quotient_matrix
+from .spectra import (
+    adjacency_spectrum, check_interlacing, is_equitable, multiplicities, quotient_matrix,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,8 +130,8 @@ def _cmd_analyze(args) -> int:
     }
     if g.n >= 1:
         spectrum = adjacency_spectrum(g)
-        report["lambda2"] = _sig15(spectrum.values[1]) if g.n >= 2 else None
-        report["spectrum"] = [[_sig15(v), mult] for v, mult in spectrum.multiplicities()]
+        report["lambda2"] = _sig15(spectrum[1]) if g.n >= 2 else None
+        report["spectrum"] = [[_sig15(v), mult] for v, mult in multiplicities(spectrum)]
     else:
         report["lambda2"] = None
         report["spectrum"] = []
@@ -151,7 +153,7 @@ def _cmd_analyze(args) -> int:
         report["theorems"] = "not applicable: graph is not regular with n >= 2"
     else:
         verdicts = {}
-        lam2 = spectrum.values[1]
+        lam2 = spectrum[1]
         for k in (2, 3):
             # both theorems hypothesize d >= 2k, so the verdict is vacuous
             # below that degree (e.g. the k = 3 statement says nothing
@@ -235,7 +237,7 @@ def _cmd_verify_family(args) -> int:
 # hunt
 
 
-def _hunt_doc(rep: TheoremReport, verdict: str) -> dict:
+def _hunt_doc(rep: TheoremReport, found: list[dict], verdict: str) -> dict:
     return {
         "d": rep.d,
         "n": rep.n,
@@ -246,11 +248,7 @@ def _hunt_doc(rep: TheoremReport, verdict: str) -> dict:
         "premise_only": rep.premise_only,
         "conclusion_only": rep.conclusion_only,
         "neither": rep.neither,
-        "counterexamples": [
-            {"d": c.d, "n": c.n, "k": c.k, "lambda2": _sig15(c.lambda2),
-             "sigma": c.sigma, "seed": c.seed}
-            for c in rep.counterexamples
-        ],
+        "counterexamples": found,
         "verdict": verdict,
     }
 
@@ -267,14 +265,17 @@ def _cmd_hunt(args) -> int:
         verdict, code = "finding", EXIT_FINDING
     else:
         verdict, code = "bug", EXIT_CHECK_FAILED
+    found = []
     for c in rep.counterexamples:
+        doc = {"d": c.d, "n": c.n, "k": c.k, "lambda2": _sig15(c.lambda2),
+               "sigma": c.sigma, "seed": c.seed}
+        found.append(doc)
         stem = f"counterexample-d{c.d}-n{c.n}-k{c.k}-seed{c.seed}"
         (out / f"{stem}.el").write_text(to_edge_list(c.graph), encoding="utf-8")
-        sidecar = {"d": c.d, "n": c.n, "k": c.k, "lambda2": _sig15(c.lambda2),
-                   "sigma": c.sigma, "seed": c.seed, "witness": _blocks_doc(c.witness)}
+        sidecar = {**doc, "witness": _blocks_doc(c.witness)}
         (out / f"{stem}.json").write_text(
             json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
-    _emit(_hunt_doc(rep, verdict), args.json)
+    _emit(_hunt_doc(rep, found, verdict), args.json)
     return code
 
 
@@ -300,8 +301,7 @@ def _cmd_quotient(args) -> int:
     _check_json_dir(args)
     q = quotient_matrix(g, p)
     inner = q.eigenvalues_exact()
-    outer = adjacency_spectrum(g)
-    inter = check_interlacing(outer.values, inner)
+    inter = check_interlacing(adjacency_spectrum(g), inner)
     doc = {
         "input": args.graph,
         "t": q.t,

@@ -440,9 +440,6 @@ class RootInterval:
     lo: Fraction
     hi: Fraction
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

@@ -343,7 +343,7 @@ def verify_family(spec: FamilySpec, d: int,
                              str(cut.value), spec.kappa_claim))
 
     spectrum = adjacency_spectrum(g)
-    lam2 = spectrum.values[1]
+    lam2 = spectrum[1]
     roots = isolate_real_roots(p, precision)
     iso = roots[-1][0]
     root = iso.as_float()
@@ -354,7 +354,7 @@ def verify_family(spec: FamilySpec, d: int,
     checks += spec.interval_evidence(d, p, iso)
 
     expected = expected_spectrum(spec, d, roots)
-    spec_ok, worst = _spectrum_check(spectrum.values, expected)
+    spec_ok, worst = _spectrum_check(spectrum, expected)
     checks.append(NamedCheck(
         "spectrum_multiset", spec_ok,
         f"max deviation {worst:.3e}", f"within {SPECTRUM_TOL}", margin=worst))
@@ -492,16 +492,16 @@ def build_A25(d: int) -> list[list[int]]:
     return _validate_transcription(HD, d, build_family(HD, d))
 
 
-def verify_Gd(d: int, precision: Fraction = DEFAULT_PRECISION) -> FamilyReport:
+def verify_Gd(d: int) -> FamilyReport:
     """Re-check every Gd claim, including the closed-form values of P3 at
     both ends of the open theta_d interval."""
-    return verify_family(GD, d, precision)
+    return verify_family(GD, d)
 
 
-def verify_Hd(d: int, precision: Fraction = DEFAULT_PRECISION) -> FamilyReport:
+def verify_Hd(d: int) -> FamilyReport:
     """Re-check every Hd claim, including the Descartes certificate at the
     upper endpoint and the exact half-open gamma_d interval."""
-    return verify_family(HD, d, precision)
+    return verify_family(HD, d)
 
 
 # ---------------------------------------------------------------------------

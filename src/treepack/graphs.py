@@ -101,22 +101,30 @@ class Graph:
         return self.n <= 1 or len(self.components()) == 1
 
 
+def _check_edge(n: int, u: int, v: int, seen: set[Edge], where: str = "") -> None:
+    """Add edge {u, v} to seen; a self-loop, an end outside 0..n-1 or a
+    repeat (in either orientation) is an error, prefixed with `where`."""
+    if u == v:
+        raise ValueError(f"{where}self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"{where}edge ({u}, {v}) out of range for n={n}")
+    e = _norm_edge(u, v)
+    if e in seen:
+        raise ValueError(f"{where}duplicate edge ({u}, {v})")
+    seen.add(e)
+
+
 def make_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a graph from vertex count and edge pairs.
 
-    Duplicate pairs collapse silently; self-loops and out-of-range
-    indices are construction errors.
+    Self-loops, out-of-range indices and repeated edges (in either
+    orientation) are construction errors.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    edges = set()
-    for pair in edge_list:
-        u, v = pair
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        edges.add(_norm_edge(u, v))
+    edges: set[Edge] = set()
+    for u, v in edge_list:
+        _check_edge(n, u, v, edges)
     return Graph(n, frozenset(edges))
 
 
@@ -162,18 +170,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 def add_edges(g: Graph, pairs: Iterable[Sequence[int]]) -> Graph:
     """Return g plus the given edges; duplicates and loops are errors."""
-    new = set(g.edges)
-    for pair in pairs:
-        u, v = pair
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={g.n}")
-        e = _norm_edge(u, v)
-        if e in new:
-            raise ValueError(f"duplicate edge {e}")
-        new.add(e)
-    return Graph(g.n, frozenset(new))
+    return make_graph(g.n, [*g.edges, *pairs])
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -280,8 +277,8 @@ def to_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; errors carry 1-based line numbers.
 
-    Unlike ``make_graph``, a repeated edge (in either orientation) is an
-    error, so the graph always has exactly the m edges the header declares.
+    A repeated edge (in either orientation) is an error, as in
+    ``make_graph``, so the graph always has the m edges the header declares.
     """
     lines = text.splitlines()
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
@@ -307,12 +304,5 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: expected integer endpoints") from None
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        e = _norm_edge(u, v)
-        if e in pairs:
-            raise ValueError(f"line {lineno}: duplicate edge ({u}, {v})")
-        pairs.add(e)
+        _check_edge(n, u, v, pairs, f"line {lineno}: ")
     return make_graph(n, pairs)

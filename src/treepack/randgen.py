@@ -21,6 +21,10 @@ from .spectra import lambda2
 _MASK64 = (1 << 64) - 1
 # random_regular gives up after this many pairing attempts
 MAX_PAIRING_ATTEMPTS = 10_000
+# Sweeps refuse larger graphs before drawing one.  One d = 10, k = 2 trial
+# (pack_trees plus a dense n x n eigensolve) took 12 s at n = 2600, 30 s at
+# n = 3900 and 60 s (666 MB peak RSS) at n = 5200 on a 2-vCPU x86 host.
+SWEEP_MAX_VERTICES = 5000
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -141,11 +145,14 @@ def theorem_threshold(d: int, k: int) -> Fraction:
 
 def check_sweep_args(d: int, n: int, k: int, trials: int) -> None:
     """Raise ValueError unless theorem_check(d, n, k, trials, ...) can run:
-    k >= 2, trials >= 1 and a d-regular graph on n vertices exists."""
+    k >= 2, trials >= 1, n <= SWEEP_MAX_VERTICES and a d-regular graph on
+    n vertices exists."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n > SWEEP_MAX_VERTICES:
+        raise ValueError(f"sweeps are limited to {SWEEP_MAX_VERTICES} vertices, got n = {n}")
     GenConfig(d=d, n=n, seed=0)
 
 

@@ -10,43 +10,29 @@ from typing import Sequence
 import numpy as np
 
 from .exact import IntPoly, char_poly_exact, isolate_real_roots
-from .graphs import Graph, VertexPartition, average_degree, crossing_edges
+from .graphs import Graph, VertexPartition, average_degree
 
 SYMMETRY_RTOL = 1e-12
 INTERLACING_TOL = 1e-9
 GROUPING_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues sorted descending."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def multiplicities(self) -> list[tuple[float, int]]:
-        """Group values within GROUPING_TOL: list of (representative, count)."""
-        groups: list[tuple[float, int]] = []
-        for v in self.values:
-            if groups and abs(groups[-1][0] - v) <= GROUPING_TOL:
-                rep, cnt = groups[-1]
-                groups[-1] = (rep, cnt + 1)
-            else:
-                groups.append((v, 1))
-        return groups
-
-    def lambda2(self) -> float:
-        if len(self.values) < 2:
-            raise ValueError("spectrum has fewer than 2 eigenvalues")
-        return self.values[1]
+def multiplicities(values: Sequence[float]) -> list[tuple[float, int]]:
+    """Group descending values within GROUPING_TOL: list of (representative, count)."""
+    groups: list[tuple[float, int]] = []
+    for v in values:
+        if groups and abs(groups[-1][0] - v) <= GROUPING_TOL:
+            rep, cnt = groups[-1]
+            groups[-1] = (rep, cnt + 1)
+        else:
+            groups.append((v, 1))
+    return groups
 
 
 def eig_symmetric(m: np.ndarray, want_vectors: bool = False):
-    """Eigenvalues (descending) of a dense symmetric matrix.
+    """Eigenvalues of a dense symmetric matrix as a descending tuple.
 
-    Returns a Spectrum, or (Spectrum, eigenvectors) with orthonormal
+    With want_vectors, returns (eigenvalues, eigenvectors) with orthonormal
     columns matching the eigenvalue order.  Rejects asymmetric input.
     """
     a = np.asarray(m, dtype=float)
@@ -59,31 +45,30 @@ def eig_symmetric(m: np.ndarray, want_vectors: bool = False):
     if want_vectors:
         vals, vecs = np.linalg.eigh(a)
         order = np.argsort(vals)[::-1]
-        return Spectrum(tuple(float(v) for v in vals[order])), vecs[:, order]
+        return tuple(float(v) for v in vals[order]), vecs[:, order]
     vals = np.linalg.eigvalsh(a)
-    return Spectrum(tuple(float(v) for v in vals[::-1]))
+    return tuple(float(v) for v in vals[::-1])
 
 
-def adjacency_spectrum(g: Graph) -> Spectrum:
+def adjacency_spectrum(g: Graph) -> tuple[float, ...]:
+    """Adjacency eigenvalues, descending."""
     if g.n == 0:
         raise ValueError("empty graph has no spectrum")
     return eig_symmetric(g.adjacency_matrix())
 
 
 def lambda2(g: Graph) -> float:
-    if g.n == 0:
-        raise ValueError("empty graph")
+    """Second-largest adjacency eigenvalue."""
     if g.n == 1:
         raise ValueError("lambda2 undefined for a single vertex")
-    return adjacency_spectrum(g).lambda2()
+    return adjacency_spectrum(g)[1]
 
 
 def laplacian_spectrum(g: Graph) -> tuple[float, ...]:
     """Laplacian eigenvalues sorted ascending (mu_1 = 0 for any graph)."""
     if g.n == 0:
         raise ValueError("empty graph")
-    spec = eig_symmetric(g.laplacian_matrix())
-    return tuple(reversed(spec.values))
+    return tuple(reversed(eig_symmetric(g.laplacian_matrix())))
 
 
 def _real_roots_descending(cp: IntPoly) -> list[float]:
@@ -152,24 +137,17 @@ class QuotientMatrix:
 
 def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:
     """Quotient matrix of a partition, with exact Fraction entries."""
-    cross = crossing_edges(g, p)
-    sizes = p.sizes()
-    t = p.t
-    internal = [0] * t
+    if p.n != g.n:
+        raise ValueError("partition does not match graph")
     owner = p.block_of
+    counts = [[0] * p.t for _ in range(p.t)]
     for u, v in g.edges:
-        if owner[u] == owner[v]:
-            internal[owner[u]] += 1
-    rows = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            if i == j:
-                row.append(Fraction(2 * internal[i], sizes[i]))
-            else:
-                row.append(Fraction(cross.pair_counts[i][j], sizes[i]))
-        rows.append(tuple(row))
-    return QuotientMatrix(tuple(rows), p)
+        i, j = owner[u], owner[v]
+        counts[i][j] += 1   # an internal edge counts twice on the diagonal
+        counts[j][i] += 1
+    sizes = p.sizes()
+    return QuotientMatrix(
+        tuple(tuple(Fraction(c, sizes[i]) for c in row) for i, row in enumerate(counts)), p)
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> bool:
@@ -194,26 +172,21 @@ def is_equitable(g: Graph, p: VertexPartition) -> bool:
 @dataclass(frozen=True)
 class InterlacingResult:
     ok: bool
-    worst_margin: float   # most negative slack across both chains (>= -tol when ok)
+    worst_margin: float   # most negative slack over both chains, >= -INTERLACING_TOL if ok
 
 
-def check_interlacing(
-    outer: Sequence[float], inner: Sequence[float], tol: float = INTERLACING_TOL
-) -> InterlacingResult:
-    """Check lambda_i(A) >= lambda_i(B) >= lambda_{n-m+i}(A) within tol.
+def check_interlacing(outer: Sequence[float], inner: Sequence[float]) -> InterlacingResult:
+    """Check lambda_i(A) >= lambda_i(B) >= lambda_{n-m+i}(A) within INTERLACING_TOL.
 
-    Both inputs are descending eigenvalue lists (Spectrum.values works).
+    Both inputs are descending eigenvalue sequences.
     """
-    a = list(outer.values) if isinstance(outer, Spectrum) else list(outer)
-    b = list(inner.values) if isinstance(inner, Spectrum) else list(inner)
-    n, m = len(a), len(b)
+    n, m = len(outer), len(inner)
     if m > n:
         raise ValueError("inner spectrum longer than outer")
     worst = float("inf")
     for i in range(m):
-        worst = min(worst, a[i] - b[i])
-        worst = min(worst, b[i] - a[n - m + i])
-    return InterlacingResult(worst >= -tol, worst)
+        worst = min(worst, outer[i] - inner[i], inner[i] - outer[n - m + i])
+    return InterlacingResult(worst >= -INTERLACING_TOL, worst)
 
 
 def disjoint_sets_bound(g: Graph, a: set[int], b: set[int]) -> Fraction:

@@ -35,7 +35,6 @@ from treepack.randgen import (
     random_regular,
     theorem_threshold,
 )
-from treepack.spectra import Spectrum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,7 +108,7 @@ class TestAnalyze:
         lam2 = float(theta)
         assert Fraction(lam2) < theta < float(f"{lam2:.15g}")
         monkeypatch.setattr(cli, "adjacency_spectrum",
-                            lambda g: Spectrum((6.0, lam2) + (-1.0,) * 5))
+                            lambda g: (6.0, lam2) + (-1.0,) * 5)
         code, out = run(capsys, ["analyze", write_graph(tmp_path, complete_graph(7))])
         assert code == EXIT_OK
         assert json.loads(out)["theorems"]["k3"]["premise_lambda2_below_threshold"] is True
@@ -392,6 +391,11 @@ class TestHunt:
         assert written == g
         sidecar = json.loads(stem.with_suffix(".json").read_text())
         assert sidecar["sigma"] == 2
+        # the sidecar is the stdout entry plus the witness, in the same key order
+        entry = json.loads(out)["counterexamples"][0]
+        assert list(entry) == ["d", "n", "k", "lambda2", "sigma", "seed"]
+        assert list(sidecar) == [*entry, "witness"]
+        assert {key: sidecar[key] for key in entry} == entry
         # the two files alone re-check the finding: the witness partition
         # has too few crossing edges for k = 4 spanning trees
         blocks = sidecar["witness"]
@@ -426,6 +430,21 @@ class TestHunt:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
         # arguments are checked before --out is created
+        assert not (tmp_path / "hx").exists()
+
+    def test_size_cap_refuses_at_once(self, tmp_path, capsys, monkeypatch):
+        def no_compute(cfg):
+            raise AssertionError("a graph was drawn above the size cap")
+
+        monkeypatch.setattr(randgen, "random_regular", no_compute)
+        n = randgen.SWEEP_MAX_VERTICES + 2
+        code = main(["hunt", "--d", "10", "--n", str(n), "--k", "2", "--trials", "1",
+                     "--out", str(tmp_path / "hx")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == (f"error: sweeps are limited to "
+                                f"{randgen.SWEEP_MAX_VERTICES} vertices, got n = {n}\n")
+        assert captured.out == ""
         assert not (tmp_path / "hx").exists()
 
     def test_out_path_that_is_a_file_fails_before_compute(self, tmp_path, capsys,

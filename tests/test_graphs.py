@@ -22,9 +22,11 @@ from treepack.graphs import (
 )
 
 
-def test_make_graph_collapses_duplicates():
-    g = make_graph(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
-    assert g.m == 2
+def test_make_graph_rejects_duplicates():
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        make_graph(3, [(0, 1), (0, 1)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 0\)"):
+        make_graph(3, [(0, 1), (1, 2), (1, 0)])
 
 
 def test_make_graph_rejects_self_loop():
@@ -55,8 +57,12 @@ def test_complete_minus_matching():
 
 def test_add_edges_rejects_duplicate():
     g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        add_edges(g, [(0, 1)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 0\)"):
+        add_edges(g, [(1, 0)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 2\)"):
+        add_edges(g, [(0, 2), (0, 2)])
+    with pytest.raises(ValueError, match="self-loop"):
+        add_edges(g, [(2, 2)])
     g2 = add_edges(g, [(0, 2)])
     assert g2.m == 5 and g.m == 4
 
@@ -128,6 +134,19 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_duplicate_edges(text, message):
     with pytest.raises(ValueError, match=message):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3 1\n1 1\n", "line 2: self-loop at vertex 1"),
+    ("3 2\n0 1\n\n2 3\n", "line 4: edge (2, 3) out of range for n=3"),
+    ("3 1\n-1 2\n", "line 2: edge (-1, 2) out of range for n=3"),
+    ("3 2\n2 0\n0 2\n", "line 3: duplicate edge (0, 2)"),
+    ("-1 0\n", "vertex count must be nonnegative"),
+])
+def test_parse_edge_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
 
 
 @st.composite

@@ -27,6 +27,7 @@ from treepack.graphs import (
     singleton_partition,
 )
 from treepack.packing import (
+    PackResult,
     TreePackingResult,
     _Packer,
     count_spanning_trees,
@@ -82,6 +83,18 @@ class TestPackTrees:
     def test_trivial_graphs(self):
         r = pack_trees(make_graph(1, []), 3)
         assert r.success and r.trees == (frozenset(), frozenset(), frozenset())
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_trivial_packs_verify(self, n):
+        # n - 1 < 1, so the empty trees pass only through the n <= 1 branch
+        g = make_graph(n, [])
+        for k in (1, 2):
+            assert verify_pack_result(g, pack_trees(g, k)).ok
+
+    def test_trivial_tree_holding_an_edge_is_rejected(self):
+        forged = PackResult(1, True, (frozenset({(0, 1)}),), None)
+        check = verify_pack_result(make_graph(1, []), forged)
+        assert not check.ok and check.reason == "trivial graph packs empty trees"
 
 
 class TestSigma:

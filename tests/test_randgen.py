@@ -5,6 +5,7 @@ import pytest
 from treepack import randgen
 from treepack.families import build_Gd
 from treepack.graphs import complete_graph, crossing_edges
+from treepack.packing import CertificateCheck
 from treepack.randgen import (
     GenConfig,
     random_regular,
@@ -92,6 +93,29 @@ class TestTheoremCheck:
         monkeypatch.setattr(randgen, "random_regular", no_compute)
         with pytest.raises(ValueError):
             theorem_check(d=d, n=n, k=2, trials=trials, seed=0)
+
+    def test_size_cap_refuses_before_any_graph_is_drawn(self, monkeypatch):
+        def no_compute(cfg):
+            raise AssertionError("a graph was drawn above the size cap")
+
+        monkeypatch.setattr(randgen, "random_regular", no_compute)
+        cap = randgen.SWEEP_MAX_VERTICES
+        randgen.check_sweep_args(10, cap, 2, 1)
+        with pytest.raises(ValueError, match=f"limited to {cap} vertices, got n = {cap + 2}"):
+            theorem_check(d=10, n=cap + 2, k=2, trials=1, seed=0)
+
+    @pytest.mark.parametrize("d, tally", [(5, "conclusion_only"), (4, "neither")])
+    def test_premise_false_tallies(self, d, tally):
+        # d < 2k makes the premise false; K6 packs three trees, K6 minus a
+        # perfect matching (12 < 15 edges) does not
+        r = theorem_check(d=d, n=6, k=3, trials=3, seed=0)
+        assert getattr(r, tally) == 3 and r.clean
+
+    def test_invalid_pack_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(randgen, "verify_pack_result",
+                            lambda g, result: CertificateCheck(False, "forged"))
+        with pytest.raises(AssertionError, match="pack_trees certificate invalid: forged"):
+            theorem_check(d=6, n=14, k=2, trials=1, seed=0)
 
     def test_k4_run_is_flagged_as_conjecture_territory(self):
         r = theorem_check(d=8, n=18, k=4, trials=5, seed=3)
