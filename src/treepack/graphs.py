@@ -44,7 +44,12 @@ class Graph:
         return tuple(len(s) for s in self.neighbors)
 
     def degree_if_regular(self) -> int | None:
-        """The common degree when the graph is regular, else None."""
+        """The common degree when the graph is regular, else None.
+
+        K1 is 0-regular.  The empty graph has no degree to share and gets
+        None (``analyze`` reports it as "irregular"), although it is
+        vacuously regular.
+        """
         degs = set(self.degrees)
         if len(degs) == 1:
             return next(iter(degs))

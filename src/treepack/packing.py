@@ -10,6 +10,19 @@ labeled closures of the rejected edges collapse into a partition
 witnessing the Nash-Williams/Tutte violation; the witness is re-validated
 by ``verify_certificate`` rather than trusted.
 
+Clumps are vertex sets that every one of the k forests spans; they are
+held as one flat array of clump ids, where each id is a vertex of its own
+clump, so "are u and v in one clump?" is two list reads.  A rejection
+relabels every clump its labeled edges touch to one id in one O(n) pass.
+An edge with both ends in a clump is rejected at entry, and inside the
+labeling search such an edge is labeled but not enqueued.  Skipping it
+changes nothing: each forest spans the clump, so every forest path
+between its ends, and so everything it could label, lies inside the
+clump, where no edge can augment.  Every other edge keeps its first
+labeler and its place in the queue, so the search finds the same chain,
+and a rejection merges the same vertex set.  The trees and witnesses are
+those of a search that enqueues every labeled edge.
+
 Each forest keeps a union-find array for "are u and v apart?" and a
 rooted form (parent and depth per vertex) for path queries.  After a
 chain, a forest that only gained edges takes them by union, and its
@@ -91,10 +104,11 @@ class _Packer:
         self.parent: list[list[int]] = [list(range(g.n)) for _ in range(k)]
         self.depth: list[list[int]] = [[0] * g.n for _ in range(k)]
         self.stale = [False] * k
-        # clumps: vertex sets already known to be spanned by all k forests;
-        # an edge inside one can never augment again, so it is rejected
-        # without a second labeling search
-        self.clumps = _DSU(g.n)
+        # clump id per vertex.  A clump is a vertex set spanned by all k
+        # forests, and its id is one of its vertices.  An edge inside a
+        # clump can never augment: it is rejected without a labeling
+        # search, and a search labels it but does not enqueue it.
+        self.clump = list(range(g.n))
 
     def _forest_add(self, i: int, e: Edge):
         u, v = e
@@ -164,18 +178,20 @@ class _Packer:
     def try_insert(self, e: Edge) -> bool:
         """Insert e into the packing if possible; False means rejected.
 
-        Rejection merges the vertices of the labeled closure into the clump
-        structure: that vertex set is spanned by every one of the k
-        forests, so edges inside it stay rejected.
+        Rejection merges the vertices of the labeled closure, and every
+        clump they touch, into one clump: that vertex set is spanned by
+        every one of the k forests, so edges inside it stay rejected.
         """
         u, v = e
-        if self.clumps.find(u) == self.clumps.find(v):
+        clump = self.clump
+        if clump[u] == clump[v]:
             return False
         # breadth-first labeling over the exchange structure.  label[h] =
         # edge on whose fundamental cycle h was first reached; label[e] =
         # None marks the root.  A dequeued edge first takes the first forest
         # that has its ends apart (for e itself that is a plain insert);
-        # only then are its paths in the k forests labeled.
+        # only then are its paths in the k forests labeled.  An edge inside
+        # a clump is labeled but not enqueued: its paths stay in the clump.
         label: dict[Edge, Edge | None] = {e: None}
         queue = deque([e])
         while queue:
@@ -189,13 +205,15 @@ class _Packer:
                 for h in self._tree_path(i, fu, fv):
                     if h not in label:
                         label[h] = f
-                        queue.append(h)
+                        if clump[h[0]] != clump[h[1]]:
+                            queue.append(h)
 
         # rejected: each labeled edge lies on a forest path between the ends
         # of an edge labeled before it, so the labeled edges form one
-        # connected vertex set through e, and it becomes one clump
-        for a, b in label:
-            self.clumps.union(a, b)
+        # connected vertex set through e; it and the clumps it touches
+        # become one clump, with u as its id
+        merged = {clump[x] for h in label for x in h}
+        self.clump = [u if c in merged else c for c in clump]
         return False
 
     def _apply_chain(self, edge: Edge, forest: int, label: dict[Edge, Edge | None]):
@@ -253,8 +271,8 @@ def pack_trees(g: Graph, k: int) -> PackResult:
     # maximal packing is short of k spanning trees: the merged clumps
     # (plus leftover singletons) form the violating partition
     groups: dict[int, set[int]] = {}
-    for x in range(g.n):
-        groups.setdefault(packer.clumps.find(x), set()).add(x)
+    for x, c in enumerate(packer.clump):
+        groups.setdefault(c, set()).add(x)
     blocks = sorted(groups.values(), key=min)
     witness = partition(g.n, blocks)
     return PackResult(k, False, None, witness)

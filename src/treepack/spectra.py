@@ -33,15 +33,19 @@ def eig_symmetric(m: np.ndarray, want_vectors: bool = False):
     """Eigenvalues of a dense symmetric matrix as a descending tuple.
 
     With want_vectors, returns (eigenvalues, eigenvectors) with orthonormal
-    columns matching the eigenvalue order.  Rejects asymmetric input.
+    columns matching the eigenvalue order.  Rejects asymmetric input.  An
+    exactly symmetric matrix is solved as given, without the symmetrised
+    copy (it would equal the input bit for bit); any other is checked
+    against SYMMETRY_RTOL and symmetrised.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    scale = np.linalg.norm(a) or 1.0
-    if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2
+    if not np.array_equal(a, a.T):
+        scale = np.linalg.norm(a) or 1.0
+        if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
+            raise ValueError("matrix is not symmetric")
+        a = (a + a.T) / 2
     if want_vectors:
         vals, vecs = np.linalg.eigh(a)
         order = np.argsort(vals)[::-1]

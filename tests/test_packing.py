@@ -646,3 +646,120 @@ def test_one_more_edge_raises_sigma_by_at_most_one(g, rnd):
     before, after = sigma(g), sigma(bigger)
     assert before.sigma <= after.sigma <= before.sigma + 1
     assert verify_certificate(bigger, after).ok
+
+
+# ---------------------------------------------------------------------------
+# The labeling search stops at clumps.  The reference below is the search
+# that enqueues every labeled edge, with its clumps in a union-find; on
+# graphs well past the n <= 12 brute-force oracle, pack_trees must give the
+# same trees in forest order and the same witness blocks.
+
+
+class _ReferencePacker(_Packer):
+    """_Packer whose labeling search enqueues every labeled edge and whose
+    clumps are a union-find."""
+
+    def __init__(self, g, k):
+        super().__init__(g, k)
+        self.clumps = packing._DSU(g.n)
+
+    def try_insert(self, e):
+        if self.clumps.find(e[0]) == self.clumps.find(e[1]):
+            return False
+        label = {e: None}
+        queue = deque([e])
+        while queue:
+            f = queue.popleft()
+            for i, d in enumerate(self.dsu):
+                if d.find(f[0]) != d.find(f[1]):
+                    self._apply_chain(f, i, label)
+                    return True
+            for i in range(self.k):
+                for h in self._tree_path(i, *f):
+                    if h not in label:
+                        label[h] = f
+                        queue.append(h)
+        for a, b in label:
+            self.clumps.union(a, b)
+        return False
+
+
+def _reference_pack(g, k):
+    """(success, trees, witness blocks) of the reference packer; g must be
+    connected with n >= 2."""
+    packer = _ReferencePacker(g, k)
+    for e in sorted(g.edges):
+        if packer.try_insert(e) and packer.total == k * (g.n - 1):
+            return True, [sorted(t) for t in packer.forests_as_edge_sets()], None
+    groups = {}
+    for x in range(g.n):
+        groups.setdefault(packer.clumps.find(x), []).append(x)
+    return False, None, sorted(groups.values(), key=min)
+
+
+def _pack_outcome(g, k):
+    r = pack_trees(g, k)
+    return (r.success,
+            None if r.trees is None else [sorted(t) for t in r.trees],
+            None if r.witness is None else [sorted(b) for b in r.witness.blocks])
+
+
+def _regular_reference_corpus():
+    rng = random.Random(11)
+    for _ in range(16):
+        d = rng.randint(3, 10)
+        n = rng.randrange(d + 2, 101)
+        if n * d % 2:
+            n += 1
+        yield d, n, rng.getrandbits(32)
+
+
+@pytest.mark.parametrize("d,n,seed", list(_regular_reference_corpus()))
+def test_pack_trees_matches_reference_on_random_regular(d, n, seed):
+    g = random_regular(GenConfig(d, n, seed))
+    assert g.is_connected()
+    for k in range(1, d // 2 + 2):
+        assert _pack_outcome(g, k) == _reference_pack(g, k)
+
+
+@st.composite
+def connected_irregular_graphs(draw):
+    """A random spanning tree plus random extra edges, 13 <= n <= 40."""
+    n = draw(st.integers(min_value=13, max_value=40))
+    extra = draw(st.integers(min_value=0, max_value=4 * n))
+    rnd = draw(st.randoms(use_true_random=False))
+    tree = {(rnd.randrange(v), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(n, sorted(tree | set(rnd.sample(pairs, extra))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(connected_irregular_graphs())
+def test_pack_trees_matches_reference_on_irregular_graphs(g):
+    assume(g.degree_if_regular() is None)
+    for k in range(1, g.m // (g.n - 1) + 2):
+        assert _pack_outcome(g, k) == _reference_pack(g, k)
+
+
+def test_labeling_search_never_queries_inside_a_clump(monkeypatch):
+    # a rejection-heavy sweep-mix pack: the reference asks for forest paths
+    # between the ends of in-clump edges, pack_trees must not
+    g = random_regular(GenConfig(10, 44, 1))
+    in_clump = {_Packer: 0, _ReferencePacker: 0}
+    queries = dict(in_clump)
+    tree_path = _Packer._tree_path
+
+    def watched(self, i, u, v):
+        if isinstance(self, _ReferencePacker):
+            same = self.clumps.find(u) == self.clumps.find(v)
+        else:
+            same = self.clump[u] == self.clump[v]
+        queries[type(self)] += 1
+        in_clump[type(self)] += same
+        return tree_path(self, i, u, v)
+
+    monkeypatch.setattr(_Packer, "_tree_path", watched)
+    assert _pack_outcome(g, 3) == _reference_pack(g, 3)
+    assert in_clump[_ReferencePacker] > 0
+    assert in_clump[_Packer] == 0
+    assert queries[_Packer] < queries[_ReferencePacker]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,26 @@ class TestEigSymmetric:
         scale = max(1.0, np.linalg.norm(a))
         assert abs(vals.sum() - np.trace(a)) <= 1e-9 * scale
         assert abs((vals ** 2).sum() - (a ** 2).sum()) <= 1e-9 * scale ** 2
+
+    def test_near_symmetric_input_is_symmetrised(self):
+        a = petersen_graph().adjacency_matrix()
+        b = a.copy()
+        b[0, 1] += 1e-14
+        assert eig_symmetric(b) == eig_symmetric((b + b.T) / 2)
+
+    def test_exactly_symmetric_input_needs_no_float_copy(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((400, 400))
+        a = a + a.T
+        expected = tuple(float(v) for v in np.linalg.eigvalsh((a + a.T) / 2)[::-1])
+        tracemalloc.start()
+        try:
+            spectrum = eig_symmetric(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum == expected
+        assert peak < a.nbytes / 2
 
     def test_eigenvectors_satisfy_residual(self):
         a = petersen_graph().adjacency_matrix()
