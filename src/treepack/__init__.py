@@ -1,7 +1,7 @@
 """Spanning-tree packing numbers with certificates, exact spectra, and
 edge connectivity, plus the tight d-regular families relating them."""
 
-from .connectivity import CutResult, edge_connectivity, edge_connectivity_bruteforce
+from .connectivity import CutResult, edge_connectivity
 from .exact import (
     IntPoly,
     RootInterval,
@@ -26,7 +26,6 @@ from .families import (
     hd_interval,
     p3_poly,
     p10_poly,
-    proposition_search,
     verify_Gd,
     verify_Hd,
     verify_family,
@@ -52,10 +51,8 @@ from .packing import (
     TreeCount,
     TreePackingResult,
     count_spanning_trees,
-    count_spanning_trees_exhaustive,
     pack_trees,
     sigma,
-    sigma_bruteforce,
     verify_certificate,
     verify_pack_result,
 )
@@ -65,7 +62,6 @@ from .spectra import (
     adjacency_spectrum,
     check_interlacing,
     eig_symmetric,
-    exact_adjacency_roots,
     is_equitable,
     lambda2,
     laplacian_spectrum,

@@ -16,11 +16,12 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 from .exact import DEFAULT_PRECISION
-from .families import FAMILIES, FamilyReport, build_family, verify_family
+from .families import FAMILIES, FamilyReport, build_family, check_family_degree, verify_family
 from .graphs import Graph, VertexPartition, parse_edge_list, partition, to_edge_list
 from .packing import TreePackingResult, count_spanning_trees, sigma, verify_certificate
 from .randgen import TheoremReport, check_sweep_args, theorem_check, theorem_threshold
@@ -43,6 +44,13 @@ ANALYZE_MAX_VERTICES = 650
 # analyze took 31.5 s on K140 (work 681,100), 32.8 s on K120,120 (864,000)
 # and 51.6 s on K160 (1,017,600, just over the cap).
 ANALYZE_MAX_PACKING_WORK = 1_000_000
+# quotient refuses partitions with more blocks before any compute.  Its time
+# goes to isolating the real roots of the degree-t characteristic
+# polynomial: on the same host, with the singleton partition of a random
+# 4-regular graph, it took 0.7 s at t = 40, 5.6 s at t = 60, 7.9 s at
+# t = 64 and 14.5 s at t = 70.  Denser graphs take longer: at t = 64 a
+# 10-regular graph took 18.3 s and a 30-regular one 32.1 s.
+QUOTIENT_MAX_BLOCKS = 64
 
 
 def _sig15(x: float) -> float:
@@ -216,8 +224,9 @@ def _family_report_doc(rep: FamilyReport) -> dict:
 def _cmd_verify_family(args) -> int:
     if args.d_min > args.d_max:
         raise ValueError("--d-min must not exceed --d-max")
-    _check_json_dir(args)
     spec = FAMILIES[args.family]
+    check_family_degree(spec, args.d_max)
+    _check_json_dir(args)
     precision = Fraction(1, 10 ** 30) if args.exact_range else DEFAULT_PRECISION
     reports = [verify_family(spec, d, precision=precision)
                for d in range(args.d_min, args.d_max + 1)]
@@ -289,15 +298,22 @@ def _parse_partition_file(text: str, n: int) -> VertexPartition:
         if not line.strip():
             continue
         try:
-            blocks.append([int(tok) for tok in line.split()])
+            block = [int(tok) for tok in line.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: expected vertex indices") from None
+        repeated = [v for v, count in Counter(block).items() if count > 1]
+        if repeated:
+            raise ValueError(f"line {lineno}: vertex {repeated[0]} repeated")
+        blocks.append(block)
     return partition(n, blocks)
 
 
 def _cmd_quotient(args) -> int:
     g = _load_graph(args.graph)
     p = _parse_partition_file(Path(args.partition).read_text(encoding="utf-8"), g.n)
+    if p.t > QUOTIENT_MAX_BLOCKS:
+        raise ValueError(f"quotient is limited to {QUOTIENT_MAX_BLOCKS} blocks, "
+                         f"the partition has {p.t}")
     _check_json_dir(args)
     q = quotient_matrix(g, p)
     inner = q.eigenvalues_exact()

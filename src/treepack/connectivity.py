@@ -1,4 +1,4 @@
-"""Global edge connectivity: Stoer-Wagner plus a subset-scan oracle."""
+"""Global edge connectivity by Stoer-Wagner."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .graphs import Graph
-
-BRUTE_FORCE_GUARD = 16
 
 
 @dataclass(frozen=True)
@@ -76,32 +74,3 @@ def edge_connectivity(g: Graph) -> CutResult:
 
     assert best_value is not None
     return CutResult(best_value, best_side)
-
-
-def edge_connectivity_bruteforce(g: Graph) -> int:
-    """Minimum crossing count over all proper subsets containing vertex 0."""
-    if g.n > BRUTE_FORCE_GUARD:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}")
-    if g.n < 2:
-        raise ValueError("edge connectivity needs at least 2 vertices")
-    n = g.n
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    full = (1 << n) - 1
-    best = g.m + 1
-    for half in range(1 << (n - 1)):
-        mask = (half << 1) | 1      # vertex 0 always inside
-        if mask == full:
-            continue
-        outside = full & ~mask
-        crossing = 0
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            crossing += (adj[v] & outside).bit_count()
-            m &= m - 1
-        if crossing < best:
-            best = crossing
-    return best

@@ -26,7 +26,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connectivity import edge_connectivity
 from .exact import (
     DEFAULT_PRECISION,
     IntPoly,
@@ -38,12 +37,18 @@ from .exact import (
     isolate_real_roots,
 )
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, make_graph, partition
-from .packing import pack_trees, sigma as tree_packing_sigma, verify_certificate
-from .randgen import GenConfig, random_regular, splitmix64, theorem_threshold
+from .packing import sigma as tree_packing_sigma, verify_certificate
+from .randgen import theorem_threshold
 from .spectra import adjacency_spectrum, is_equitable, quotient_matrix
 
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
+# build_family refuses larger degrees, so construct and verify-family fail
+# at once.  On a 2-vCPU x86 host verify-family took 1.3 s on Gd and 4.0 s
+# on Hd at d = 100, and 5.1 s and 13.8 s at d = 160 (time grows about like
+# d**2.7); construct Hd took 1.5 s at d = 400 and 13.8 s with 886 MB peak
+# RSS at d = 1000.
+FAMILY_MAX_DEGREE = 100
 
 
 def p3_poly(d: int) -> IntPoly:
@@ -115,11 +120,18 @@ class FamilySpec:
     interval_evidence: Callable[[int, IntPoly, RootInterval], list[NamedCheck]]
 
 
+def check_family_degree(spec: FamilySpec, d: int) -> None:
+    """Refuse a degree the family does not have or that is over the cap."""
+    if d < spec.d_min:
+        raise ValueError(f"{spec.name} needs d >= {spec.d_min}")
+    if d > FAMILY_MAX_DEGREE:
+        raise ValueError(f"{spec.name} is limited to d <= {FAMILY_MAX_DEGREE}")
+
+
 def build_family(spec: FamilySpec, d: int) -> Graph:
     """The family member of degree d.  Aborts unless the result is
     d-regular with exactly the connectors crossing between copies."""
-    if d < spec.d_min:
-        raise ValueError(f"{spec.name} needs d >= {spec.d_min}")
+    check_family_degree(spec, d)
     size = d + 1
     edges: list[Edge] = []
     for i in range(spec.copies):
@@ -502,51 +514,3 @@ def verify_Hd(d: int) -> FamilyReport:
     """Re-check every Hd claim, including the Descartes certificate at the
     upper endpoint and the exact half-open gamma_d interval."""
     return verify_family(HD, d)
-
-
-# ---------------------------------------------------------------------------
-# proposition search
-
-
-@dataclass(frozen=True)
-class PropositionReport:
-    """Gd attains (kappa' = 2, sigma = 1) at n = 3(d+1); the randomized
-    search looks for any smaller d-regular graph doing the same, which
-    would falsify the minimality claim."""
-
-    d: int
-    trials: int
-    seed: int
-    attained: bool
-    examined: int
-    counterexamples: tuple[Graph, ...]
-
-    @property
-    def clean(self) -> bool:
-        return self.attained and not self.counterexamples
-
-
-def proposition_search(d: int, trials: int, seed: int = 0) -> PropositionReport:
-    if d < 4:
-        raise ValueError("needs d >= 4")
-    report = verify_Gd(d)
-    attained = (report.graph.n == 3 * (d + 1)
-                and report.kappa_prime == 2 and report.sigma == 1)
-
-    candidates = [n for n in range(d + 1, 3 * (d + 1))
-                  if (n * d) % 2 == 0 and n > d]
-    bad: list[Graph] = []
-    examined = 0
-    state = seed
-    for _ in range(trials):
-        state, pick = splitmix64(state)
-        n = candidates[pick % len(candidates)]
-        state, trial_seed = splitmix64(state)
-        g = random_regular(GenConfig(d=d, n=n, seed=trial_seed))
-        examined += 1
-        if edge_connectivity(g).value != 2:
-            continue
-        if pack_trees(g, 1).success and not pack_trees(g, 2).success:
-            bad.append(g)
-    return PropositionReport(d=d, trials=trials, seed=seed, attained=attained,
-                             examined=examined, counterexamples=tuple(bad))

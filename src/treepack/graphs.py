@@ -6,7 +6,7 @@ after construction, so graphs and partitions can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence

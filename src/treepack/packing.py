@@ -41,8 +41,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 from math import prod
 
 from .connectivity import CutResult, edge_connectivity
@@ -50,7 +48,6 @@ from .exact import det_exact
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition
 from .spectra import laplacian_spectrum
 
-BELL_GUARD = 12          # sigma_bruteforce refuses above this vertex count
 _FLOAT_EXACT = 2 ** 53   # beyond this, rounded float products are meaningless
 
 
@@ -324,109 +321,28 @@ def sigma(g: Graph) -> TreePackingResult:
 
 
 @dataclass(frozen=True)
-class SigmaOracle:
-    sigma: int
-    tau1: Fraction | None   # min over partitions of crossing / (t - 1)
-
-
-def sigma_bruteforce(g: Graph) -> SigmaOracle:
-    """Exact sigma by enumerating every set partition (Nash-Williams/Tutte).
-
-    Refuses n > 12: the Bell numbers take over.  Also returns the exact
-    strength tau_1; sigma = floor(tau_1).
-    """
-    n = g.n
-    if n > BELL_GUARD:
-        raise ValueError(f"brute-force oracle limited to n <= {BELL_GUARD}")
-    if n <= 1:
-        return SigmaOracle(0, None)
-
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    # seed with the all-singletons partition (t = n, crossing = m); the
-    # running minimum is kept as an integer pair for exact comparisons
-    best_num, best_den = g.m, n - 1
-
-    # restricted-growth enumeration: vertex v joins an existing block or
-    # opens a new one; crossing edges are counted incrementally, and a
-    # branch dies once crossing / (max reachable t - 1) >= current best.
-    def descend(v: int, blocks: list[int], assigned: int, crossing: int):
-        nonlocal best_num, best_den
-        finest = len(blocks) + (n - v) - 1
-        if finest >= 1 and crossing * best_den >= best_num * finest:
-            return
-        if v == n:
-            t = len(blocks)
-            if t >= 2 and crossing * best_den < best_num * (t - 1):
-                best_num, best_den = crossing, t - 1
-            return
-        external = adj[v] & assigned
-        for b in range(len(blocks)):
-            inc = (external & ~blocks[b]).bit_count()
-            blocks[b] |= 1 << v
-            descend(v + 1, blocks, assigned | (1 << v), crossing + inc)
-            blocks[b] &= ~(1 << v)
-        blocks.append(1 << v)
-        descend(v + 1, blocks, assigned | (1 << v), crossing + external.bit_count())
-        blocks.pop()
-
-    descend(1, [1], 1, 0)
-    tau1 = Fraction(best_num, best_den)
-    return SigmaOracle(int(tau1), tau1)
-
-
-@dataclass(frozen=True)
 class TreeCount:
-    """Spanning-tree count by two independent routes.
+    """Spanning-tree count, with the float route as a cross-check.
 
     exact: determinant of the reduced Laplacian.
-    eig_route: rounded product of nonzero Laplacian eigenvalues over n,
-        or None when the product overflows floating point.
-    agree: whether the routes match; None when the count is too large for
-        the float route to round exactly (>= 2^53).
+    agree: whether the rounded product of the nonzero Laplacian
+        eigenvalues over n equals exact; None when the count is too large
+        for the float route to round exactly (>= 2^53), and then the
+        Laplacian eigensolve is skipped.
     """
 
     exact: int
-    eig_route: int | None
     agree: bool | None
 
 
 def count_spanning_trees(g: Graph) -> TreeCount:
     if g.n == 0:
         raise ValueError("empty graph")
-    if g.n == 1:
-        return TreeCount(1, 1, True)
-    lap = g.laplacian_int()
-    reduced = [row[1:] for row in lap[1:]]
-    exact = det_exact(reduced)
-
+    exact = det_exact([row[1:] for row in g.laplacian_int()[1:]])
+    if exact >= _FLOAT_EXACT:
+        return TreeCount(exact, None)
     mus = laplacian_spectrum(g)
-    product = prod(mus[1:]) / g.n
-    if product != product or product in (float("inf"), float("-inf")):
-        return TreeCount(exact, None, None)
-    eig_route = round(product)
-    agree = (exact == eig_route) if exact < _FLOAT_EXACT else None
-    return TreeCount(exact, eig_route, agree)
-
-
-def count_spanning_trees_exhaustive(g: Graph) -> int:
-    """Literal enumeration of all spanning trees; guard m <= 18."""
-    if g.m > 18:
-        raise ValueError("exhaustive count limited to m <= 18")
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if g.n == 1:
-        return 1
-    count = 0
-    edges = sorted(g.edges)
-    for subset in combinations(edges, g.n - 1):
-        d = _DSU(g.n)
-        if all(d.union(u, v) for u, v in subset):
-            count += 1
-    return count
+    return TreeCount(exact, round(prod(mus[1:]) / g.n) == exact)
 
 
 @dataclass(frozen=True)

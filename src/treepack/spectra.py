@@ -75,26 +75,6 @@ def laplacian_spectrum(g: Graph) -> tuple[float, ...]:
     return tuple(reversed(eig_symmetric(g.laplacian_matrix())))
 
 
-def _real_roots_descending(cp: IntPoly) -> list[float]:
-    """Every root of a characteristic polynomial, repeated by multiplicity
-    and sorted descending, as the float midpoints of Sturm intervals.
-    Raises unless all deg(cp) roots are real."""
-    out = [interval.as_float()
-           for interval, mult in isolate_real_roots(cp) for _ in range(mult)]
-    out.sort(reverse=True)
-    if len(out) != cp.degree:
-        raise AssertionError("characteristic polynomial must have only real roots")
-    return out
-
-
-def exact_adjacency_roots(g: Graph) -> list[float]:
-    """All n adjacency eigenvalues from the exact characteristic polynomial.
-
-    Independent of the floating eigensolver, so the two can be compared.
-    """
-    return _real_roots_descending(char_poly_exact(g.adjacency_int()))
-
-
 @dataclass(frozen=True)
 class QuotientMatrix:
     """Block-averaged neighbor counts b_ij = e(X_i, X_j) / |X_i| for a partition.
@@ -134,9 +114,17 @@ class QuotientMatrix:
 
         Quotient matrices are not symmetric in general, but for a graph
         partition they are similar to a symmetric matrix, so all roots
-        are real; this route avoids a nonsymmetric float eigensolver.
+        are real; this route avoids a nonsymmetric float eigensolver.  Each
+        root is the float midpoint of its Sturm interval, repeated by
+        multiplicity.  Raises unless all t roots are real.
         """
-        return _real_roots_descending(self.char_poly())
+        cp = self.char_poly()
+        out = [interval.as_float()
+               for interval, mult in isolate_real_roots(cp) for _ in range(mult)]
+        out.sort(reverse=True)
+        if len(out) != cp.degree:
+            raise AssertionError("characteristic polynomial must have only real roots")
+        return out
 
 
 def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:

@@ -1,0 +1,126 @@
+"""Reference oracles the tests compare treepack against.
+
+Each one works straight from a definition and shares no code with the
+algorithm it checks: nothing here imports `treepack.packing`,
+`treepack.connectivity` or `treepack.spectra`.  The brute-force ones
+enumerate, and their guards keep the enumerations small;
+`exact_adjacency_roots` takes the eigenvalues from the exact
+characteristic polynomial instead of the float eigensolver.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+
+from treepack.exact import char_poly_exact, isolate_real_roots
+from treepack.graphs import Graph, make_graph
+
+BELL_GUARD = 12          # sigma_bruteforce refuses above this vertex count
+BRUTE_FORCE_GUARD = 16   # edge_connectivity_bruteforce refuses above this
+
+
+@dataclass(frozen=True)
+class SigmaOracle:
+    sigma: int
+    tau1: Fraction | None   # min over partitions of crossing / (t - 1)
+
+
+def sigma_bruteforce(g: Graph) -> SigmaOracle:
+    """Exact sigma by enumerating every set partition (Nash-Williams/Tutte).
+
+    Refuses n > 12: the Bell numbers take over.  Also returns the exact
+    strength tau_1; sigma = floor(tau_1).
+    """
+    n = g.n
+    if n > BELL_GUARD:
+        raise ValueError(f"brute-force oracle limited to n <= {BELL_GUARD}")
+    if n <= 1:
+        return SigmaOracle(0, None)
+
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    # seed with the all-singletons partition (t = n, crossing = m); the
+    # running minimum is kept as an integer pair for exact comparisons
+    best_num, best_den = g.m, n - 1
+
+    # restricted-growth enumeration: vertex v joins an existing block or
+    # opens a new one; crossing edges are counted incrementally, and a
+    # branch dies once crossing / (max reachable t - 1) >= current best.
+    def descend(v: int, blocks: list[int], assigned: int, crossing: int):
+        nonlocal best_num, best_den
+        finest = len(blocks) + (n - v) - 1
+        if finest >= 1 and crossing * best_den >= best_num * finest:
+            return
+        if v == n:
+            t = len(blocks)
+            if t >= 2 and crossing * best_den < best_num * (t - 1):
+                best_num, best_den = crossing, t - 1
+            return
+        external = adj[v] & assigned
+        for b in range(len(blocks)):
+            inc = (external & ~blocks[b]).bit_count()
+            blocks[b] |= 1 << v
+            descend(v + 1, blocks, assigned | (1 << v), crossing + inc)
+            blocks[b] &= ~(1 << v)
+        blocks.append(1 << v)
+        descend(v + 1, blocks, assigned | (1 << v), crossing + external.bit_count())
+        blocks.pop()
+
+    descend(1, [1], 1, 0)
+    tau1 = Fraction(best_num, best_den)
+    return SigmaOracle(int(tau1), tau1)
+
+
+def exact_adjacency_roots(g: Graph) -> list[float]:
+    """All n adjacency eigenvalues, descending and repeated by multiplicity,
+    as the float midpoints of the Sturm intervals of the exact
+    characteristic polynomial."""
+    roots = isolate_real_roots(char_poly_exact(g.adjacency_int()))
+    return sorted((iv.as_float() for iv, mult in roots for _ in range(mult)), reverse=True)
+
+
+def edge_connectivity_bruteforce(g: Graph) -> int:
+    """Minimum crossing count over all proper subsets containing vertex 0."""
+    if g.n > BRUTE_FORCE_GUARD:
+        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_GUARD}")
+    if g.n < 2:
+        raise ValueError("edge connectivity needs at least 2 vertices")
+    n = g.n
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    best = g.m + 1
+    for half in range(1 << (n - 1)):
+        mask = (half << 1) | 1      # vertex 0 always inside
+        if mask == full:
+            continue
+        outside = full & ~mask
+        crossing = 0
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            crossing += (adj[v] & outside).bit_count()
+            m &= m - 1
+        if crossing < best:
+            best = crossing
+    return best
+
+
+def count_spanning_trees_exhaustive(g: Graph) -> int:
+    """Literal enumeration of all spanning trees: every (n-1)-edge subset
+    that connects the vertex set.  Guard m <= 18."""
+    if g.m > 18:
+        raise ValueError("exhaustive count limited to m <= 18")
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if g.n == 1:
+        return 1
+    return sum(make_graph(g.n, subset).is_connected()
+               for subset in combinations(sorted(g.edges), g.n - 1))

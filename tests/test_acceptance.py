@@ -9,8 +9,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from oracles import (
+    count_spanning_trees_exhaustive,
+    edge_connectivity_bruteforce,
+    sigma_bruteforce,
+)
 
-from treepack.connectivity import edge_connectivity, edge_connectivity_bruteforce
+from treepack.connectivity import edge_connectivity
 from treepack.exact import char_poly_exact, descartes_positivity_check
 from treepack.families import (
     GD,
@@ -37,9 +42,7 @@ from treepack.graphs import (
 from treepack.packing import (
     TreePackingResult,
     count_spanning_trees,
-    count_spanning_trees_exhaustive,
     sigma,
-    sigma_bruteforce,
     verify_certificate,
 )
 from treepack.randgen import theorem_check

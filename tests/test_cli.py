@@ -13,7 +13,7 @@ import pytest
 from treepack import cli, packing, randgen
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from treepack.connectivity import edge_connectivity
-from treepack.families import build_Gd, build_Hd
+from treepack.families import FAMILY_MAX_DEGREE, build_Gd, build_Hd
 from treepack.graphs import (
     add_edges,
     complete_graph,
@@ -288,6 +288,24 @@ class TestConstruct:
                                "-o", str(tmp_path / "x.el")])
         assert code == EXIT_USAGE
 
+    def test_degree_cap_refuses_at_once(self, tmp_path, capsys):
+        out_path = tmp_path / "x.el"
+        t0 = time.perf_counter()
+        code = main(["construct", "Hd", "--d", "100000", "-o", str(out_path)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: Hd is limited to d <= {FAMILY_MAX_DEGREE}\n"
+        assert not out_path.exists()
+        assert elapsed < 1.0
+
+    def test_degree_cap_admits_the_cap(self, tmp_path, capsys):
+        code, out = run(capsys, ["construct", "Hd", "--d", str(FAMILY_MAX_DEGREE),
+                                 "-o", str(tmp_path / "x.el")])
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == 5 * (FAMILY_MAX_DEGREE + 1)
+
     def test_unknown_family_rejected(self, tmp_path, capsys):
         code, _ = run(capsys, ["construct", "Zd", "--d", "4",
                                "-o", str(tmp_path / "x.el")])
@@ -327,6 +345,27 @@ class TestVerifyFamily:
         code, _ = run(capsys, ["verify-family", "Hd", "--d-min", "6", "--d-max", "7"])
         assert code == EXIT_OK
         assert calls == [35, 40]
+
+    def test_degree_cap_refuses_before_the_first_member(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_family", None)
+        code = main(["verify-family", "Gd", "--d-min", "4",
+                     "--d-max", str(FAMILY_MAX_DEGREE + 1)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: Gd is limited to d <= {FAMILY_MAX_DEGREE}\n"
+        assert captured.out == ""
+
+    def test_degree_cap_admits_the_cap(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(spec, d, precision):
+            raise Reached(d)
+
+        monkeypatch.setattr(cli, "verify_family", reached)
+        cap = str(FAMILY_MAX_DEGREE)
+        with pytest.raises(Reached):
+            main(["verify-family", "Hd", "--d-min", cap, "--d-max", cap])
 
     def test_empty_degree_range_exits_1(self, capsys):
         code = main(["verify-family", "Gd", "--d-min", "9", "--d-max", "4"])
@@ -539,6 +578,44 @@ class TestQuotient:
         part.write_text("0 1\n")
         code, _ = run(capsys, ["quotient", g_path, str(part)])
         assert code == EXIT_USAGE
+
+    def test_vertex_repeated_on_a_line_is_rejected(self, tmp_path, capsys):
+        g_path = write_graph(tmp_path, complete_graph(3))
+        part = tmp_path / "blocks.txt"
+        part.write_text("0 0 1\n2\n")
+        code = main(["quotient", g_path, str(part)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == "error: line 1: vertex 0 repeated\n"
+        assert captured.out == ""
+
+    def test_block_cap_refuses_before_compute(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "quotient_matrix", None)
+        t = cli.QUOTIENT_MAX_BLOCKS + 1
+        g_path = write_graph(tmp_path, cycle_graph(t))
+        part = tmp_path / "blocks.txt"
+        part.write_text("".join(f"{v}\n" for v in range(t)))
+        code = main(["quotient", g_path, str(part)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == (f"error: quotient is limited to {cli.QUOTIENT_MAX_BLOCKS} "
+                                f"blocks, the partition has {t}\n")
+        assert captured.out == ""
+
+    def test_block_cap_admits_the_cap(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(g, p):
+            raise Reached(p.t)
+
+        monkeypatch.setattr(cli, "quotient_matrix", reached)
+        t = cli.QUOTIENT_MAX_BLOCKS
+        g_path = write_graph(tmp_path, cycle_graph(t))
+        part = tmp_path / "blocks.txt"
+        part.write_text("".join(f"{v}\n" for v in range(t)))
+        with pytest.raises(Reached):
+            main(["quotient", g_path, str(part)])
 
 
 # each subcommand that takes --json, with its compute stubbed out: a bad

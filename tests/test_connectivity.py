@@ -4,12 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import edge_connectivity_bruteforce
 from test_packing import _determinism_corpus
 
-from treepack.connectivity import (
-    edge_connectivity,
-    edge_connectivity_bruteforce,
-)
+from treepack.connectivity import edge_connectivity
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
     complete_graph,

@@ -7,9 +7,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import edge_connectivity_bruteforce
 
-from treepack import exact, families
-from treepack.connectivity import edge_connectivity_bruteforce
+from treepack import exact
 from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots
 from treepack.families import (
     GD,
@@ -32,12 +32,11 @@ from treepack.families import (
     p3_poly,
     p10_poly,
     p10_derivative_at_endpoint,
-    proposition_search,
     verify_Gd,
     verify_Hd,
     verify_family,
 )
-from treepack.graphs import crossing_edges, cycle_graph
+from treepack.graphs import crossing_edges
 from treepack.spectra import quotient_matrix, is_equitable
 
 
@@ -241,24 +240,3 @@ class TestVerifierCatchesWrongClaims:
     def test_wrong_simple_eigenvalues_fail_spectrum_and_charpoly(self):
         report = verify_family(dataclasses.replace(GD, other_simple=(1,)), 4)
         assert report.failures() == ["spectrum_multiset", "charpoly_factorization"]
-
-
-class TestPropositionSearch:
-    def test_attainment_and_no_counterexample(self):
-        report = proposition_search(4, trials=40, seed=7)
-        assert report.attained
-        assert report.examined == 40
-        assert report.counterexamples == ()
-        assert report.clean
-
-    def test_rejects_small_d(self):
-        with pytest.raises(ValueError):
-            proposition_search(3, trials=1)
-
-    def test_detects_a_smaller_graph_with_kappa_2_and_sigma_1(self, monkeypatch):
-        # a stub generator that always returns C6: kappa' 2, sigma 1
-        monkeypatch.setattr(families, "random_regular", lambda cfg: cycle_graph(6))
-        report = proposition_search(4, trials=3, seed=7)
-        assert report.attained
-        assert report.counterexamples == (cycle_graph(6),) * 3
-        assert not report.clean

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exact_adjacency_roots
 
 from treepack.exact import char_poly_exact
 from treepack.graphs import (
@@ -22,7 +23,6 @@ from treepack.spectra import (
     check_interlacing,
     disjoint_sets_bound,
     eig_symmetric,
-    exact_adjacency_roots,
     is_equitable,
     lambda2,
     laplacian_spectrum,
