@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 
 from .connectivity import CutResult, edge_connectivity
 from .exact import det_exact
@@ -328,7 +328,11 @@ class TreeCount:
     agree: whether the rounded product of the nonzero Laplacian
         eigenvalues over n equals exact; None when the count is too large
         for the float route to round exactly (>= 2^53), and then the
-        Laplacian eigensolve is skipped.
+        Laplacian eigensolve is skipped, or when the product is not
+        finite.  A small count does not bound the product: a disconnected
+        graph has count 0 and mu_2 is rounding noise near 0, but the
+        other eigenvalues can still overflow (two disjoint K100 give
+        about 1e-14 * 100^198).
     """
 
     exact: int
@@ -341,8 +345,10 @@ def count_spanning_trees(g: Graph) -> TreeCount:
     exact = det_exact([row[1:] for row in g.laplacian_int()[1:]])
     if exact >= _FLOAT_EXACT:
         return TreeCount(exact, None)
-    mus = laplacian_spectrum(g)
-    return TreeCount(exact, round(prod(mus[1:]) / g.n) == exact)
+    product = prod(laplacian_spectrum(g)[1:]) / g.n
+    if not isfinite(product):
+        return TreeCount(exact, None)
+    return TreeCount(exact, round(product) == exact)
 
 
 @dataclass(frozen=True)

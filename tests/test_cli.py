@@ -269,6 +269,15 @@ def test_pinned_analyze_cases_are_complete():
     assert sorted(PINNED_ANALYZE_JSON) == sorted(ANALYZE_CASES)
 
 
+def test_analyze_disconnected_graph_whose_float_product_overflows(tmp_path, capsys):
+    g = disjoint_union(complete_graph(100), complete_graph(100))
+    code, out = run(capsys, ["analyze", write_graph(tmp_path, g)])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["spanning_trees"] == 0
+    assert report["spanning_tree_routes_agree"] is not False
+
+
 class TestConstruct:
     def test_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "g4.el"

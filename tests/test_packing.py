@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -236,6 +237,22 @@ class TestCountSpanningTrees:
         monkeypatch.setattr(packing, "laplacian_spectrum", no_eigensolve)
         c = count_spanning_trees(random_regular(GenConfig(10, 80, 1)))
         assert c.exact >= 2 ** 53
+        assert c.agree is None
+
+    def test_disconnected_graph_with_an_overflowing_product(self):
+        # count 0 never reaches the 2^53 early return, yet mu_2 is only
+        # rounding noise and the other 198 eigenvalues equal 100, so the
+        # float product is about 1e-14 * 1e396
+        c = count_spanning_trees(disjoint_union(complete_graph(100), complete_graph(100)))
+        assert c.exact == 0
+        assert c.agree is not False
+
+    @pytest.mark.parametrize("noise", [1e-14, -1e-14])
+    @pytest.mark.parametrize("big", [1e200, math.inf, math.nan])
+    def test_non_finite_product_leaves_agree_open(self, monkeypatch, noise, big):
+        monkeypatch.setattr(packing, "laplacian_spectrum", lambda g: (0.0, noise, big, big))
+        c = count_spanning_trees(disjoint_union(complete_graph(2), complete_graph(2)))
+        assert c.exact == 0
         assert c.agree is None
 
     def test_exhaustive_guard(self):
