@@ -47,10 +47,16 @@ ANALYZE_MAX_PACKING_WORK = 1_000_000
 # quotient refuses partitions with more blocks before any compute.  Its time
 # goes to isolating the real roots of the degree-t characteristic
 # polynomial: on the same host, with the singleton partition of a random
-# 4-regular graph, it took 0.7 s at t = 40, 5.6 s at t = 60, 7.9 s at
-# t = 64 and 14.5 s at t = 70.  Denser graphs take longer: at t = 64 a
-# 10-regular graph took 18.3 s and a 30-regular one 32.1 s.
+# 4-regular graph, it took 0.5 s at t = 40, 1.3 s at t = 60, 1.6 s at
+# t = 64 and 2.0 s at t = 70.  Denser graphs take longer: at t = 64 a
+# 10-regular graph took 2.3 s and a 30-regular one 5.0 s.
 QUOTIENT_MAX_BLOCKS = 64
+# It also refuses graphs with more vertices, before reading the partition:
+# its interlacing check eigensolves the dense n x n adjacency matrix.  With
+# two blocks of a random 4-regular graph it took 2.5 s at n = 3000, 6.6 s
+# (284 MB peak RSS) at n = 4000, 10.2 s (421 MB) at n = 5000 and 19.0 s
+# (592 MB) at n = 6000; a 10-regular graph took 10.6 s at n = 5000.
+QUOTIENT_MAX_VERTICES = 5000
 
 
 def _sig15(x: float) -> float:
@@ -310,6 +316,9 @@ def _parse_partition_file(text: str, n: int) -> VertexPartition:
 
 def _cmd_quotient(args) -> int:
     g = _load_graph(args.graph)
+    if g.n > QUOTIENT_MAX_VERTICES:
+        raise ValueError(f"quotient is limited to {QUOTIENT_MAX_VERTICES} vertices, "
+                         f"the graph has {g.n}")
     p = _parse_partition_file(Path(args.partition).read_text(encoding="utf-8"), g.n)
     if p.t > QUOTIENT_MAX_BLOCKS:
         raise ValueError(f"quotient is limited to {QUOTIENT_MAX_BLOCKS} blocks, "

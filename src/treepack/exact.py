@@ -14,7 +14,9 @@ The workhorses are:
   signs at a rational point a/b come from the homogenised sum
   sum c_i a^i b^(deg - i), so no ``Fraction`` arithmetic is involved.
   Both isolations narrow an interval with one bisection, ``_bisect_top``,
-  which follows the largest root of the chain inside the interval;
+  which follows the largest root of the chain inside the interval: by
+  variation counts while it holds several roots, by the sign of the
+  chain's first member alone once it holds one;
 * ``descartes_positivity_check`` — exact sign report for p, p', ..., p^(deg)
   at a rational point.
 """
@@ -390,21 +392,19 @@ def sturm_chain(p: IntPoly) -> list[list[int]]:
     return chain
 
 
-def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, bool]:
-    """Sign changes along the chain at a/b (b > 0), and whether a/b is a root.
+def _value(cs: Sequence[int], a: int, b: int) -> int:
+    """b^deg f(a/b) = sum c_i a^i b^(deg - i), a positive multiple of f(a/b)
+    for b > 0, by a homogenised Horner scheme in integers."""
+    acc, bp = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc
 
-    The sign of f(a/b) is that of b^deg f(a/b) = sum c_i a^i b^(deg - i),
-    summed by a homogenised Horner scheme in integers.
-    """
-    powers = [1]
-    for _ in range(len(chain[0]) - 1):
-        powers.append(powers[-1] * b)
-    values = []
-    for cs in chain:
-        acc = 0
-        for c, bp in zip(reversed(cs), powers):
-            acc = acc * a + c * bp
-        values.append(acc)
+
+def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, bool]:
+    """Sign changes along the chain at a/b (b > 0), and whether a/b is a root."""
+    values = [_value(cs, a, b) for cs in chain]
     signs = [v > 0 for v in values if v]
     return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
@@ -451,20 +451,35 @@ DEFAULT_PRECISION = Fraction(1, 10**12)
 
 
 def _bisect_top(chain: Sequence[Sequence[int]], lo: int, hi: int, den: int,
-                v_hi: int, prec: Fraction) -> RootInterval:
+                v_lo: int, v_hi: int, prec: Fraction) -> RootInterval:
     """Halve (lo/den, hi/den] around the largest root of the chain in it
-    until the width is at most prec; v_hi is the variation count at hi/den.
+    until the width is at most prec; v_lo and v_hi are the variation counts
+    at lo/den and hi/den.
 
     A step doubles lo, hi and den, so the midpoint is the integer lo + hi
-    over the new den.  A midpoint that is that root ends the search with a
-    point interval.
+    over the new den.  While the interval holds several roots, a variation
+    count at the midpoint keeps the half with the largest one.  Once it
+    holds one (v_lo - v_hi == 1), the first member f of the chain decides
+    alone: f is squarefree, so it changes sign exactly at its simple roots,
+    and the root lies above the midpoint iff f(hi) = 0 or f(mid) and f(hi)
+    differ in sign.  Both ways take the same decisions.  A midpoint that is
+    the root ends the search with a point interval.
     """
+    f_hi = None         # f at hi (its sign), fixed once one root remains
     while (hi - lo) * prec.denominator > prec.numerator * den:
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        v_mid, on_root = _variations(chain, mid, den)
+        if v_lo - v_hi > 1:
+            v_mid, on_root = _variations(chain, mid, den)
+        else:
+            if f_hi is None:
+                f_hi = _value(chain[0], hi, den)
+            f_mid = _value(chain[0], mid, den)
+            # the count at mid: one more than at hi iff the root is above mid
+            v_mid = v_hi + (f_mid != 0 and f_hi * f_mid <= 0)
+            on_root = not f_mid
         if v_mid > v_hi:
-            lo = mid
+            lo, v_lo = mid, v_mid
         elif on_root:
             # mid is a root and none lies above it
             return RootInterval(Fraction(mid, den), Fraction(mid, den))
@@ -486,10 +501,10 @@ def sturm_isolate_largest_root(
     chain = sturm_chain(p)
     bound = cauchy_bound(IntPoly(chain[0]))
     lo, hi, den = -bound.numerator, bound.numerator, bound.denominator
-    v_hi = _variations(chain, hi, den)[0]
-    if _variations(chain, lo, den)[0] == v_hi:
+    v_lo, v_hi = _variations(chain, lo, den)[0], _variations(chain, hi, den)[0]
+    if v_lo == v_hi:
         raise ValueError("polynomial has no real root")
-    return _bisect_top(chain, lo, hi, den, v_hi, Fraction(precision))
+    return _bisect_top(chain, lo, hi, den, v_lo, v_hi, Fraction(precision))
 
 
 def isolate_real_roots(
@@ -513,7 +528,7 @@ def isolate_real_roots(
             if v_lo == v_hi:
                 return
             if v_lo - v_hi == 1:
-                found.append((_bisect_top(chain, lo, hi, den, v_hi, prec), mult))
+                found.append((_bisect_top(chain, lo, hi, den, v_lo, v_hi, prec), mult))
                 return
             mid = lo + hi
             v_mid = _variations(chain, mid, 2 * den)[0]

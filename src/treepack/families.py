@@ -44,10 +44,10 @@ from .spectra import adjacency_spectrum, is_equitable, quotient_matrix
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
 # build_family refuses larger degrees, so construct and verify-family fail
-# at once.  On a 2-vCPU x86 host verify-family took 1.3 s on Gd and 4.0 s
-# on Hd at d = 100, and 5.1 s and 13.8 s at d = 160 (time grows about like
-# d**2.7); construct Hd took 1.5 s at d = 400 and 13.8 s with 886 MB peak
-# RSS at d = 1000.
+# at once.  On a 2-vCPU x86 host verify-family took 1.5 s on Gd and 3.9 s
+# on Hd at d = 100, and 5.0 s and 16.9 s at d = 160 (time grows about like
+# d**3, nearly all of it in the Stoer-Wagner cut inside sigma); construct
+# Hd took 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at d = 1000.
 FAMILY_MAX_DEGREE = 100
 
 

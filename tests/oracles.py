@@ -5,7 +5,9 @@ algorithm it checks: nothing here imports `treepack.packing`,
 `treepack.connectivity` or `treepack.spectra`.  The brute-force ones
 enumerate, and their guards keep the enumerations small;
 `exact_adjacency_roots` takes the eigenvalues from the exact
-characteristic polynomial instead of the float eigensolver.
+characteristic polynomial instead of the float eigensolver, and
+`sturm_count_roots` and `sturm_count_largest_root` isolate roots with a
+Sturm count at every bisection step.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from treepack.exact import char_poly_exact, isolate_real_roots
+from treepack.exact import (
+    IntPoly,
+    RootInterval,
+    cauchy_bound,
+    char_poly_exact,
+    count_real_roots,
+    isolate_real_roots,
+    squarefree_decomposition,
+    squarefree_part,
+)
 from treepack.graphs import Graph, make_graph
 
 BELL_GUARD = 12          # sigma_bruteforce refuses above this vertex count
@@ -82,6 +93,48 @@ def exact_adjacency_roots(g: Graph) -> list[float]:
     characteristic polynomial."""
     roots = isolate_real_roots(char_poly_exact(g.adjacency_int()))
     return sorted((iv.as_float() for iv, mult in roots for _ in range(mult)), reverse=True)
+
+
+def _bisect_by_counts(f: IntPoly, lo: Fraction, hi: Fraction,
+                      prec: Fraction) -> RootInterval:
+    """Halve (lo, hi] around the largest root of f in it, keeping the upper
+    half whenever a Sturm count finds a root there."""
+    while hi - lo > prec:
+        mid = (lo + hi) / 2
+        if count_real_roots(f, mid, hi) > 0:
+            lo = mid
+        elif f.evaluate_at(mid) == 0:
+            return RootInterval(mid, mid)
+        else:
+            hi = mid
+    return RootInterval(lo, hi)
+
+
+def sturm_count_largest_root(p: IntPoly, prec: Fraction) -> RootInterval:
+    """`sturm_isolate_largest_root` by bisecting (-B, B] on Fractions, B the
+    Cauchy bound of the squarefree part, with a Sturm count at every step.
+    p must have a real root."""
+    f = squarefree_part(p)
+    bound = cauchy_bound(f)
+    return _bisect_by_counts(f, -bound, bound, prec)
+
+
+def sturm_count_roots(p: IntPoly, prec: Fraction) -> list[tuple[RootInterval, int]]:
+    """`isolate_real_roots` by splitting (-B, B] of each squarefree factor
+    until each part holds one root, then bisecting that part, all with a
+    Sturm count at every step."""
+    found = []
+    for f, mult in squarefree_decomposition(p):
+        pending = [(-cauchy_bound(f), cauchy_bound(f))]
+        while pending:
+            lo, hi = pending.pop()
+            count = count_real_roots(f, lo, hi)
+            if count == 1:
+                found.append((_bisect_by_counts(f, lo, hi, prec), mult))
+            elif count > 1:
+                mid = (lo + hi) / 2
+                pending += [(mid, hi), (lo, mid)]     # lower half first
+    return sorted(found, key=lambda item: item[0].lo)
 
 
 def edge_connectivity_bruteforce(g: Graph) -> int:

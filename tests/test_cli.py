@@ -626,6 +626,38 @@ class TestQuotient:
         with pytest.raises(Reached):
             main(["quotient", g_path, str(part)])
 
+    def test_vertex_cap_refuses_before_reading_the_partition(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a header-only edgeless graph is cheap to parse but over the cap; the
+        # partition file does not exist, and the eigensolve is stubbed out
+        monkeypatch.setattr(cli, "adjacency_spectrum", None)
+        n = cli.QUOTIENT_MAX_VERTICES + 1
+        path = tmp_path / "edgeless.el"
+        path.write_text(f"{n} 0\n")
+        code = main(["quotient", str(path), str(tmp_path / "missing.txt")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == (f"error: quotient is limited to {cli.QUOTIENT_MAX_VERTICES} "
+                                f"vertices, the graph has {n}\n")
+        assert captured.out == ""
+
+    def test_vertex_cap_admits_the_cap(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(g):
+            raise Reached(g.n)
+
+        monkeypatch.setattr(cli, "adjacency_spectrum", reached)
+        n = cli.QUOTIENT_MAX_VERTICES
+        path = tmp_path / "edgeless.el"
+        path.write_text(f"{n} 0\n")
+        part = tmp_path / "blocks.txt"
+        part.write_text(" ".join(map(str, range(n // 2))) + "\n"
+                        + " ".join(map(str, range(n // 2, n))) + "\n")
+        with pytest.raises(Reached):
+            main(["quotient", str(path), str(part)])
+
 
 # each subcommand that takes --json, with its compute stubbed out: a bad
 # --json directory must stop it before that compute runs

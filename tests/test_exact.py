@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treepack
+import treepack.exact as exact
 from treepack.exact import (
     DET_MAX_DIM,
     IntPoly,
@@ -42,9 +43,27 @@ from treepack.graphs import petersen_graph
 from treepack.randgen import GenConfig, random_regular
 from treepack.spectra import QuotientMatrix
 
+from oracles import sturm_count_largest_root, sturm_count_roots
+
 ints = st.integers(min_value=-50, max_value=50)
 small_polys = st.lists(ints, min_size=1, max_size=6).map(IntPoly)
 small_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def bisection_polys(draw):
+    """Products of (b x - a)^e with b a power of two, so every root is
+    dyadic: many land on a bisection midpoint (a point interval) or on a
+    split point (a root at an interval's hi).  Exponents up to 3 give
+    repeated factors; an optional monic quadratic adds irrational roots or
+    none."""
+    p = IntPoly([draw(st.sampled_from([-2, -1, 1, 3]))])
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.integers(-12, 12)), 2 ** draw(st.integers(0, 3))
+        p = p * IntPoly([-a, b]) ** draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        p = p * IntPoly([draw(st.integers(-6, 6)), draw(st.integers(-4, 4)), 1])
+    return p
 
 
 def poly_from_roots(roots):
@@ -405,6 +424,33 @@ class TestRootIsolation:
         recovered = sorted(iv.as_float() for iv, _ in found for _ in range(1))
         for r in sorted(set(roots)):
             assert any(abs(r - x) < 1e-8 for x in recovered)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bisection_polys(), st.sampled_from([12, 30]))
+    # x(x - 1): the first split is at the root 0, which then sits at hi;
+    # (x - 1) is found at the midpoint 1 as a point interval
+    @example(IntPoly([0, -1, 1]), 12)
+    # (2x - 1)(4x + 3)^2: a repeated factor beside a simple one
+    @example(IntPoly([-1, 2]) * IntPoly([3, 4]) ** 2, 30)
+    def test_matches_sturm_count_bisection(self, p, digits):
+        prec = Fraction(1, 10 ** digits)
+        assert isolate_real_roots(p, prec) == sturm_count_roots(p, prec)
+        assert sturm_isolate_largest_root(p, prec) == sturm_count_largest_root(p, prec)
+
+    def test_point_interval_and_root_at_hi(self):
+        # the two corner cases the comparison above has to reach
+        (at_hi, _), (point, _) = isolate_real_roots(IntPoly([0, -1, 1]))
+        assert at_hi.lo < at_hi.hi == 0
+        assert point.lo == point.hi == 1
+
+    def test_single_root_steps_skip_the_chain(self, monkeypatch):
+        # once an interval holds one root, bisection signs the first chain
+        # member only; counting every member at every step took 1,025 calls
+        calls = []
+        variations = exact._variations
+        monkeypatch.setattr(exact, "_variations", lambda *a: calls.append(a) or variations(*a))
+        isolate_real_roots(p10_poly(16), Fraction(1, 10 ** 30))
+        assert len(calls) <= 50
 
 
 def test_descartes_positivity():
