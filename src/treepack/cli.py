@@ -36,8 +36,9 @@ EXIT_FINDING = 3
 
 # analyze refuses larger graphs before any compute.  Its time grows about
 # like n**4 (the exact determinant needs O(n) primes, each an O(n**3)
-# elimination): a random 10-regular graph took 54 s at n = 650 and 82 s at
-# n = 700 on a 2-vCPU x86 host, and denser graphs take longer.
+# elimination): on a 2-vCPU x86 host a random 10-regular graph took 8.2 s
+# at n = 650 and 11.0 s at n = 700 (67 s and 90 s with the unblocked
+# determinant on the same host), and denser graphs take longer.
 ANALYZE_MAX_VERTICES = 650
 # It also refuses graphs whose packing work m * floor(m / (n - 1)), edges
 # times the most trees sigma can pack, is above this.  On the same host

@@ -5,9 +5,13 @@ The workhorses are:
 * ``IntPoly`` — integer-coefficient univariate polynomials (ascending
   coefficient order, trailing zeros trimmed);
 * ``char_poly_exact`` — Faddeev-LeVerrier over exact integers;
-* ``det_exact`` — multi-modular determinant: float64 elimination modulo
-  primes below 2**20, combined by the Chinese remainder theorem up to the
-  Hadamard bound;
+* ``det_exact`` — multi-modular determinant: a blocked float64 LU modulo
+  primes below 2**20, with one batched matrix product (BLAS dgemm) per
+  panel of columns for the trailing update, combined by the Chinese
+  remainder theorem up to the Hadamard bound.  Blocking only regroups the
+  products: each entry still takes one product of two residues below
+  2**20 per earlier pivot, so the float64 bound, and with it
+  ``DET_MAX_DIM``, are those of a column-by-column elimination;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities;
@@ -196,15 +200,18 @@ def char_poly_exact(m: Sequence[Sequence[int]]) -> IntPoly:
 
 
 # det_exact works modulo the primes just below 2**20.  Residues are below
-# 2**20, so every product is below 2**40, and an entry of the trailing block
-# that takes n unreduced updates stays below p + n*p**2.  float64 holds that
-# exactly while it is below 2**53, which bounds the dimension.
+# 2**20, so every product is below 2**40.  An entry starts in (-p, p) and
+# takes at most n unreduced updates, one product in [0, p**2) per earlier
+# pivot, so it stays below p + n*p**2 in size.  float64 holds that exactly
+# while it is below 2**53, which bounds the dimension.
 _PRIME_CEILING = 1 << 20
 DET_MAX_DIM = (2**53 - _PRIME_CEILING) // _PRIME_CEILING**2
 # Primes per elimination: one batch covers the reduced Laplacian of a
 # 10-regular graph up to n ~ 95, and larger inputs go in batches, so the
 # (primes, n, n) work array stays 16 * n * n floats.
 _DET_BATCH = 16
+# Columns per panel of the blocked elimination.
+_DET_PANEL = 32
 _det_primes: list[int] = []    # descending from _PRIME_CEILING, filled on first use
 
 
@@ -221,60 +228,103 @@ def _det_prime(i: int) -> int:
 
 
 def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
-    """det(ints) mod each prime, by one float64 Gaussian elimination over a
-    (primes, n, n) array."""
+    """det(ints) mod each prime, by one blocked float64 LU over a
+    (primes, n, n) array.
+
+    Columns go in panels of _DET_PANEL, and the factors stay in place
+    below each pivot as L.  Inside a panel, column k and then pivot row k
+    first take the products L @ U they missed from the panel's earlier
+    pivots; after the panel, the trailing block takes all of them in one
+    batched matrix product.  Each entry still receives one product of two
+    reduced residues per earlier pivot, as in a column-by-column
+    elimination, so the float64 bound is the same.
+    """
     n = len(ints)
-    work = (ints[None] % np.array(primes, dtype=ints.dtype)[:, None, None]).astype(np.float64)
     p_vec = np.array(primes, dtype=np.float64)
     p_col = p_vec[:, None]
+    work = np.empty((len(primes), n, n))
+    # the bound holds for entries in (-p, p) as well as in [0, p), so small
+    # entries go in unreduced
+    if -min(primes) < ints.min() and ints.max() < min(primes):
+        work[:] = ints
+    else:
+        work[:] = ints[None] % np.array(primes, dtype=ints.dtype)[:, None, None]
     det = np.ones(len(primes))
-    for k in range(n):
-        # row k and column k are reduced only now that they are the pivots
-        col = work[:, k:, k] = np.remainder(work[:, k:, k], p_col)
-        if not col[:, 0].all():
-            for j in np.flatnonzero(col[:, 0] == 0):
-                below = np.flatnonzero(col[j])
-                if below.size:      # else the column is 0 mod p and det stays 0
-                    i = k + int(below[0])
-                    work[j, [k, i]] = work[j, [i, k]]
-                    det[j] = primes[j] - det[j]
-        row = work[:, k, k:] = np.remainder(work[:, k, k:], p_col)
-        det = np.remainder(det * row[:, 0], p_vec)
-        if k + 1 < n:
-            inv = np.array([pow(int(x), -1, p) if x else 0
-                            for x, p in zip(row[:, 0].tolist(), primes)], dtype=np.float64)
-            factor = np.remainder(work[:, k + 1:, k] * inv[:, None], p_col)
-            work[:, k + 1:, k + 1:] -= factor[:, :, None] * row[:, None, 1:]
+    for k0 in range(0, n, _DET_PANEL):
+        k1 = min(k0 + _DET_PANEL, n)
+        for k in range(k0, k1):
+            # row k and column k are updated and reduced only now that they
+            # are the pivots
+            work[:, k:, k] -= (work[:, k:, k0:k] @ work[:, k0:k, k, None])[:, :, 0]
+            col = work[:, k:, k] = np.remainder(work[:, k:, k], p_col)
+            if not col[:, 0].all():
+                for j in np.flatnonzero(col[:, 0] == 0):
+                    below = np.flatnonzero(col[j])
+                    if below.size:      # else the column is 0 mod p and det stays 0
+                        i = k + int(below[0])
+                        work[j, [k, i]] = work[j, [i, k]]
+                        det[j] = primes[j] - det[j]
+            work[:, k, k + 1:] -= (work[:, k, None, k0:k] @ work[:, k0:k, k + 1:])[:, 0]
+            row = work[:, k, k:] = np.remainder(work[:, k, k:], p_col)
+            det = np.remainder(det * row[:, 0], p_vec)
+            if k + 1 < n:
+                inv = np.array([pow(int(x), -1, p) if x else 0
+                                for x, p in zip(row[:, 0].tolist(), primes)], dtype=np.float64)
+                work[:, k + 1:, k] = np.remainder(work[:, k + 1:, k] * inv[:, None], p_col)
+        if k1 < n:
+            work[:, k1:, k1:] -= work[:, k1:, k0:k1] @ work[:, k0:k1, k1:]
     return [int(r) for r in det]
 
 
-def det_exact(m: Sequence[Sequence[int]]) -> int:
+def _int_array(m) -> np.ndarray:
+    """m as a square int64 array, or an object array of Python ints when an
+    entry is past int64.  An integer ndarray is checked by its dtype and
+    shape; anything else goes entry by entry."""
+    if isinstance(m, np.ndarray) and m.dtype != object:
+        if m.dtype.kind == "b":
+            raise ValueError("integer entries required, got a bool")
+        if m.dtype.kind not in "iu":
+            raise ValueError("integer entries required")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("matrix is not square")
+        if np.can_cast(m.dtype, np.int64):
+            return m.astype(np.int64, copy=False)
+        m = m.tolist()      # uint64, whose entries may be past int64
+    a = _check_square_int(m)
+    try:
+        return np.array(a, dtype=np.int64)
+    except OverflowError:
+        return np.array(a, dtype=object)
+
+
+def det_exact(m: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact determinant of an integer matrix by multi-modular elimination.
 
     Primes are taken until their product M satisfies M**2 > 4 * prod of the
-    squared row norms, so Hadamard's bound gives |det| < M/2.  A float64
-    Gaussian elimination over a (primes, n, n) array, one per batch of
-    primes, yields det mod every prime, and the Chinese remainder theorem
-    combines them in (-M/2, M/2).
+    squared row norms, so Hadamard's bound gives |det| < M/2.  A blocked
+    float64 LU over a (primes, n, n) array, one per batch of primes, yields
+    det mod every prime, and the Chinese remainder theorem combines them in
+    (-M/2, M/2).
     """
     if len(m) > DET_MAX_DIM:
         raise ValueError(f"det_exact is limited to dimension <= {DET_MAX_DIM}")
-    a = _check_square_int(m)
-    n = len(a)
+    ints = _int_array(m)
+    n = len(ints)
     if n == 0:
         return 1
+    # the squared row norms as int64 sums while n * max|x|**2 fits
+    if ints.dtype == object or max(int(ints.max()), -int(ints.min())) ** 2 * n >= 2**63:
+        norms = [sum(x * x for x in row) for row in ints.tolist()]
+    else:
+        norms = (ints * ints).sum(axis=1).tolist()
     # a zero row makes the bound 0: no primes, M = 1 and the sum below is 0
-    bound = 4 * prod(sum(x * x for x in row) for row in a)
+    bound = 4 * prod(norms)
     primes: list[int] = []
     modulus = 1
     while modulus * modulus <= bound:
         primes.append(_det_prime(len(primes)))
         modulus *= primes[-1]
 
-    try:
-        ints = np.array(a, dtype=np.int64)
-    except OverflowError:
-        ints = np.array(a, dtype=object)
     residues: list[int] = []
     for i in range(0, len(primes), _DET_BATCH):
         residues += _det_mod_primes(ints, primes[i:i + _DET_BATCH])

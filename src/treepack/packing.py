@@ -43,6 +43,8 @@ from collections import deque
 from dataclasses import dataclass
 from math import isfinite, prod
 
+import numpy as np
+
 from .connectivity import CutResult, edge_connectivity
 from .exact import det_exact
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition
@@ -342,7 +344,7 @@ class TreeCount:
 def count_spanning_trees(g: Graph) -> TreeCount:
     if g.n == 0:
         raise ValueError("empty graph")
-    exact = det_exact([row[1:] for row in g.laplacian_int()[1:]])
+    exact = det_exact(g.laplacian_matrix()[1:, 1:].astype(np.int64))
     if exact >= _FLOAT_EXACT:
         return TreeCount(exact, None)
     product = prod(laplacian_spectrum(g)[1:]) / g.n

@@ -7,7 +7,8 @@ enumerate, and their guards keep the enumerations small;
 `exact_adjacency_roots` takes the eigenvalues from the exact
 characteristic polynomial instead of the float eigensolver, and
 `sturm_count_roots` and `sturm_count_largest_root` isolate roots with a
-Sturm count at every bisection step.
+Sturm count at every bisection step; `det_mod_primes_unblocked` eliminates
+one column at a time, updating the whole trailing block at every pivot.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from treepack.exact import (
     IntPoly,
@@ -177,3 +180,35 @@ def count_spanning_trees_exhaustive(g: Graph) -> int:
         return 1
     return sum(make_graph(g.n, subset).is_connected()
                for subset in combinations(sorted(g.edges), g.n - 1))
+
+
+def det_mod_primes_unblocked(ints: np.ndarray, primes: list[int]) -> list[int]:
+    """det(ints) mod each prime by column-by-column float64 elimination over
+    a (primes, n, n) array: `exact._det_mod_primes` without panels.
+
+    Row and column k are reduced mod p only when they become the pivots,
+    and the whole trailing block takes the rank-1 update of every pivot.
+    A pivot that is 0 mod p swaps rows in that prime's slice only; a column
+    that is 0 mod p leaves the residue 0.
+    """
+    n = len(ints)
+    work = (ints[None] % np.array(primes, dtype=ints.dtype)[:, None, None]).astype(np.float64)
+    p_vec = np.array(primes, dtype=np.float64)
+    p_col = p_vec[:, None]
+    det = np.ones(len(primes))
+    for k in range(n):
+        col = work[:, k:, k] = np.remainder(work[:, k:, k], p_col)
+        for j in np.flatnonzero(col[:, 0] == 0):
+            below = np.flatnonzero(col[j])
+            if below.size:
+                i = k + int(below[0])
+                work[j, [k, i]] = work[j, [i, k]]
+                det[j] = primes[j] - det[j]
+        row = work[:, k, k:] = np.remainder(work[:, k, k:], p_col)
+        det = np.remainder(det * row[:, 0], p_vec)
+        if k + 1 < n:
+            inv = np.array([pow(int(x), -1, p) if x else 0
+                            for x, p in zip(row[:, 0].tolist(), primes)], dtype=np.float64)
+            factor = np.remainder(work[:, k + 1:, k] * inv[:, None], p_col)
+            work[:, k + 1:, k + 1:] -= factor[:, :, None] * row[:, None, 1:]
+    return [int(r) for r in det]

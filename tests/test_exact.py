@@ -43,7 +43,7 @@ from treepack.graphs import petersen_graph
 from treepack.randgen import GenConfig, random_regular
 from treepack.spectra import QuotientMatrix
 
-from oracles import sturm_count_largest_root, sturm_count_roots
+from oracles import det_mod_primes_unblocked, sturm_count_largest_root, sturm_count_roots
 
 ints = st.integers(min_value=-50, max_value=50)
 small_polys = st.lists(ints, min_size=1, max_size=6).map(IntPoly)
@@ -301,6 +301,129 @@ class TestDeterminant:
         m = np.array([[2, 1], [1, 2]], dtype=np.int64)
         assert det_exact(m) == 3
         assert char_poly_exact(m) == IntPoly([3, -4, 1])
+
+
+def elimination_case(n, seed, n_primes, which, zero_pivot, zero_column, big):
+    """An n x n integer matrix and its primes for the elimination tests.
+
+    Entries are residues mod p = primes[which] plus multiples of p, up to
+    about 10**30 when big (then an object array).  zero_pivot = c makes the
+    leading (c + 1) x (c + 1) minor 0 mod p, since row c repeats row c - 1
+    mod p on columns 0..c, so the pivot at column c is 0 mod p;
+    zero_column = z makes column z 0 mod p.
+    """
+    primes = [_det_prime(i) for i in range(n_primes)]
+    p = primes[which]
+    rng = random.Random(seed)
+    res = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    if zero_pivot == 0:
+        res[0][0] = 0
+    elif zero_pivot is not None:
+        res[zero_pivot][:zero_pivot + 1] = res[zero_pivot - 1][:zero_pivot + 1]
+    if zero_column is not None:
+        for row in res:
+            row[zero_column] = 0
+    spread = 10**30 // p if big else 3
+    rows = [[r + p * rng.randint(-spread, spread) for r in row] for row in res]
+    return np.array(rows, dtype=object if big else np.int64), primes
+
+
+PANEL = exact._DET_PANEL
+case_defaults = dict(seed=5, n_primes=16, which=3, zero_pivot=None, zero_column=None,
+                     big=False, panel=PANEL)
+
+
+class TestBlockedElimination:
+    """The panel elimination against the column-by-column reference, residue
+    by residue.  zero_pivot is an offset from the panel width b, so the
+    forced zero pivots fall at columns b - 1, b and b + 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 70), panel=st.sampled_from([1, 2, 3, 5, 8, PANEL]),
+           seed=st.integers(0, 2**32 - 1), n_primes=st.integers(1, 16),
+           which=st.integers(0, 15), zero_pivot=st.sampled_from([None, -1, 0, 1]),
+           zero_column=st.none() | st.integers(0, 69), big=st.booleans())
+    @example(n=1, **case_defaults)
+    @example(n=PANEL - 7, **case_defaults)                      # n < b
+    @example(n=2 * PANEL + 5, **case_defaults)                  # n not a multiple of b
+    @example(n=2 * PANEL, **{**case_defaults, "big": True})     # entries near 10**30
+    @example(n=PANEL + 9, **{**case_defaults, "zero_pivot": -1})
+    @example(n=PANEL + 9, **{**case_defaults, "zero_pivot": 0})
+    @example(n=PANEL + 9, **{**case_defaults, "zero_pivot": 1})
+    @example(n=PANEL + 9, **{**case_defaults, "zero_column": PANEL + 2})
+    def test_residues_match_unblocked_reference(self, n, panel, seed, n_primes, which,
+                                                zero_pivot, zero_column, big):
+        which %= n_primes
+        pivot_col = None if zero_pivot is None else panel + zero_pivot
+        if pivot_col is not None and pivot_col >= n:
+            pivot_col = None
+        if zero_column is not None and zero_column >= n:
+            zero_column = None
+        ints, primes = elimination_case(n, seed, n_primes, which, pivot_col, zero_column, big)
+        if pivot_col is not None:
+            lead = ints[:pivot_col + 1, :pivot_col + 1]
+            assert det_mod_primes_unblocked(lead, [primes[which]]) == [0]
+        expected = det_mod_primes_unblocked(ints, primes)
+        if zero_column is not None:
+            assert expected[which] == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_DET_PANEL", panel)
+            assert exact._det_mod_primes(ints, primes) == expected
+
+    def test_every_benchmark_style_laplacian(self):
+        primes = [_det_prime(i) for i in range(16)]
+        for seed in range(4):
+            g = random_regular(GenConfig(10, 80, seed))
+            ints = np.array(g.laplacian_int(), dtype=np.int64)[1:, 1:]
+            assert exact._det_mod_primes(ints, primes) == det_mod_primes_unblocked(ints, primes)
+
+
+class TestDeterminantOfArrays:
+    """An integer ndarray is checked by its dtype and shape, not entry by entry."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+    def test_integer_dtypes(self, dtype):
+        assert det_exact(np.array([[2, 1], [1, 2]], dtype=dtype)) == 3
+
+    def test_uint64_entries_past_int64(self):
+        assert det_exact(np.array([[2**64 - 1, 1], [1, 1]], dtype=np.uint64)) == 2**64 - 2
+
+    @pytest.mark.parametrize("rows", [
+        [[2**62, 1], [1, 2**62]],
+        [[-2**63, 1], [1, 1]],
+        [[3 * 10**9, 1, 2], [5, -3 * 10**9, 7], [1, 1, 3 * 10**9]],
+    ])
+    def test_int64_entries_whose_squares_overflow(self, rows):
+        assert det_exact(np.array(rows, dtype=np.int64)) == bareiss_det(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_int64_array_matches_list(self, rows):
+        assert det_exact(np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))) \
+            == det_exact(rows) == bareiss_det(rows)
+
+    def test_bool_dtype_rejected(self):
+        with pytest.raises(ValueError, match="bool"):
+            det_exact(np.array([[True, False], [False, True]]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
+    def test_float_and_complex_dtypes_rejected(self, dtype):
+        with pytest.raises(ValueError, match="integer entries required"):
+            det_exact(np.array([[2, 1], [1, 2]], dtype=dtype))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="not square"):
+            det_exact(np.ones(shape, dtype=np.int64))
+
+    def test_object_arrays_go_entry_by_entry(self):
+        assert det_exact(np.array([[10**30, 1], [1, 10**30]], dtype=object)) == 10**60 - 1
+        with pytest.raises(ValueError, match="integer entries required"):
+            det_exact(np.array([[1, 2.5], [3, 4]], dtype=object))
+        with pytest.raises(ValueError, match="bool"):
+            det_exact(np.array([[True, 1], [1, 1]], dtype=object))
 
 
 def test_squarefree_decomposition():

@@ -6,14 +6,17 @@ import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import count_spanning_trees_exhaustive, sigma_bruteforce
 
-from treepack import packing
+from treepack import exact, packing
 from treepack.cli import _certificate_digest
 from treepack.connectivity import edge_connectivity
+from treepack.exact import _det_mod_primes as det_mod_primes
+from treepack.exact import det_exact
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
     add_edges,
@@ -258,6 +261,61 @@ class TestCountSpanningTrees:
     def test_exhaustive_guard(self):
         with pytest.raises(ValueError):
             count_spanning_trees_exhaustive(complete_graph(7))
+
+
+def hypercube(d: int):
+    return make_graph(2**d, [(v, v ^ (1 << i)) for v in range(2**d) for i in range(d)
+                             if v < v ^ (1 << i)])
+
+
+class TestClosedFormTreeCounts:
+    """Counts that need no oracle, on reduced Laplacians that span several
+    panels of the elimination and, for K150, several batches of primes."""
+
+    @pytest.fixture
+    def det_calls(self, monkeypatch):
+        """The matrices count_spanning_trees hands det_exact, and the number
+        of prime batches each took."""
+        calls = []
+
+        def spy_det(m):
+            calls.append([m, 0])
+            return det_exact(m)
+
+        def spy_batch(ints, primes):
+            calls[-1][1] += 1
+            return det_mod_primes(ints, primes)
+
+        monkeypatch.setattr(packing, "det_exact", spy_det)
+        monkeypatch.setattr(exact, "_det_mod_primes", spy_batch)
+        return calls
+
+    def assert_count(self, g, expected, det_calls):
+        assert count_spanning_trees(g).exact == expected
+        m = det_calls[-1][0]
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64
+        assert m.shape == (g.n - 1, g.n - 1)
+
+    def test_cayley_k150_over_several_prime_batches(self, det_calls):
+        self.assert_count(complete_graph(150), 150 ** 148, det_calls)
+        assert det_calls[-1][1] >= 3
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (3, 5), (20, 50), (40, 41)])
+    def test_complete_bipartite(self, a, b, det_calls):
+        self.assert_count(complete_bipartite(a, b), a ** (b - 1) * b ** (a - 1), det_calls)
+
+    def test_hypercube_q7(self, det_calls):
+        d = 7
+        expected = 2 ** (2**d - d - 1) * math.prod(k ** math.comb(d, k) for k in range(1, d + 1))
+        self.assert_count(hypercube(d), expected, det_calls)
+
+    @pytest.mark.parametrize("n", [3, 32, 33, 65, 200])
+    def test_cycle(self, n, det_calls):
+        self.assert_count(cycle_graph(n), n, det_calls)
+
+    def test_k1_and_a_disconnected_graph(self, det_calls):
+        self.assert_count(complete_graph(1), 1, det_calls)
+        self.assert_count(disjoint_union(cycle_graph(40), complete_graph(30)), 0, det_calls)
 
 
 class TestVerifyCertificate:
