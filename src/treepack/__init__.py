@@ -18,8 +18,6 @@ from .families import (
     FAMILIES,
     FamilyReport,
     FamilySpec,
-    build_A9,
-    build_A25,
     build_Gd,
     build_Hd,
     gd_interval,

@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -300,7 +299,11 @@ def _cmd_hunt(args) -> int:
 
 
 def _parse_partition_file(text: str, n: int) -> VertexPartition:
+    """One block per line; errors carry 1-based line numbers, like the
+    edge-list parser's.  A vertex missing from every line is left to
+    `partition`, which refuses blocks that do not cover 0..n-1."""
     blocks = []
+    line_of: dict[int, int] = {}    # vertex -> line of its block
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -308,9 +311,13 @@ def _parse_partition_file(text: str, n: int) -> VertexPartition:
             block = [int(tok) for tok in line.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: expected vertex indices") from None
-        repeated = [v for v, count in Counter(block).items() if count > 1]
-        if repeated:
-            raise ValueError(f"line {lineno}: vertex {repeated[0]} repeated")
+        for v in block:
+            if not 0 <= v < n:
+                raise ValueError(f"line {lineno}: vertex {v} out of range for n={n}")
+            if v in line_of:
+                where = "repeated" if line_of[v] == lineno else "already in an earlier block"
+                raise ValueError(f"line {lineno}: vertex {v} {where}")
+            line_of[v] = lineno
         blocks.append(block)
     return partition(n, blocks)
 

@@ -76,24 +76,7 @@ class IntPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -104,8 +87,6 @@ class IntPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "IntPoly":
         if k < 0:
@@ -129,14 +110,11 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def content(self) -> int:
-        return gcd(*self.coeffs)
-
     def primitive(self) -> "IntPoly":
         """Divide out the content; sign normalized so the leading coeff is positive."""
         if self.is_zero():
             return self
-        g = self.content()
+        g = gcd(*self.coeffs)
         sign = 1 if self.leading() > 0 else -1
         return IntPoly([sign * c // g for c in self.coeffs])
 
@@ -145,23 +123,37 @@ class IntPoly:
 # Exact linear algebra on integer matrices
 # ---------------------------------------------------------------------------
 
-def _check_square_int(m: Sequence[Sequence[int]]) -> list[list[int]]:
+def _int_array(m) -> np.ndarray:
+    """m as a square int64 array, or an object array of Python ints when an
+    entry is past int64.  An integer ndarray is checked by its dtype and
+    shape; anything else goes entry by entry."""
+    if isinstance(m, np.ndarray) and m.dtype != object:
+        if m.dtype.kind == "b":
+            raise ValueError("integer entries required, got a bool")
+        if m.dtype.kind not in "iu":
+            raise ValueError("integer entries required")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("matrix is not square")
+        if np.can_cast(m.dtype, np.int64):
+            return m.astype(np.int64, copy=False)
+        m = m.tolist()      # uint64, whose entries may be past int64
     rows = [list(r) for r in m]
-    dim = len(rows)
     for r in rows:
-        if len(r) != dim:
+        if len(r) != len(rows):
             raise ValueError("matrix is not square")
         for x in r:
             # bool subclasses int and np.bool_.item() is a bool: neither is
             # an integer entry
             if isinstance(x, (bool, np.bool_)):
                 raise ValueError("integer entries required, got a bool")
-            if not isinstance(x, int):
-                # numpy int64 etc. are fine once converted; reject floats
-                if hasattr(x, "item") and isinstance(x.item(), int):
-                    continue
+            # numpy int64 etc. are fine once converted; reject floats
+            if not (isinstance(x, int) or hasattr(x, "item") and isinstance(x.item(), int)):
                 raise ValueError("integer entries required")
-    return [[int(x) for x in r] for r in rows]
+    ints = [[int(x) for x in r] for r in rows]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
 
 
 def char_poly_exact(m: Sequence[Sequence[int]]) -> IntPoly:
@@ -170,7 +162,7 @@ def char_poly_exact(m: Sequence[Sequence[int]]) -> IntPoly:
     All divisions are exact integer divisions; O(dim^4) big-int work,
     which is irrelevant at the dimensions used here (<= 25).
     """
-    a = _check_square_int(m)
+    a = _int_array(m).tolist()
     dim = len(a)
     if dim == 0:
         return IntPoly([1])
@@ -276,27 +268,6 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
     return [int(r) for r in det]
 
 
-def _int_array(m) -> np.ndarray:
-    """m as a square int64 array, or an object array of Python ints when an
-    entry is past int64.  An integer ndarray is checked by its dtype and
-    shape; anything else goes entry by entry."""
-    if isinstance(m, np.ndarray) and m.dtype != object:
-        if m.dtype.kind == "b":
-            raise ValueError("integer entries required, got a bool")
-        if m.dtype.kind not in "iu":
-            raise ValueError("integer entries required")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix is not square")
-        if np.can_cast(m.dtype, np.int64):
-            return m.astype(np.int64, copy=False)
-        m = m.tolist()      # uint64, whose entries may be past int64
-    a = _check_square_int(m)
-    try:
-        return np.array(a, dtype=np.int64)
-    except OverflowError:
-        return np.array(a, dtype=object)
-
-
 def det_exact(m: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact determinant of an integer matrix by multi-modular elimination.
 
@@ -387,8 +358,8 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     """p / gcd(p, p'), as a primitive IntPoly with positive leading coefficient."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return IntPoly([1])
+    # a constant's derivative is 0, so the gcd is the constant and the
+    # quotient is 1
     return _exact_quotient(p, _gcd(p, p.derivative()))
 
 
@@ -459,12 +430,21 @@ def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, bo
     return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
 
+def roots_above(chain: Sequence[Sequence[int]], x: Fraction) -> tuple[int, bool]:
+    """Distinct real roots of the chain's first member above x, and whether
+    x is one.  The count is the variation count at x minus the one at
+    +infinity, where every member takes the sign of its leading coefficient."""
+    count, on_root = _variations(chain, x.numerator, x.denominator)
+    leads = [cs[-1] > 0 for cs in chain]
+    return count - sum(s != t for s, t in zip(leads, leads[1:])), on_root
+
+
 def cauchy_bound(p: IntPoly) -> Fraction:
     """B with every real root of p in (-B, B): 1 + max |a_i| / |lead|."""
     if p.is_zero() or p.degree == 0:
         raise ValueError("nonconstant polynomial required")
     lead = abs(p.leading())
-    top = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
+    top = max(abs(c) for c in p.coeffs[:-1])
     return 1 + Fraction(top, lead)
 
 
@@ -478,9 +458,7 @@ def count_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     if not lo < hi:
         raise ValueError("need lo < hi")
     chain = sturm_chain(p)
-    lo, hi = Fraction(lo), Fraction(hi)
-    return (_variations(chain, lo.numerator, lo.denominator)[0]
-            - _variations(chain, hi.numerator, hi.denominator)[0])
+    return roots_above(chain, Fraction(lo))[0] - roots_above(chain, Fraction(hi))[0]
 
 
 @dataclass(frozen=True)
@@ -490,11 +468,9 @@ class RootInterval:
     lo: Fraction
     hi: Fraction
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def as_float(self) -> float:
-        return float(self.midpoint())
+        """The midpoint, rounded to a float."""
+        return float((self.lo + self.hi) / 2)
 
 
 DEFAULT_PRECISION = Fraction(1, 10**12)
@@ -596,7 +572,6 @@ def isolate_real_roots(
 class PositivityReport:
     """Exact signs of p^(n)(point) for n = 0..deg(p)."""
 
-    point: Fraction
     values: tuple[Fraction, ...]     # values[n] = p^(n)(point)
     all_positive: bool
 
@@ -607,10 +582,9 @@ def descartes_positivity_check(p: IntPoly, point: Fraction | int) -> PositivityR
     When this holds, the shifted polynomial p(x + point) has no sign
     changes, so by Descartes' rule p has no root above the point.
     """
-    pt = Fraction(point)
     values = []
     cur = p
     for _ in range(p.degree + 1):
-        values.append(cur.evaluate_at(pt))
+        values.append(cur.evaluate_at(point))
         cur = cur.derivative()
-    return PositivityReport(pt, tuple(values), all(v > 0 for v in values))
+    return PositivityReport(tuple(values), all(v > 0 for v in values))

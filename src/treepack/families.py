@@ -30,11 +30,11 @@ from .exact import (
     DEFAULT_PRECISION,
     IntPoly,
     RootInterval,
-    cauchy_bound,
     char_poly_exact,
-    count_real_roots,
     descartes_positivity_check,
     isolate_real_roots,
+    roots_above,
+    sturm_chain,
 )
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, make_graph, partition
 from .packing import sigma as tree_packing_sigma, verify_certificate
@@ -117,7 +117,9 @@ class FamilySpec:
     kappa_prime: int
     kappa_check: str
     kappa_claim: str
-    interval_evidence: Callable[[int, IntPoly, RootInterval], list[NamedCheck]]
+    # (d, certificate polynomial, its Sturm chain, its top root interval)
+    interval_evidence: Callable[[int, IntPoly, list[list[int]], RootInterval],
+                                list[NamedCheck]]
 
 
 def check_family_degree(spec: FamilySpec, d: int) -> None:
@@ -235,44 +237,6 @@ def claimed_charpoly(spec: FamilySpec, d: int) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# appendix identities (exact rational spot checks)
-
-# P10'(d - 5/(d+3)) = APPENDIX_Q(d) + 25 * APPENDIX_N(d) / (d+3)^9, where
-# APPENDIX_Q(6) = 1425 and APPENDIX_Q(7) = 184220; and
-# P10(d - 5/(d+3)) = 5 * APPENDIX_M(d) / (d+3)^10.  Coefficients ascending.
-APPENDIX_Q = IntPoly([-154125, -6265, 9235, -1605, -80, 40])
-APPENDIX_N = IntPoly([121436221, 368991216, 491609352, 377696288, 179037720,
-                      52838632, 9436692, 933304, 39261])
-APPENDIX_M = IntPoly([209081, 2789848, 4225996, -7988400, -2586890, 3149694,
-                      1156227, -317856, -185275, -9630, 7239, 1412, 79])
-
-
-def appendix_value_identity(d: int) -> bool:
-    """P10 at the upper interval endpoint equals 5*M(d)/(d+3)^10 exactly."""
-    point = Fraction(d) - Fraction(5, d + 3)
-    lhs = p10_poly(d).evaluate_at(point)
-    rhs = Fraction(5 * APPENDIX_M.evaluate_at(Fraction(d)), (d + 3) ** 10)
-    return lhs == rhs
-
-
-def appendix_derivative_identity(d: int) -> bool:
-    """P10' at the endpoint equals Q(d) + 25*N(d)/(d+3)^9 exactly."""
-    point = Fraction(d) - Fraction(5, d + 3)
-    lhs = p10_poly(d).derivative().evaluate_at(point)
-    rhs = APPENDIX_Q.evaluate_at(Fraction(d)) + Fraction(
-        25 * APPENDIX_N.evaluate_at(Fraction(d)), (d + 3) ** 9)
-    return lhs == rhs
-
-
-def p10_derivative_at_endpoint(d: int, order: int) -> Fraction:
-    """Exact value of the order-th derivative of P10 at d - 5/(d+3)."""
-    p = p10_poly(d)
-    for _ in range(order):
-        p = p.derivative()
-    return p.evaluate_at(Fraction(d) - Fraction(5, d + 3))
-
-
-# ---------------------------------------------------------------------------
 # verification reports
 
 
@@ -301,17 +265,15 @@ class FamilyReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
 
-
-def _largest_root_vs(p: IntPoly, bound: Fraction) -> int:
-    """Sign of (largest real root of p) - bound, decided by an exact Sturm
-    count above bound: 1, 0 or -1 (-1 also when p has no real root)."""
-    hi = cauchy_bound(p)
-    if bound < hi and count_real_roots(p, bound, hi):
+def _largest_root_vs(chain: list[list[int]], bound: Fraction) -> int:
+    """Sign of (largest real root of the chain's polynomial) - bound, decided
+    by an exact Sturm count above bound: 1, 0 or -1 (-1 also when it has no
+    real root)."""
+    above, on_root = roots_above(chain, bound)
+    if above:
         return 1
-    return 0 if p.evaluate_at(bound) == 0 else -1
+    return 0 if on_root else -1
 
 
 def _spectrum_check(computed: tuple[float, ...],
@@ -363,7 +325,7 @@ def verify_family(spec: FamilySpec, d: int,
         f"lambda2_matches_{spec.poly_name}_root", abs(lam2 - root) <= ROOT_MATCH_TOL,
         f"{lam2!r}", f"{root!r}", margin=abs(lam2 - root)))
 
-    checks += spec.interval_evidence(d, p, iso)
+    checks += spec.interval_evidence(d, p, sturm_chain(p), iso)
 
     expected = expected_spectrum(spec, d, roots)
     spec_ok, worst = _spectrum_check(spectrum, expected)
@@ -400,7 +362,8 @@ def expected_spectrum(spec: FamilySpec, d: int,
     return tuple(sorted(expected, reverse=True))
 
 
-def _gd_interval_evidence(d: int, p3: IntPoly, iso: RootInterval) -> list[NamedCheck]:
+def _gd_interval_evidence(d: int, p3: IntPoly, chain: list[list[int]],
+                          iso: RootInterval) -> list[NamedCheck]:
     """Closed-form endpoint values of P3, theta_d strictly inside the open
     interval, and the failure of the two-tree premise."""
     lo, hi = gd_interval(d)
@@ -408,7 +371,7 @@ def _gd_interval_evidence(d: int, p3: IntPoly, iso: RootInterval) -> list[NamedC
     closed_lo = Fraction(-3 * (9 + d * (-2 + d + d * d)), (2 + d) ** 3)
     val_hi = p3.evaluate_at(hi)
     closed_hi = Fraction(6 * d * d - 81, (3 + d) ** 3)
-    inside = _largest_root_vs(p3, lo) > 0 and _largest_root_vs(p3, hi) < 0
+    inside = _largest_root_vs(chain, lo) > 0 and _largest_root_vs(chain, hi) < 0
     # sigma(Gd) = 1 < 2, so the spectral premise for packing two trees
     # must fail: theta_d must already exceed theta_2 = d - 3/(d+1)
     premise_bound = theorem_threshold(d, 2)
@@ -421,20 +384,21 @@ def _gd_interval_evidence(d: int, p3: IntPoly, iso: RootInterval) -> list[NamedC
                    f"largest root isolated in ({iso.lo}, {iso.hi}]",
                    f"strictly inside ({lo}, {hi})"),
         NamedCheck("two_tree_premise_fails",
-                   _largest_root_vs(p3, premise_bound) > 0,
+                   _largest_root_vs(chain, premise_bound) > 0,
                    f"theta > {premise_bound}", "required since sigma = 1"),
     ]
 
 
-def _hd_interval_evidence(d: int, p10: IntPoly, iso: RootInterval) -> list[NamedCheck]:
+def _hd_interval_evidence(d: int, p10: IntPoly, chain: list[list[int]],
+                          iso: RootInterval) -> list[NamedCheck]:
     """The Descartes certificate at the upper endpoint, gamma_d inside the
     half-open interval, and the failure of the three-tree premise."""
     lo, hi = hd_interval(d)
     descartes = descartes_positivity_check(p10, hi)
     # the largest root is at least lo: half of the interval claim, and the
     # whole of the three-tree premise check
-    at_least_lo = _largest_root_vs(p10, lo) >= 0
-    inside = at_least_lo and _largest_root_vs(p10, hi) < 0
+    at_least_lo = _largest_root_vs(chain, lo) >= 0
+    inside = at_least_lo and _largest_root_vs(chain, hi) < 0
     return [
         NamedCheck("descartes_all_derivatives_positive", descartes.all_positive,
                    f"{sum(v > 0 for v in descartes.values)}/11 positive", "11/11 positive"),
@@ -492,16 +456,6 @@ def build_Gd(d: int) -> Graph:
 def build_Hd(d: int) -> Graph:
     """Hd for degree d (d >= 6)."""
     return build_family(HD, d)
-
-
-def build_A9(d: int) -> list[list[int]]:
-    """9x9 quotient matrix of Gd; cross-validated against the graph."""
-    return _validate_transcription(GD, d, build_family(GD, d))
-
-
-def build_A25(d: int) -> list[list[int]]:
-    """25x25 quotient matrix of Hd; cross-validated against the graph."""
-    return _validate_transcription(HD, d, build_family(HD, d))
 
 
 def verify_Gd(d: int) -> FamilyReport:

@@ -7,17 +7,12 @@ after construction, so graphs and partitions can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 Edge = tuple[int, int]
-
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -61,27 +56,11 @@ class Graph:
             a[u, v] = a[v, u] = 1.0
         return a
 
-    def adjacency_int(self) -> list[list[int]]:
-        """Adjacency matrix with exact integer entries (for exact char-poly work)."""
-        a = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges:
-            a[u][v] = a[v][u] = 1
-        return a
-
     def laplacian_matrix(self) -> np.ndarray:
         lap = -self.adjacency_matrix()
         for v in range(self.n):
             lap[v, v] = self.degrees[v]
         return lap
-
-    def laplacian_int(self) -> list[list[int]]:
-        lap = [[-x for x in row] for row in self.adjacency_int()]
-        for v in range(self.n):
-            lap[v][v] = self.degrees[v]
-        return lap
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
 
     def components(self) -> list[frozenset[int]]:
         """Connected components as vertex sets, ordered by smallest member."""
@@ -102,9 +81,6 @@ class Graph:
             comps.append(frozenset(comp))
         return comps
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
-
 
 def _check_edge(n: int, u: int, v: int, seen: set[Edge], where: str = "") -> None:
     """Add edge {u, v} to seen; a self-loop, an end outside 0..n-1 or a
@@ -113,7 +89,7 @@ def _check_edge(n: int, u: int, v: int, seen: set[Edge], where: str = "") -> Non
         raise ValueError(f"{where}self-loop at vertex {u}")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"{where}edge ({u}, {v}) out of range for n={n}")
-    e = _norm_edge(u, v)
+    e = (u, v) if u < v else (v, u)
     if e in seen:
         raise ValueError(f"{where}duplicate edge ({u}, {v})")
     seen.add(e)
@@ -178,29 +154,6 @@ def add_edges(g: Graph, pairs: Iterable[Sequence[int]]) -> Graph:
     return make_graph(g.n, [*g.edges, *pairs])
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by a vertex set, re-indexed along sorted(vertices)."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ValueError("empty vertex set")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise ValueError("vertex out of range")
-    index = {v: i for i, v in enumerate(vs)}
-    sub = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return make_graph(len(vs), sub)
-
-
-def average_degree(g: Graph, vertices: Iterable[int]) -> Fraction:
-    """Average degree of the induced subgraph, exact: 2*|E(G[S])| / |S|."""
-    vs = set(vertices)
-    if not vs:
-        raise ValueError("empty vertex set")
-    internal = sum(1 for u, v in g.edges if u in vs and v in vs)
-    return Fraction(2 * internal, len(vs))
-
-
 @dataclass(frozen=True)
 class VertexPartition:
     """Ordered partition of 0..n-1 into nonempty disjoint blocks."""
@@ -245,10 +198,9 @@ def singleton_partition(n: int) -> VertexPartition:
 
 @dataclass(frozen=True)
 class CrossingCounts:
-    """e(X_i, X_j) for each block pair, boundary degrees r_i, and the total."""
+    """e(X_i, X_j) for each block pair, and the total."""
 
     pair_counts: tuple[tuple[int, ...], ...]   # symmetric, zero diagonal
-    boundary: tuple[int, ...]                  # r_i = e(X_i, V \ X_i)
     total: int                                 # sum over i < j
 
 
@@ -263,9 +215,8 @@ def crossing_edges(g: Graph, p: VertexPartition) -> CrossingCounts:
         if i != j:
             cnt[i][j] += 1
             cnt[j][i] += 1
-    boundary = tuple(sum(row) for row in cnt)
-    total = sum(boundary) // 2
-    return CrossingCounts(tuple(tuple(row) for row in cnt), boundary, total)
+    total = sum(map(sum, cnt)) // 2
+    return CrossingCounts(tuple(tuple(row) for row in cnt), total)
 
 
 # ---------------------------------------------------------------------------

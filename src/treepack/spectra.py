@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import IntPoly, char_poly_exact, isolate_real_roots
-from .graphs import Graph, VertexPartition, average_degree
+from .graphs import Graph, VertexPartition
 
 SYMMETRY_RTOL = 1e-12
 INTERLACING_TOL = 1e-9
@@ -84,7 +84,6 @@ class QuotientMatrix:
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
-    partition: VertexPartition
 
     @property
     def t(self) -> int:
@@ -139,7 +138,7 @@ def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:
         counts[j][i] += 1
     sizes = p.sizes()
     return QuotientMatrix(
-        tuple(tuple(Fraction(c, sizes[i]) for c in row) for i, row in enumerate(counts)), p)
+        tuple(tuple(Fraction(c, sizes[i]) for c in row) for i, row in enumerate(counts)))
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> bool:
@@ -180,19 +179,3 @@ def check_interlacing(outer: Sequence[float], inner: Sequence[float]) -> Interla
         worst = min(worst, outer[i] - inner[i], inner[i] - outer[n - m + i])
     return InterlacingResult(worst >= -INTERLACING_TOL, worst)
 
-
-def disjoint_sets_bound(g: Graph, a: set[int], b: set[int]) -> Fraction:
-    """Lower bound min(avg-degree(A), avg-degree(B)) on lambda2.
-
-    Only valid when A and B are disjoint with no crossing edges;
-    violating that is an error, not a silent wrong answer.
-    """
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        raise ValueError("both sets must be nonempty")
-    if sa & sb:
-        raise ValueError("sets must be disjoint")
-    crossing = sum(1 for u, v in g.edges if (u in sa and v in sb) or (u in sb and v in sa))
-    if crossing:
-        raise ValueError(f"e(A, B) = {crossing} != 0; bound requires no crossing edges")
-    return min(average_degree(g, sa), average_degree(g, sb))

@@ -29,7 +29,7 @@ from treepack.exact import (
     squarefree_decomposition,
     squarefree_part,
 )
-from treepack.graphs import Graph, make_graph
+from treepack.graphs import Graph
 
 BELL_GUARD = 12          # sigma_bruteforce refuses above this vertex count
 BRUTE_FORCE_GUARD = 16   # edge_connectivity_bruteforce refuses above this
@@ -90,11 +90,19 @@ def sigma_bruteforce(g: Graph) -> SigmaOracle:
     return SigmaOracle(int(tau1), tau1)
 
 
+def adjacency_int(g: Graph) -> list[list[int]]:
+    """The adjacency matrix in Python ints, read off the edge set."""
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = a[v][u] = 1
+    return a
+
+
 def exact_adjacency_roots(g: Graph) -> list[float]:
     """All n adjacency eigenvalues, descending and repeated by multiplicity,
     as the float midpoints of the Sturm intervals of the exact
     characteristic polynomial."""
-    roots = isolate_real_roots(char_poly_exact(g.adjacency_int()))
+    roots = isolate_real_roots(char_poly_exact(adjacency_int(g)))
     return sorted((iv.as_float() for iv, mult in roots for _ in range(mult)), reverse=True)
 
 
@@ -178,8 +186,26 @@ def count_spanning_trees_exhaustive(g: Graph) -> int:
         raise ValueError("empty graph")
     if g.n == 1:
         return 1
-    return sum(make_graph(g.n, subset).is_connected()
+    return sum(_joins_all(g.n, subset)
                for subset in combinations(sorted(g.edges), g.n - 1))
+
+
+def _joins_all(n: int, edges) -> bool:
+    """Whether the edges connect vertices 0..n-1, by a plain union-find."""
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    joins = 0
+    for u, v in edges:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            joins += 1
+    return joins == n - 1
 
 
 def det_mod_primes_unblocked(ints: np.ndarray, primes: list[int]) -> list[int]:

@@ -598,6 +598,27 @@ class TestQuotient:
         assert captured.err == "error: line 1: vertex 0 repeated\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("vertex", [3, 99, -14])
+    def test_vertex_out_of_range_names_its_line(self, tmp_path, capsys, vertex):
+        g_path = write_graph(tmp_path, complete_graph(3))
+        part = tmp_path / "blocks.txt"
+        part.write_text(f"0 1\n\n2 {vertex}\n")
+        code = main(["quotient", g_path, str(part)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: line 3: vertex {vertex} out of range for n=3\n"
+        assert captured.out == ""
+
+    def test_vertex_in_two_blocks_names_the_later_line(self, tmp_path, capsys):
+        g_path = write_graph(tmp_path, complete_graph(3))
+        part = tmp_path / "blocks.txt"
+        part.write_text("0 1\n2\n1\n")
+        code = main(["quotient", g_path, str(part)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == "error: line 3: vertex 1 already in an earlier block\n"
+        assert captured.out == ""
+
     def test_block_cap_refuses_before_compute(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "quotient_matrix", None)
         t = cli.QUOTIENT_MAX_BLOCKS + 1

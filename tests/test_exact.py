@@ -43,7 +43,12 @@ from treepack.graphs import petersen_graph
 from treepack.randgen import GenConfig, random_regular
 from treepack.spectra import QuotientMatrix
 
-from oracles import det_mod_primes_unblocked, sturm_count_largest_root, sturm_count_roots
+from oracles import (
+    adjacency_int,
+    det_mod_primes_unblocked,
+    sturm_count_largest_root,
+    sturm_count_roots,
+)
 
 ints = st.integers(min_value=-50, max_value=50)
 small_polys = st.lists(ints, min_size=1, max_size=6).map(IntPoly)
@@ -151,8 +156,7 @@ class TestIntPoly:
 
     def test_arithmetic(self):
         x = IntPoly([0, 1])
-        assert (x + IntPoly([1])) * (x - IntPoly([1])) == x * x - IntPoly([1])
-        assert 3 * x == IntPoly([0, 3])
+        assert IntPoly([1, 1]) * IntPoly([-1, 1]) == IntPoly([-1, 0, 1])
         assert x ** 3 == IntPoly([0, 0, 0, 1])
 
     def test_evaluate(self):
@@ -163,9 +167,13 @@ class TestIntPoly:
     @settings(max_examples=100, deadline=None)
     @given(small_polys, small_polys)
     def test_derivative_product_rule(self, p, q):
+        # both sides have degree below len(p) + len(q), so they are equal
+        # once they agree at that many points
         lhs = (p * q).derivative()
-        rhs = p.derivative() * q + p * q.derivative()
-        assert lhs == rhs
+        dp, dq = p.derivative(), q.derivative()
+        for x in range(len(p.coeffs) + len(q.coeffs)):
+            assert lhs.evaluate_at(x) == (dp.evaluate_at(x) * q.evaluate_at(x)
+                                          + p.evaluate_at(x) * dq.evaluate_at(x))
 
     @settings(max_examples=100, deadline=None)
     @given(small_polys, small_polys, st.fractions())
@@ -205,7 +213,7 @@ class TestCharPoly:
     def test_quotient_char_poly_matches_rational_reference(self, rows):
         # the char poly of L*Q rescaled by x -> x/L, against Faddeev-LeVerrier
         # over Fraction with the denominators cleared
-        q = QuotientMatrix(tuple(tuple(row) for row in rows), None)
+        q = QuotientMatrix(tuple(tuple(row) for row in rows))
         reference = faddeev_leverrier_fraction(rows)
         lcm_den = math.lcm(*(c.denominator for c in reference))
         assert q.char_poly() == IntPoly([int(c * lcm_den) for c in reference])
@@ -269,7 +277,7 @@ class TestDeterminant:
 
     def test_laplacian_minors_match_bareiss(self):
         for g in (petersen_graph(), build_Hd(8), random_regular(GenConfig(10, 60, 3))):
-            lap = g.laplacian_int()
+            lap = g.laplacian_matrix().astype(np.int64).tolist()
             reduced = [row[1:] for row in lap[1:]]
             assert det_exact(reduced) == bareiss_det(reduced)
 
@@ -374,7 +382,7 @@ class TestBlockedElimination:
         primes = [_det_prime(i) for i in range(16)]
         for seed in range(4):
             g = random_regular(GenConfig(10, 80, seed))
-            ints = np.array(g.laplacian_int(), dtype=np.int64)[1:, 1:]
+            ints = g.laplacian_matrix().astype(np.int64)[1:, 1:]
             assert exact._det_mod_primes(ints, primes) == det_mod_primes_unblocked(ints, primes)
 
 
@@ -597,7 +605,7 @@ def _pin_corpus():
     polys += [p10_poly(d) for d in range(6, 17)]
     polys += [claimed_charpoly(GD, d) for d in range(4, 13)]
     polys += [claimed_charpoly(HD, d) for d in range(6, 17)]
-    polys.append(char_poly_exact(petersen_graph().adjacency_int()))
+    polys.append(char_poly_exact(adjacency_int(petersen_graph())))
     # seeded products of repeated rational roots b x - a, some with a
     # quadratic factor that may have no real roots
     rng = random.Random(20130501)

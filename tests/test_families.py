@@ -1,5 +1,6 @@
 """Checks for the two extremal families, their quotient matrices, and the
-exact polynomial identities that pin lambda2 inside its interval."""
+exact polynomial identities of the paper's appendix that pin lambda2 inside
+its interval."""
 
 import dataclasses
 import sys
@@ -10,18 +11,12 @@ import pytest
 from oracles import edge_connectivity_bruteforce
 
 from treepack import exact
-from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots
+from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots, sturm_chain
 from treepack.families import (
     GD,
     HD,
     _largest_root_vs,
-    APPENDIX_M,
-    APPENDIX_N,
-    APPENDIX_Q,
-    appendix_derivative_identity,
-    appendix_value_identity,
-    build_A9,
-    build_A25,
+    build_family,
     build_Gd,
     build_Hd,
     claimed_charpoly,
@@ -31,13 +26,21 @@ from treepack.families import (
     natural_partition,
     p3_poly,
     p10_poly,
-    p10_derivative_at_endpoint,
     verify_Gd,
     verify_Hd,
     verify_family,
 )
 from treepack.graphs import crossing_edges
 from treepack.spectra import quotient_matrix, is_equitable
+
+
+def quotient_rows(spec, d):
+    """The equitable quotient of the built family graph, computed."""
+    return quotient_matrix(build_family(spec, d), equitable_partition(spec, d)).as_int()
+
+
+def failures(report):
+    return [c.name for c in report.checks if not c.passed]
 
 
 class TestBuilders:
@@ -74,38 +77,38 @@ class TestBuilders:
 
 class TestQuotientMatrices:
     def test_a9_first_row_matches_spec_of_interior_vertex(self):
-        rows = build_A9(4)
+        rows = quotient_rows(GD, 4)
         assert rows[0] == [2, 0, 0, 1, 1, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("d", [4, 5, 7, 10])
     def test_a9_row_sums_are_d(self, d):
-        for row in build_A9(d):
+        for row in quotient_rows(GD, d):
             assert sum(row) == d
 
     @pytest.mark.parametrize("d", [6, 8, 11])
     def test_a25_row_sums_are_d(self, d):
-        for row in build_A25(d):
+        for row in quotient_rows(HD, d):
             assert sum(row) == d
 
     def test_a9_is_the_equitable_quotient(self):
         g = build_Gd(5)
         part = equitable_partition(GD, 5)
         assert is_equitable(g, part)
-        assert quotient_matrix(g, part).as_int() == build_A9(5)
+        assert quotient_matrix(g, part).as_int() == GD.quotient_rows(5)
 
     def test_a25_is_the_equitable_quotient(self):
         h = build_Hd(7)
         part = equitable_partition(HD, 7)
         assert is_equitable(h, part)
-        assert quotient_matrix(h, part).as_int() == build_A25(7)
+        assert quotient_matrix(h, part).as_int() == HD.quotient_rows(7)
 
     @pytest.mark.parametrize("d", [4, 6, 9])
     def test_a9_charpoly_factorization(self, d):
-        assert char_poly_exact(build_A9(d)) == claimed_charpoly(GD, d)
+        assert char_poly_exact(quotient_rows(GD, d)) == claimed_charpoly(GD, d)
 
     @pytest.mark.parametrize("d", [6, 8, 12])
     def test_a25_charpoly_factorization(self, d):
-        assert char_poly_exact(build_A25(d)) == claimed_charpoly(HD, d)
+        assert char_poly_exact(quotient_rows(HD, d)) == claimed_charpoly(HD, d)
 
 
 class TestPolynomials:
@@ -141,7 +144,44 @@ class TestPolynomials:
     def test_largest_root_vs_bound(self, bound, sign):
         # (x - 2)(x^2 - 2): largest root 2, the other roots +-sqrt(2) < 3/2
         p = IntPoly([-2, 1]) * IntPoly([-2, 0, 1])
-        assert _largest_root_vs(p, bound) == sign
+        assert _largest_root_vs(sturm_chain(p), bound) == sign
+
+
+# The paper's appendix identities, as reference data: its printed formulas
+# for P10 and P10' at the upper end d - 5/(d+3) of the Hd interval.
+# P10'(d - 5/(d+3)) = APPENDIX_Q(d) + 25 * APPENDIX_N(d) / (d+3)^9, where
+# APPENDIX_Q(6) = 1425 and APPENDIX_Q(7) = 184220; and
+# P10(d - 5/(d+3)) = 5 * APPENDIX_M(d) / (d+3)^10.  Coefficients ascending.
+APPENDIX_Q = IntPoly([-154125, -6265, 9235, -1605, -80, 40])
+APPENDIX_N = IntPoly([121436221, 368991216, 491609352, 377696288, 179037720,
+                      52838632, 9436692, 933304, 39261])
+APPENDIX_M = IntPoly([209081, 2789848, 4225996, -7988400, -2586890, 3149694,
+                      1156227, -317856, -185275, -9630, 7239, 1412, 79])
+
+
+def appendix_value_identity(d: int) -> bool:
+    """P10 at the upper interval endpoint equals 5*M(d)/(d+3)^10 exactly."""
+    point = Fraction(d) - Fraction(5, d + 3)
+    lhs = p10_poly(d).evaluate_at(point)
+    rhs = Fraction(5 * APPENDIX_M.evaluate_at(Fraction(d)), (d + 3) ** 10)
+    return lhs == rhs
+
+
+def appendix_derivative_identity(d: int) -> bool:
+    """P10' at the endpoint equals Q(d) + 25*N(d)/(d+3)^9 exactly."""
+    point = Fraction(d) - Fraction(5, d + 3)
+    lhs = p10_poly(d).derivative().evaluate_at(point)
+    rhs = APPENDIX_Q.evaluate_at(Fraction(d)) + Fraction(
+        25 * APPENDIX_N.evaluate_at(Fraction(d)), (d + 3) ** 9)
+    return lhs == rhs
+
+
+def p10_derivative_at_endpoint(d: int, order: int) -> Fraction:
+    """Exact value of the order-th derivative of P10 at d - 5/(d+3)."""
+    p = p10_poly(d)
+    for _ in range(order):
+        p = p.derivative()
+    return p.evaluate_at(Fraction(d) - Fraction(5, d + 3))
 
 
 class TestAppendixIdentities:
@@ -173,7 +213,7 @@ class TestFamilyReports:
     @pytest.mark.parametrize("d", [4, 7, 16])
     def test_gd_reports_pass(self, d):
         report = verify_Gd(d)
-        assert report.all_passed, report.failures()
+        assert report.all_passed, failures(report)
         assert report.sigma == 1
         assert report.kappa_prime == 2
         lo, hi = report.lambda2_interval
@@ -182,7 +222,7 @@ class TestFamilyReports:
     @pytest.mark.parametrize("d", [6, 9, 16])
     def test_hd_reports_pass(self, d):
         report = verify_Hd(d)
-        assert report.all_passed, report.failures()
+        assert report.all_passed, failures(report)
         assert report.sigma == 2
         assert report.kappa_prime == 4
 
@@ -226,7 +266,7 @@ class TestVerifierCatchesWrongClaims:
 
     def test_wrong_sigma_fails_only_the_sigma_check(self):
         report = verify_family(dataclasses.replace(GD, sigma=2), 4)
-        assert report.failures() == ["sigma"]
+        assert failures(report) == ["sigma"]
 
     def test_changed_transcription_entry_is_a_transcription_bug(self):
         def rows(d):
@@ -239,4 +279,4 @@ class TestVerifierCatchesWrongClaims:
 
     def test_wrong_simple_eigenvalues_fail_spectrum_and_charpoly(self):
         report = verify_family(dataclasses.replace(GD, other_simple=(1,)), 4)
-        assert report.failures() == ["spectrum_multiset", "charpoly_factorization"]
+        assert failures(report) == ["spectrum_multiset", "charpoly_factorization"]

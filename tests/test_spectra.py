@@ -21,7 +21,6 @@ from treepack.spectra import (
     QuotientMatrix,
     adjacency_spectrum,
     check_interlacing,
-    disjoint_sets_bound,
     eig_symmetric,
     is_equitable,
     lambda2,
@@ -174,12 +173,3 @@ def test_interlacing_detects_violation():
     assert not check_interlacing([3.0, 0.0, -3.0], [5.0]).ok
     assert check_interlacing([3.0, 0.0, -3.0], [1.0]).ok
 
-
-def test_disjoint_sets_bound():
-    g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    assert disjoint_sets_bound(g, {0, 1, 2}, {3, 4}) == Fraction(1)
-    with pytest.raises(ValueError):
-        disjoint_sets_bound(g, {0, 1}, {1, 2})
-    g2 = make_graph(4, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        disjoint_sets_bound(g2, {0, 1}, {2, 3})
