@@ -46,10 +46,11 @@ ANALYZE_MAX_VERTICES = 650
 ANALYZE_MAX_PACKING_WORK = 1_000_000
 # quotient refuses partitions with more blocks before any compute.  Its time
 # goes to isolating the real roots of the degree-t characteristic
-# polynomial: on the same host, with the singleton partition of a random
-# 4-regular graph, it took 0.5 s at t = 40, 1.3 s at t = 60, 1.6 s at
-# t = 64 and 2.0 s at t = 70.  Denser graphs take longer: at t = 64 a
-# 10-regular graph took 2.3 s and a 30-regular one 5.0 s.
+# polynomial: on the same host, with the 64 singleton blocks of a random
+# graph, a whole run took 1.0-1.3 s (4-regular), 1.8-2.2 s (10-regular) and
+# 2.7-3.1 s (30-regular) over two runs, of which the characteristic
+# polynomial took 0.02-0.03 s.  Denser graphs take longer, since the
+# coefficients grow.
 QUOTIENT_MAX_BLOCKS = 64
 # It also refuses graphs with more vertices, before reading the partition:
 # its interlacing check eigensolves the dense n x n adjacency matrix.  With
@@ -300,8 +301,8 @@ def _cmd_hunt(args) -> int:
 
 def _parse_partition_file(text: str, n: int) -> VertexPartition:
     """One block per line; errors carry 1-based line numbers, like the
-    edge-list parser's.  A vertex missing from every line is left to
-    `partition`, which refuses blocks that do not cover 0..n-1."""
+    edge-list parser's, and a vertex on no line is named, the smallest
+    one first."""
     blocks = []
     line_of: dict[int, int] = {}    # vertex -> line of its block
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -319,6 +320,8 @@ def _parse_partition_file(text: str, n: int) -> VertexPartition:
                 raise ValueError(f"line {lineno}: vertex {v} {where}")
             line_of[v] = lineno
         blocks.append(block)
+    if len(line_of) < n:
+        raise ValueError(f"blocks do not cover vertex {min(set(range(n)) - line_of.keys())}")
     return partition(n, blocks)
 
 
@@ -352,7 +355,16 @@ def _cmd_quotient(args) -> int:
 # parser
 
 
+_parser: list[argparse.ArgumentParser] = []     # the parser, once built
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after: a
+    build costs about ten times a parse.  A plain memo rather than
+    functools.cache, so every call enters this function and the profile in
+    tests/test_reach.py sees it whatever ran first in the process."""
+    if _parser:
+        return _parser[0]
     ap = argparse.ArgumentParser(
         prog="treepack",
         description="Spanning-tree packing, spectra, and edge connectivity "
@@ -398,6 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the report to this file")
     p.set_defaults(func=_cmd_quotient)
 
+    _parser.append(ap)
     return ap
 
 

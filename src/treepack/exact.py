@@ -4,14 +4,19 @@ The workhorses are:
 
 * ``IntPoly`` — integer-coefficient univariate polynomials (ascending
   coefficient order, trailing zeros trimmed);
-* ``char_poly_exact`` — Faddeev-LeVerrier over exact integers;
-* ``det_exact`` — multi-modular determinant: a blocked float64 LU modulo
-  primes below 2**20, with one batched matrix product (BLAS dgemm) per
-  panel of columns for the trailing update, combined by the Chinese
-  remainder theorem up to the Hadamard bound.  Blocking only regroups the
-  products: each entry still takes one product of two residues below
-  2**20 per earlier pivot, so the float64 bound, and with it
-  ``DET_MAX_DIM``, are those of a column-by-column elimination;
+* one multi-modular engine for exact linear algebra on integer matrices:
+  float64 residues in (-p, p) modulo the primes just below 2**20, batched
+  across primes in a (primes, n, n) array, one symmetric reduction
+  x - p*rint(x/p), and one Chinese remainder step up to a Hadamard bound.
+  Two kernels run on it:
+
+  - ``char_poly_exact`` — Faddeev-LeVerrier mod p, one batched matrix
+    product per step, no pivots;
+  - ``det_exact`` — a blocked LU mod p, with one batched matrix product
+    (BLAS dgemm) per panel of columns for the trailing update.  Blocking
+    only regroups the products: each entry still takes one product of two
+    residues per earlier pivot, so the float64 bound, and with it
+    ``DET_MAX_DIM``, are those of a column-by-column elimination;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities;
@@ -126,7 +131,10 @@ class IntPoly:
 def _int_array(m) -> np.ndarray:
     """m as a square int64 array, or an object array of Python ints when an
     entry is past int64.  An integer ndarray is checked by its dtype and
-    shape; anything else goes entry by entry."""
+    shape; anything else goes entry by entry.  More than DET_MAX_DIM rows
+    are refused first, before any copy."""
+    if len(m) > DET_MAX_DIM:
+        raise ValueError(f"exact linear algebra is limited to dimension <= {DET_MAX_DIM}")
     if isinstance(m, np.ndarray) and m.dtype != object:
         if m.dtype.kind == "b":
             raise ValueError("integer entries required, got a bool")
@@ -156,51 +164,18 @@ def _int_array(m) -> np.ndarray:
         return np.array(ints, dtype=object)
 
 
-def char_poly_exact(m: Sequence[Sequence[int]]) -> IntPoly:
-    """Monic characteristic polynomial det(xI - M) via Faddeev-LeVerrier.
-
-    All divisions are exact integer divisions; O(dim^4) big-int work,
-    which is irrelevant at the dimensions used here (<= 25).
-    """
-    a = _int_array(m).tolist()
-    dim = len(a)
-    if dim == 0:
-        return IntPoly([1])
-    # coeffs[dim] = 1, coeffs[dim - k] = c_k from the recurrence
-    coeffs = [0] * (dim + 1)
-    coeffs[dim] = 1
-    nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in a]
-    mk = [row[:] for row in a]
-    for k in range(1, dim + 1):
-        if k > 1:
-            # mk <- a @ (mk_prev + c_{k-1} I), over the nonzeros of each row of a
-            ck_prev = coeffs[dim - (k - 1)]
-            for i in range(dim):
-                mk[i][i] += ck_prev
-            rows = []
-            for terms in nonzero:
-                acc = [0] * dim
-                for l, x in terms:
-                    acc = [s + x * y for s, y in zip(acc, mk[l])]
-                rows.append(acc)
-            mk = rows
-        trace = sum(mk[i][i] for i in range(dim))
-        q, r = divmod(-trace, k)
-        assert r == 0, "Faddeev-LeVerrier trace division must be exact"
-        coeffs[dim - k] = q
-    return IntPoly(coeffs)
-
-
-# det_exact works modulo the primes just below 2**20.  Residues are below
-# 2**20, so every product is below 2**40.  An entry starts in (-p, p) and
-# takes at most n unreduced updates, one product in [0, p**2) per earlier
-# pivot, so it stays below p + n*p**2 in size.  float64 holds that exactly
-# while it is below 2**53, which bounds the dimension.
+# The multi-modular engine below works modulo the primes just below 2**20,
+# on float64 residues: every residue lies in (-p, p), so every product of
+# two is below 2**40 in size, and a sum of them is exact while it stays
+# below 2**53.  An elimination entry starts in (-p, p) and takes at most n
+# unreduced updates, one product per earlier pivot, so it stays below
+# p + n*p**2; a Faddeev-LeVerrier entry is a sum of n + 1 products.  Both
+# are below 2**53 for n <= DET_MAX_DIM.
 _PRIME_CEILING = 1 << 20
 DET_MAX_DIM = (2**53 - _PRIME_CEILING) // _PRIME_CEILING**2
-# Primes per elimination: one batch covers the reduced Laplacian of a
-# 10-regular graph up to n ~ 95, and larger inputs go in batches, so the
-# (primes, n, n) work array stays 16 * n * n floats.
+# Primes per (primes, n, n) work array: one batch covers the reduced
+# Laplacian of a 10-regular graph up to n ~ 95, and larger inputs go in
+# batches, so the array stays 16 * n * n floats.
 _DET_BATCH = 16
 # Columns per panel of the blocked elimination.
 _DET_PANEL = 32
@@ -213,14 +188,100 @@ def _det_prime(i: int) -> int:
     while len(_det_primes) <= i:
         q -= 1
         if q < 3:
-            raise ValueError("determinant bound exceeds the primes below 2**20")
+            raise ValueError("Hadamard bound exceeds the primes below 2**20")
         if q % 2 and all(q % f for f in range(3, isqrt(q) + 1, 2)):
             _det_primes.append(q)
     return _det_primes[i]
 
 
+def _multimodular(kernel, ints: np.ndarray, bound: int) -> list[int]:
+    """The integers in [-bound, bound] that kernel(ints, primes) gives
+    modulo each prime, as one list of residues per prime.
+
+    The largest primes below 2**20 are taken, as few as give a product M
+    above 2 * bound (at least one), in batches of _DET_BATCH per kernel
+    call; the Chinese remainder theorem combines the residues of each
+    value in (-M/2, M/2).
+    """
+    primes = [_det_prime(0)]
+    while prod(primes) <= 2 * bound:
+        primes.append(_det_prime(len(primes)))
+    rows: list[list[int]] = []
+    for i in range(0, len(primes), _DET_BATCH):
+        rows += kernel(ints, primes[i:i + _DET_BATCH])
+    modulus = prod(primes)
+    weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    sums = [sum(r * w for r, w in zip(column, weights)) % modulus for column in zip(*rows)]
+    return [x - modulus if 2 * x > modulus else x for x in sums]
+
+
+def _sym_mod(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x mod p as a float64 residue in (-p, p), for integer-valued x below
+    2**53 in size.  rint(x / p) is within 1/2 + 2**-20 of x/p, so the
+    residue is within p/2 + 1 of 0, and it is 0 exactly when p divides x."""
+    return x - p * np.rint(x / p)
+
+
+def _residues(ints: np.ndarray, primes: list[int]) -> np.ndarray:
+    """ints mod each prime as a (primes, n, n) float64 array with entries in
+    (-p, p); entries already in that range go in unreduced."""
+    if -min(primes) < ints.min() and ints.max() < min(primes):
+        return np.repeat(ints[None].astype(np.float64), len(primes), axis=0)
+    return (ints[None] % np.array(primes, dtype=ints.dtype)[:, None, None]).astype(np.float64)
+
+
+def _norms_sq(ints: np.ndarray) -> list[int]:
+    """The squared row norms, as int64 sums while n * max|x|**2 fits."""
+    if ints.dtype == object or max(int(ints.max()), -int(ints.min())) ** 2 * len(ints) >= 2**63:
+        return [sum(x * x for x in row) for row in ints.tolist()]
+    return (ints * ints).sum(axis=1).tolist()
+
+
+def _char_poly_mod_primes(ints: np.ndarray, primes: list[int]) -> list[list[int]]:
+    """c_1, ..., c_n of det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n modulo
+    each prime, by Faddeev-LeVerrier on a (primes, n, n) float64 array:
+    M_1 = A, M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k, with one
+    batched matrix product per step and the inverses of 1..n mod p taken
+    once.  No pivots, so no residue is ever a special case.  Only the
+    diagonal of M_(k-1) + c_(k-1) I reaches 2p in size, and an entry of the
+    product takes one diagonal entry, so it stays below (n + 1) * p**2."""
+    a = _residues(ints, primes)
+    n = len(ints)
+    p_col = np.array(primes, dtype=np.float64)[:, None]
+    inv = np.array([[pow(k, -1, p) for k in range(1, n + 1)] for p in primes],
+                   dtype=np.float64)
+    coeffs = np.empty((len(primes), n))
+    m = a.copy()
+    for k in range(n):
+        if k:
+            # M + c I, through a flat view of the diagonal (m is contiguous)
+            m.reshape(len(primes), -1)[:, ::n + 1] += coeffs[:, k - 1, None]
+            m = _sym_mod(a @ m, p_col[:, :, None])
+        coeffs[:, k] = _sym_mod(-np.trace(m, axis1=1, axis2=2) * inv[:, k], p_col[:, 0])
+    return coeffs.astype(np.int64).tolist()
+
+
+def char_poly_exact(m: Sequence[Sequence[int]] | np.ndarray) -> IntPoly:
+    """Monic characteristic polynomial det(xI - M) of an integer matrix, by
+    multi-modular Faddeev-LeVerrier.
+
+    c_k, the coefficient of x^(n-k), is up to sign the sum of the k x k
+    principal minors.  Hadamard's inequality bounds each minor by the
+    product of its rows' norms, so with r_i the row norms of M,
+    |c_k| <= e_k(r) <= B = prod(1 + ceil(r_i)).  Primes are taken
+    until their product M exceeds 2B, and the Chinese remainder theorem
+    combines the residues in (-M/2, M/2).
+    """
+    ints = _int_array(m)
+    if len(ints) == 0:
+        return IntPoly([1])
+    # 1 + ceil(sqrt(s)) for a squared norm s
+    bound = prod(2 + isqrt(s - 1) if s else 1 for s in _norms_sq(ints))
+    return IntPoly(_multimodular(_char_poly_mod_primes, ints, bound)[::-1] + [1])
+
+
 def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
-    """det(ints) mod each prime, by one blocked float64 LU over a
+    """det(ints) mod each prime, in [0, p), by one blocked float64 LU over a
     (primes, n, n) array.
 
     Columns go in panels of _DET_PANEL, and the factors stay in place
@@ -232,15 +293,8 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
     elimination, so the float64 bound is the same.
     """
     n = len(ints)
-    p_vec = np.array(primes, dtype=np.float64)
-    p_col = p_vec[:, None]
-    work = np.empty((len(primes), n, n))
-    # the bound holds for entries in (-p, p) as well as in [0, p), so small
-    # entries go in unreduced
-    if -min(primes) < ints.min() and ints.max() < min(primes):
-        work[:] = ints
-    else:
-        work[:] = ints[None] % np.array(primes, dtype=ints.dtype)[:, None, None]
+    p_col = np.array(primes, dtype=np.float64)[:, None]
+    work = _residues(ints, primes)
     det = np.ones(len(primes))
     for k0 in range(0, n, _DET_PANEL):
         k1 = min(k0 + _DET_PANEL, n)
@@ -248,7 +302,7 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
             # row k and column k are updated and reduced only now that they
             # are the pivots
             work[:, k:, k] -= (work[:, k:, k0:k] @ work[:, k0:k, k, None])[:, :, 0]
-            col = work[:, k:, k] = np.remainder(work[:, k:, k], p_col)
+            col = work[:, k:, k] = _sym_mod(work[:, k:, k], p_col)
             if not col[:, 0].all():
                 for j in np.flatnonzero(col[:, 0] == 0):
                     below = np.flatnonzero(col[j])
@@ -257,12 +311,12 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
                         work[j, [k, i]] = work[j, [i, k]]
                         det[j] = primes[j] - det[j]
             work[:, k, k + 1:] -= (work[:, k, None, k0:k] @ work[:, k0:k, k + 1:])[:, 0]
-            row = work[:, k, k:] = np.remainder(work[:, k, k:], p_col)
-            det = np.remainder(det * row[:, 0], p_vec)
+            row = work[:, k, k:] = _sym_mod(work[:, k, k:], p_col)
+            det = np.remainder(det * row[:, 0], p_col[:, 0])
             if k + 1 < n:
                 inv = np.array([pow(int(x), -1, p) if x else 0
                                 for x, p in zip(row[:, 0].tolist(), primes)], dtype=np.float64)
-                work[:, k + 1:, k] = np.remainder(work[:, k + 1:, k] * inv[:, None], p_col)
+                work[:, k + 1:, k] = _sym_mod(work[:, k + 1:, k] * inv[:, None], p_col)
         if k1 < n:
             work[:, k1:, k1:] -= work[:, k1:, k0:k1] @ work[:, k0:k1, k1:]
     return [int(r) for r in det]
@@ -271,40 +325,18 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
 def det_exact(m: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact determinant of an integer matrix by multi-modular elimination.
 
-    Primes are taken until their product M satisfies M**2 > 4 * prod of the
-    squared row norms, so Hadamard's bound gives |det| < M/2.  A blocked
+    Hadamard's bound gives |det| <= isqrt(prod of the squared row norms).
+    Primes are taken until their product M exceeds twice that, a blocked
     float64 LU over a (primes, n, n) array, one per batch of primes, yields
     det mod every prime, and the Chinese remainder theorem combines them in
     (-M/2, M/2).
     """
-    if len(m) > DET_MAX_DIM:
-        raise ValueError(f"det_exact is limited to dimension <= {DET_MAX_DIM}")
     ints = _int_array(m)
-    n = len(ints)
-    if n == 0:
+    if len(ints) == 0:
         return 1
-    # the squared row norms as int64 sums while n * max|x|**2 fits
-    if ints.dtype == object or max(int(ints.max()), -int(ints.min())) ** 2 * n >= 2**63:
-        norms = [sum(x * x for x in row) for row in ints.tolist()]
-    else:
-        norms = (ints * ints).sum(axis=1).tolist()
-    # a zero row makes the bound 0: no primes, M = 1 and the sum below is 0
-    bound = 4 * prod(norms)
-    primes: list[int] = []
-    modulus = 1
-    while modulus * modulus <= bound:
-        primes.append(_det_prime(len(primes)))
-        modulus *= primes[-1]
-
-    residues: list[int] = []
-    for i in range(0, len(primes), _DET_BATCH):
-        residues += _det_mod_primes(ints, primes[i:i + _DET_BATCH])
-    total = 0
-    for r, p in zip(residues, primes):
-        rest = modulus // p
-        total += r * rest * pow(rest, -1, p)
-    total %= modulus
-    return total - modulus if 2 * total > modulus else total
+    bound = isqrt(prod(_norms_sq(ints)))
+    return _multimodular(lambda a, primes: [[r] for r in _det_mod_primes(a, primes)],
+                         ints, bound)[0]
 
 
 # ---------------------------------------------------------------------------

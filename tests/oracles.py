@@ -8,7 +8,9 @@ enumerate, and their guards keep the enumerations small;
 characteristic polynomial instead of the float eigensolver, and
 `sturm_count_roots` and `sturm_count_largest_root` isolate roots with a
 Sturm count at every bisection step; `det_mod_primes_unblocked` eliminates
-one column at a time, updating the whole trailing block at every pivot.
+one column at a time, updating the whole trailing block at every pivot;
+`char_poly_faddeev_leverrier` runs Faddeev-LeVerrier on Python integers,
+with no primes.
 """
 
 from __future__ import annotations
@@ -238,3 +240,34 @@ def det_mod_primes_unblocked(ints: np.ndarray, primes: list[int]) -> list[int]:
             factor = np.remainder(work[:, k + 1:, k] * inv[:, None], p_col)
             work[:, k + 1:, k + 1:] -= factor[:, :, None] * row[:, None, 1:]
     return [int(r) for r in det]
+
+
+def char_poly_faddeev_leverrier(rows) -> IntPoly:
+    """Monic det(xI - M) by Faddeev-LeVerrier over Python integers: the
+    single-modulus reference for `exact.char_poly_exact`.
+
+    M_1 = M, M_k = M (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k; every
+    division is exact.
+    """
+    a = [[int(x) for x in row] for row in rows]
+    dim = len(a)
+    # coeffs[dim] = 1, coeffs[dim - k] = c_k from the recurrence
+    coeffs = [0] * dim + [1]
+    nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in a]
+    mk = [row[:] for row in a]
+    for k in range(1, dim + 1):
+        if k > 1:
+            # mk <- a @ (mk_prev + c_(k-1) I), over the nonzeros of each row of a
+            for i in range(dim):
+                mk[i][i] += coeffs[dim - k + 1]
+            next_mk = []
+            for terms in nonzero:
+                acc = [0] * dim
+                for l, x in terms:
+                    acc = [s + x * y for s, y in zip(acc, mk[l])]
+                next_mk.append(acc)
+            mk = next_mk
+        q, r = divmod(-sum(mk[i][i] for i in range(dim)), k)
+        assert r == 0, "Faddeev-LeVerrier trace division must be exact"
+        coeffs[dim - k] = q
+    return IntPoly(coeffs)

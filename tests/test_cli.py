@@ -543,6 +543,33 @@ PINNED_QUOTIENT_JSON = {
 }
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main builds its parser once; calls with different subcommands, a
+    usage error among them, print the pinned bytes in any order."""
+    assert cli._build_parser() is cli._build_parser()
+    g_path = write_graph(tmp_path, ANALYZE_CASES["G4"]())
+    graph, blocks = QUOTIENT_CASES["G4-natural"]
+    q_path = write_graph(tmp_path, graph, "q.el")
+    part = tmp_path / "blocks.txt"
+    part.write_text("".join(" ".join(map(str, b)) + "\n" for b in blocks))
+
+    def digest(argv, graph_path=None):
+        code, out = run(capsys, argv)
+        assert code == EXIT_OK
+        if graph_path:      # the analyze and quotient pins name the graph "G"
+            out = out.replace(graph_path, "G")
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    for _ in range(2):
+        assert digest(["analyze", g_path], g_path) == PINNED_ANALYZE_JSON["G4"]
+        assert digest(["verify-family", "Gd", "--d-min", "4", "--d-max", "4"]) \
+            == PINNED_FAMILY_JSON["Gd-d4-default"]
+        assert main(["quotient", q_path]) == EXIT_USAGE     # no partition file
+        capsys.readouterr()
+        assert digest(["quotient", q_path, str(part)], q_path) \
+            == PINNED_QUOTIENT_JSON["G4-natural"]
+
+
 class TestQuotient:
     def test_gd_natural_partition(self, tmp_path, capsys):
         g_path = tmp_path / "g4.el"
@@ -587,6 +614,21 @@ class TestQuotient:
         part.write_text("0 1\n")
         code, _ = run(capsys, ["quotient", g_path, str(part)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text, missing", [
+        ("0 1 2 3 4\n5 6 7 8 9\n10 11 12 13\n", 14),
+        ("0 1 2 3 4\n5 6 8 9\n10 11 12 13\n", 7),     # 7 and 14: the smallest
+        ("", 0),
+    ])
+    def test_uncovered_vertex_is_named(self, tmp_path, capsys, text, missing):
+        g_path = write_graph(tmp_path, build_Gd(4))
+        part = tmp_path / "blocks.txt"
+        part.write_text(text)
+        code = main(["quotient", g_path, str(part)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: blocks do not cover vertex {missing}\n"
+        assert captured.out == ""
 
     def test_vertex_repeated_on_a_line_is_rejected(self, tmp_path, capsys):
         g_path = write_graph(tmp_path, complete_graph(3))

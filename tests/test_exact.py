@@ -45,6 +45,7 @@ from treepack.spectra import QuotientMatrix
 
 from oracles import (
     adjacency_int,
+    char_poly_faddeev_leverrier,
     det_mod_primes_unblocked,
     sturm_count_largest_root,
     sturm_count_roots,
@@ -136,6 +137,49 @@ def faddeev_leverrier_fraction(rows):
     return coeffs
 
 
+@st.composite
+def char_poly_matrices(draw):
+    """Square matrices up to 10 x 10 for char_poly_exact: entries below 4,
+    of 2**20 to 2**40 (reduced mod each prime) in an int64 array, or near
+    10**30 in an object array; plain, singular (a row replaced by a
+    combination of two others) or nilpotent (strictly upper triangular,
+    conjugated by integer row and column operations, so still nilpotent)."""
+    n = draw(st.integers(0, 10))
+    scale = draw(st.sampled_from(["small", "int64", "object"]))
+    entries = {
+        "small": st.integers(-3, 3),
+        "int64": st.integers(2**20, 2**40).flatmap(lambda x: st.sampled_from([x, -x])),
+        "object": st.integers(10**29, 10**30).flatmap(lambda x: st.sampled_from([x, -x])),
+    }[scale]
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["plain", "singular", "nilpotent"]))
+    if shape == "singular" and n >= 3:
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        c = draw(st.integers(-5, 5))
+        rows[k] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    elif shape == "nilpotent" and n >= 2:
+        rows = [[x if c > r else 0 for c, x in enumerate(row)] for r, row in enumerate(rows)]
+        for _ in range(draw(st.integers(1, 6))):
+            # A <- E A E^-1 with E = I + c e_ij: row i += c row j, then col j -= c col i
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-3, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] -= c * row[i]
+    if scale == "small":
+        return rows
+    return np.array(rows, dtype=np.int64 if scale == "int64" else object).reshape(n, n)
+
+
+def sylvester_hadamard(n):
+    """The n x n Sylvester-Hadamard matrix (n a power of two): symmetric,
+    entries +-1, H @ H = n I."""
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 class TestIntPoly:
     def test_trims_trailing_zeros(self):
         assert IntPoly([1, 2, 0, 0]) == IntPoly([1, 2])
@@ -217,6 +261,63 @@ class TestCharPoly:
         reference = faddeev_leverrier_fraction(rows)
         lcm_den = math.lcm(*(c.denominator for c in reference))
         assert q.char_poly() == IntPoly([int(c * lcm_den) for c in reference])
+
+    @settings(max_examples=150, deadline=None)
+    @given(char_poly_matrices())
+    @example([])
+    @example([[0] * 10] * 10)
+    @example(np.array([[10**30 + i - j for j in range(10)] for i in range(10)], dtype=object))
+    @example(np.array([[2**40 - 3 * i * j for j in range(10)] for i in range(10)],
+                      dtype=np.int64))
+    @example([[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]])   # nilpotent
+    def test_matches_integer_faddeev_leverrier(self, rows):
+        assert char_poly_exact(rows) == char_poly_faddeev_leverrier(rows)
+
+    def test_coefficients_past_one_batch_of_primes(self, monkeypatch):
+        # entries near 10**30 give coefficients of several hundred digits:
+        # the primes come in more than one batch of _DET_BATCH
+        batches = []
+        kernel = exact._char_poly_mod_primes
+
+        def counted(ints, primes):
+            batches.append(len(primes))
+            return kernel(ints, primes)
+
+        monkeypatch.setattr(exact, "_char_poly_mod_primes", counted)
+        rng = random.Random(3)
+        for n in (4, 10):
+            rows = [[rng.randint(-10**30, 10**30) for _ in range(n)] for _ in range(n)]
+            batches.clear()
+            assert char_poly_exact(rows) == char_poly_faddeev_leverrier(rows)
+            assert len(batches) >= 2 and batches[0] == exact._DET_BATCH
+
+    @pytest.mark.parametrize("n, s", [(4, 15), (16, 45), (16, 251061)])
+    def test_scaled_hadamard_needs_every_prime(self, n, s):
+        """s * H has row norms s * sqrt(n), integers here, and |c_n| = |det|
+        = their product, so |c_n| is within a factor (1 + 1/(s sqrt n))**n
+        of the bound B = prod(1 + row norm).  Each s is chosen so that the
+        primes whose product first passes 2B are needed to the last: with
+        one fewer, c_n falls outside the symmetric CRT range, and primes
+        chosen against B instead of 2B stop one short.  At s = 251061 the
+        last prime is the 17th, alone in the second batch."""
+        r = s * math.isqrt(n)
+        assert r * r == s * s * n
+        bound, c_n = (1 + r) ** n, r ** n
+        primes = [_det_prime(0)]
+        while math.prod(primes) <= 2 * bound:
+            primes.append(_det_prime(len(primes)))
+        assert bound < math.prod(primes[:-1]) <= 2 * c_n
+        expected = IntPoly([-n * s * s, 0, 1]) ** (n // 2)
+        assert abs(expected.coeffs[0]) == c_n
+        assert char_poly_exact(s * sylvester_hadamard(n)) == expected
+
+    def test_dimension_guard(self):
+        # an entry of A (M + c I) is n + 1 products below 2**40: exact in
+        # float64 up to DET_MAX_DIM, the determinant's cap
+        assert (DET_MAX_DIM + 1) * 2**40 <= 2**53
+        row = [0] * (DET_MAX_DIM + 1)
+        with pytest.raises(ValueError, match="dimension"):
+            char_poly_exact([row] * (DET_MAX_DIM + 1))
 
 
 class TestDeterminant:
