@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, prod
 from typing import Sequence
 
@@ -131,8 +132,9 @@ class IntPoly:
 def _int_array(m) -> np.ndarray:
     """m as a square int64 array, or an object array of Python ints when an
     entry is past int64.  An integer ndarray is checked by its dtype and
-    shape; anything else goes entry by entry.  More than DET_MAX_DIM rows
-    are refused first, before any copy."""
+    shape; square rows of exact ints in one pass over their types; anything
+    else goes entry by entry.  More than DET_MAX_DIM rows are refused
+    first, before any copy."""
     if len(m) > DET_MAX_DIM:
         raise ValueError(f"exact linear algebra is limited to dimension <= {DET_MAX_DIM}")
     if isinstance(m, np.ndarray) and m.dtype != object:
@@ -145,19 +147,21 @@ def _int_array(m) -> np.ndarray:
         if np.can_cast(m.dtype, np.int64):
             return m.astype(np.int64, copy=False)
         m = m.tolist()      # uint64, whose entries may be past int64
-    rows = [list(r) for r in m]
-    for r in rows:
-        if len(r) != len(rows):
-            raise ValueError("matrix is not square")
-        for x in r:
-            # bool subclasses int and np.bool_.item() is a bool: neither is
-            # an integer entry
-            if isinstance(x, (bool, np.bool_)):
-                raise ValueError("integer entries required, got a bool")
-            # numpy int64 etc. are fine once converted; reject floats
-            if not (isinstance(x, int) or hasattr(x, "item") and isinstance(x.item(), int)):
-                raise ValueError("integer entries required")
-    ints = [[int(x) for x in r] for r in rows]
+    ints = [list(r) for r in m]
+    if not (all(len(r) == len(ints) for r in ints)
+            and set(map(type, chain.from_iterable(ints))) <= {int}):
+        for r in ints:
+            if len(r) != len(ints):
+                raise ValueError("matrix is not square")
+            for x in r:
+                # bool subclasses int and np.bool_.item() is a bool: neither
+                # is an integer entry
+                if isinstance(x, (bool, np.bool_)):
+                    raise ValueError("integer entries required, got a bool")
+                # numpy int64 etc. are fine once converted; reject floats
+                if not (isinstance(x, int) or hasattr(x, "item") and isinstance(x.item(), int)):
+                    raise ValueError("integer entries required")
+        ints = [[int(x) for x in r] for r in ints]
     try:
         return np.array(ints, dtype=np.int64)
     except OverflowError:

@@ -3,9 +3,9 @@
 The packing routine is matroid-union augmentation over k forests
 (Roskind-Tarjan style).  Edges are scanned once in lexicographic order;
 an edge that cannot augment the current k forests is rejected for good
-(greedy is optimal in a matroid).  Every edge goes through the one
-labeling search: its first step, a chain of length 0, is the plain insert
-into the first forest with the edge's ends apart.  On overall failure the
+(greedy is optimal in a matroid).  An edge first takes the first forest
+with its ends apart, a plain insert; only when every forest has them
+together does it enter the labeling search.  On overall failure the
 labeled closures of the rejected edges collapse into a partition
 witnessing the Nash-Williams/Tutte violation; the witness is re-validated
 by ``verify_certificate`` rather than trusted.
@@ -23,18 +23,22 @@ labeler and its place in the queue, so the search finds the same chain,
 and a rejection merges the same vertex set.  The trees and witnesses are
 those of a search that enqueues every labeled edge.
 
-Each forest keeps a union-find array for "are u and v apart?" and a
-rooted form (parent and depth per vertex) for path queries.  After a
-chain, a forest that only gained edges takes them by union, and its
-rooted form is rebuilt at its next path query; a forest that lost an edge
-is re-rooted at once in one O(n) traversal, and a copy of its parent
-array becomes its union-find array (a root is its own parent).  A path
-query climbs from both ends to their lowest common ancestor in O(path
-length) instead of searching a whole component.  A forest has one u-v
-path, and the climb lists its edges in the same order a breadth-first
-search from u would (from v back to u): the search visits edges in the
-same order, so the trees, witnesses and certificate digests are
-byte-identical to those of a search-based packer.
+Each forest keeps a component id per vertex, with the members of each
+id, so "are u and v apart?" is two list reads, and a rooted form (parent
+and depth per vertex) for path queries, kept current by every edge move.
+A link joins two trees: the smaller takes the other's id and is re-hung
+below its end of the new edge, in one traversal of that tree alone.  A
+swap drops a tree edge and takes an edge whose path runs through it: the
+components stay, and only the subtree below the dropped edge is re-hung,
+at its end of the new edge.  A chain whose moves touch one forest twice
+applies them all to that forest and then re-roots it whole, because its
+paths were found before either move.  A path query climbs from both ends
+to their lowest common ancestor in O(path length) instead of searching a
+whole component.  A forest has one u-v path, and the climb lists its
+edges in the same order a breadth-first search from u would (from v back
+to u) under any rooting: the search visits edges in the same order, so
+the trees, witnesses and certificate digests are byte-identical to those
+of a search-based packer.
 """
 
 from __future__ import annotations
@@ -92,57 +96,87 @@ class _Packer:
     def __init__(self, g: Graph, k: int):
         self.k = k
         self.n = g.n
-        self.forest_adj: list[dict[int, set[int]]] = [dict() for _ in range(k)]
-        self.dsu: list[_DSU] = [_DSU(g.n) for _ in range(k)]
+        self.forest_adj: list[list[set[int]]] = [[set() for _ in range(g.n)] for _ in range(k)]
         self.edge_forest: dict[Edge, int] = {}
         self.total = 0
+        # component id per vertex, and the members of each id, per forest:
+        # a link relabels the smaller of the two trees it joins
+        self.comp: list[list[int]] = [list(range(g.n)) for _ in range(k)]
+        self.members: list[list[list[int]]] = [[[x] for x in range(g.n)] for _ in range(k)]
         # rooted form of each forest, for path queries: parent and depth
-        # per vertex (a root is its own parent).  Adding or removing an edge
-        # marks the forest stale; the next path query re-roots it, unless
-        # the chain that removed the edge has re-rooted it already.
+        # per vertex (a root is its own parent), kept current by every link
+        # and swap
         self.parent: list[list[int]] = [list(range(g.n)) for _ in range(k)]
         self.depth: list[list[int]] = [[0] * g.n for _ in range(k)]
-        self.stale = [False] * k
         # clump id per vertex.  A clump is a vertex set spanned by all k
         # forests, and its id is one of its vertices.  An edge inside a
         # clump can never augment: it is rejected without a labeling
         # search, and a search labels it but does not enqueue it.
         self.clump = list(range(g.n))
 
-    def _forest_add(self, i: int, e: Edge):
-        u, v = e
-        self.forest_adj[i].setdefault(u, set()).add(v)
-        self.forest_adj[i].setdefault(v, set()).add(u)
-        self.edge_forest[e] = i
-        self.stale[i] = True
+    def _hang(self, i: int, s: int, p: int, d: int):
+        """Give s parent p and depth d in forest i, and re-root the part of
+        its tree that s reaches without passing p, in one traversal."""
+        adj, parent, depth = self.forest_adj[i], self.parent[i], self.depth[i]
+        parent[s], depth[s] = p, d
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            px, dy = parent[x], depth[x] + 1
+            for y in adj[x]:
+                if y != px:
+                    parent[y], depth[y] = x, dy
+                    stack.append(y)
 
-    def _forest_remove(self, i: int, e: Edge):
+    def _link(self, i: int, e: Edge, hang: bool = True):
+        """Add e, whose ends are apart in forest i.  The smaller of the two
+        trees takes the other's component id and, with hang, is re-hung
+        below its end of e."""
         u, v = e
-        self.forest_adj[i][u].discard(v)
-        self.forest_adj[i][v].discard(u)
-        del self.edge_forest[e]
-        self.stale[i] = True
+        adj = self.forest_adj[i]
+        adj[u].add(v)
+        adj[v].add(u)
+        self.edge_forest[e] = i
+        comp, members = self.comp[i], self.members[i]
+        cu, cv = comp[u], comp[v]
+        if len(members[cu]) < len(members[cv]):
+            u, v, cu, cv = v, u, cv, cu
+        moved, members[cv] = members[cv], []
+        for x in moved:
+            comp[x] = cu
+        members[cu] += moved
+        if hang:
+            self._hang(i, v, u, self.depth[i][u] + 1)
+
+    def _swap(self, i: int, out: Edge, e: Edge, hang: bool = True):
+        """Drop the edge out of forest i and add e, whose forest path runs
+        through out.  The components stay; with hang, the subtree below out
+        is re-hung at its end of e."""
+        a, b = out
+        adj = self.forest_adj[i]
+        adj[a].discard(b)
+        adj[b].discard(a)
+        del self.edge_forest[out]
+        x, y = e
+        adj[x].add(y)
+        adj[y].add(x)
+        self.edge_forest[e] = i
+        if hang:
+            parent, depth = self.parent[i], self.depth[i]
+            below = b if parent[b] == a else a
+            # exactly one end of e lies below out: climb from x to find out which
+            z = x
+            while depth[z] > depth[below]:
+                z = parent[z]
+            if z != below:
+                x, y = y, x
+            self._hang(i, x, y, depth[y] + 1)
 
     def _root_forest(self, i: int):
         """Root every tree of forest i in one traversal."""
-        adj = self.forest_adj[i]
-        parent = list(range(self.n))
-        depth = [0] * self.n
-        seen = [False] * self.n
-        for r in adj:
-            if seen[r]:
-                continue
-            seen[r] = True
-            stack = [r]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        parent[y] = x
-                        depth[y] = depth[x] + 1
-                        stack.append(y)
-        self.parent[i], self.depth[i], self.stale[i] = parent, depth, False
+        for ids in self.members[i]:
+            if ids:
+                self._hang(i, ids[0], ids[0], 0)
 
     def _tree_path(self, i: int, u: int, v: int) -> list[Edge]:
         """Edges on the unique u-v path in forest i (same component assumed).
@@ -151,8 +185,6 @@ class _Packer:
         ancestor, then u's side follows in reverse.  The order fixes the
         order of the labeling search, and so the trees the packer builds.
         """
-        if self.stale[i]:
-            self._root_forest(i)
         parent, depth = self.parent[i], self.depth[i]
         from_v: list[Edge] = []
         from_u: list[Edge] = []
@@ -185,19 +217,26 @@ class _Packer:
         clump = self.clump
         if clump[u] == clump[v]:
             return False
+        comps = self.comp
+        for i, comp in enumerate(comps):
+            if comp[u] != comp[v]:
+                self._link(i, e)
+                self.total += 1
+                return True
         # breadth-first labeling over the exchange structure.  label[h] =
         # edge on whose fundamental cycle h was first reached; label[e] =
         # None marks the root.  A dequeued edge first takes the first forest
-        # that has its ends apart (for e itself that is a plain insert);
-        # only then are its paths in the k forests labeled.  An edge inside
-        # a clump is labeled but not enqueued: its paths stay in the clump.
+        # that has its ends apart (e itself has none: the plain insert above
+        # failed); only then are its paths in the k forests labeled.  An edge
+        # inside a clump is labeled but not enqueued: its paths stay in the
+        # clump.
         label: dict[Edge, Edge | None] = {e: None}
         queue = deque([e])
         while queue:
             f = queue.popleft()
             fu, fv = f
-            for i, d in enumerate(self.dsu):
-                if d.find(fu) != d.find(fv):
+            for i, comp in enumerate(comps):
+                if comp[fu] != comp[fv]:
                     self._apply_chain(f, i, label)
                     return True
             for i in range(self.k):
@@ -217,25 +256,30 @@ class _Packer:
 
     def _apply_chain(self, edge: Edge, forest: int, label: dict[Edge, Edge | None]):
         """Cascade of swaps: move `edge` into `forest`, its predecessor into
-        the forest `edge` vacated, and so on back to the new edge."""
-        shrunk: set[int] = set()
-        cur, target = edge, forest
+        the forest `edge` vacated, and so on back to the new edge.
+
+        `edge` links two trees of `forest`; every forest it or a later edge
+        vacates swaps that edge for its predecessor.  A forest touched once
+        re-hangs only the part that moved.  The paths were found before any
+        move, so a forest touched twice takes its moves and is then
+        re-rooted whole; its components stay as the link, if any, left them,
+        since a swap keeps a forest's vertex partition.
+        """
+        swaps: list[tuple[int, Edge, Edge]] = []
+        cur = edge
         while label[cur] is not None:
-            src = self.edge_forest[cur]
-            self._forest_remove(src, cur)
-            self._forest_add(target, cur)
-            self.dsu[target].union(*cur)
-            shrunk.add(src)
-            cur, target = label[cur], src
-        self._forest_add(target, cur)   # cur is the new edge
-        self.dsu[target].union(*cur)
-        self.total += 1
-        # a forest that only gained edges is up to date after its unions; one
-        # that lost an edge is re-rooted, and its rooted parent array, where a
-        # root is its own parent, replaces its union-find array as it stands
-        for i in shrunk:
+            swaps.append((self.edge_forest[cur], cur, label[cur]))
+            cur = label[cur]
+        touched = [forest] + [i for i, _, _ in swaps]
+        twice = {i for i in touched if touched.count(i) > 1}
+        # from the new edge back, so that each edge leaves its old forest
+        # before it joins its new one
+        for i, out, e in reversed(swaps):
+            self._swap(i, out, e, i not in twice)
+        self._link(forest, edge, forest not in twice)
+        for i in twice:
             self._root_forest(i)
-            self.dsu[i].parent = self.parent[i][:]
+        self.total += 1
 
     def forests_as_edge_sets(self) -> list[frozenset[Edge]]:
         out: list[set[Edge]] = [set() for _ in range(self.k)]

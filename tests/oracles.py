@@ -10,11 +10,14 @@ characteristic polynomial instead of the float eigensolver, and
 Sturm count at every bisection step; `det_mod_primes_unblocked` eliminates
 one column at a time, updating the whole trailing block at every pivot;
 `char_poly_faddeev_leverrier` runs Faddeev-LeVerrier on Python integers,
-with no primes.
+with no primes; `reference_pack` packs with a labeling search that
+enqueues every labeled edge, on forests kept by union-find and re-rooted
+whole.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +34,7 @@ from treepack.exact import (
     squarefree_decomposition,
     squarefree_part,
 )
-from treepack.graphs import Graph
+from treepack.graphs import Edge, Graph
 
 BELL_GUARD = 12          # sigma_bruteforce refuses above this vertex count
 BRUTE_FORCE_GUARD = 16   # edge_connectivity_bruteforce refuses above this
@@ -271,3 +274,196 @@ def char_poly_faddeev_leverrier(rows) -> IntPoly:
         assert r == 0, "Faddeev-LeVerrier trace division must be exact"
         coeffs[dim - k] = q
     return IntPoly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# The reference packer: matroid-union augmentation whose labeling search
+# enqueues every labeled edge and whose clumps are a union-find, on forests
+# kept as `packing._Packer` kept them before its component ids.
+
+
+class _DSU:
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+class UnionFindForests:
+    """The forest state of `packing._Packer` before component ids: a
+    union-find per forest, a stale flag, and a whole-forest re-root at the
+    next path query or right after a chain that shrank the forest."""
+
+    def __init__(self, g: Graph, k: int):
+        self.k = k
+        self.n = g.n
+        self.forest_adj: list[dict[int, set[int]]] = [dict() for _ in range(k)]
+        self.dsu: list[_DSU] = [_DSU(g.n) for _ in range(k)]
+        self.edge_forest: dict[Edge, int] = {}
+        self.total = 0
+        # rooted form of each forest, for path queries: parent and depth
+        # per vertex (a root is its own parent).  Adding or removing an edge
+        # marks the forest stale; the next path query re-roots it, unless
+        # the chain that removed the edge has re-rooted it already.
+        self.parent: list[list[int]] = [list(range(g.n)) for _ in range(k)]
+        self.depth: list[list[int]] = [[0] * g.n for _ in range(k)]
+        self.stale = [False] * k
+
+    def _forest_add(self, i: int, e: Edge):
+        u, v = e
+        self.forest_adj[i].setdefault(u, set()).add(v)
+        self.forest_adj[i].setdefault(v, set()).add(u)
+        self.edge_forest[e] = i
+        self.stale[i] = True
+
+    def _forest_remove(self, i: int, e: Edge):
+        u, v = e
+        self.forest_adj[i][u].discard(v)
+        self.forest_adj[i][v].discard(u)
+        del self.edge_forest[e]
+        self.stale[i] = True
+
+    def _root_forest(self, i: int):
+        """Root every tree of forest i in one traversal."""
+        adj = self.forest_adj[i]
+        parent = list(range(self.n))
+        depth = [0] * self.n
+        seen = [False] * self.n
+        for r in adj:
+            if seen[r]:
+                continue
+            seen[r] = True
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        parent[y] = x
+                        depth[y] = depth[x] + 1
+                        stack.append(y)
+        self.parent[i], self.depth[i], self.stale[i] = parent, depth, False
+
+    def _tree_path(self, i: int, u: int, v: int) -> list[Edge]:
+        """Edges on the unique u-v path in forest i (same component assumed).
+
+        The edges run from v to u: v's side climbs to the lowest common
+        ancestor, then u's side follows in reverse.  The order fixes the
+        order of the labeling search, and so the trees the packer builds.
+        """
+        if self.stale[i]:
+            self._root_forest(i)
+        parent, depth = self.parent[i], self.depth[i]
+        from_v: list[Edge] = []
+        from_u: list[Edge] = []
+        while depth[v] > depth[u]:
+            p = parent[v]
+            from_v.append((p, v) if p < v else (v, p))
+            v = p
+        while depth[u] > depth[v]:
+            p = parent[u]
+            from_u.append((p, u) if p < u else (u, p))
+            u = p
+        while u != v:
+            p = parent[v]
+            from_v.append((p, v) if p < v else (v, p))
+            v = p
+            p = parent[u]
+            from_u.append((p, u) if p < u else (u, p))
+            u = p
+        from_u.reverse()
+        return from_v + from_u
+
+    def _apply_chain(self, edge: Edge, forest: int, label: dict[Edge, Edge | None]):
+        """Cascade of swaps: move `edge` into `forest`, its predecessor into
+        the forest `edge` vacated, and so on back to the new edge."""
+        shrunk: set[int] = set()
+        cur, target = edge, forest
+        while label[cur] is not None:
+            src = self.edge_forest[cur]
+            self._forest_remove(src, cur)
+            self._forest_add(target, cur)
+            self.dsu[target].union(*cur)
+            shrunk.add(src)
+            cur, target = label[cur], src
+        self._forest_add(target, cur)   # cur is the new edge
+        self.dsu[target].union(*cur)
+        self.total += 1
+        # a forest that only gained edges is up to date after its unions; one
+        # that lost an edge is re-rooted, and its rooted parent array, where a
+        # root is its own parent, replaces its union-find array as it stands
+        for i in shrunk:
+            self._root_forest(i)
+            self.dsu[i].parent = self.parent[i][:]
+
+    def forests_as_edge_sets(self) -> list[frozenset[Edge]]:
+        out: list[set[Edge]] = [set() for _ in range(self.k)]
+        for e, i in self.edge_forest.items():
+            out[i].add(e)
+        return [frozenset(s) for s in out]
+
+
+
+
+class ReferencePacker(UnionFindForests):
+    """Packer whose labeling search enqueues every labeled edge and whose
+    clumps are a union-find."""
+
+    def __init__(self, g: Graph, k: int):
+        super().__init__(g, k)
+        self.clumps = _DSU(g.n)
+
+    def try_insert(self, e: Edge) -> bool:
+        if self.clumps.find(e[0]) == self.clumps.find(e[1]):
+            return False
+        label: dict[Edge, Edge | None] = {e: None}
+        queue = deque([e])
+        while queue:
+            f = queue.popleft()
+            for i, d in enumerate(self.dsu):
+                if d.find(f[0]) != d.find(f[1]):
+                    self._apply_chain(f, i, label)
+                    return True
+            for i in range(self.k):
+                for h in self._tree_path(i, *f):
+                    if h not in label:
+                        label[h] = f
+                        queue.append(h)
+        for a, b in label:
+            self.clumps.union(a, b)
+        return False
+
+
+def reference_pack(g: Graph, k: int):
+    """(success, trees in forest order, witness blocks) as `pack_trees`
+    reports them, from ReferencePacker: a disconnected graph fails with its
+    components as the witness, and a failed pack with its clumps."""
+    if g.n <= 1:
+        return True, [[] for _ in range(k)], None
+    comps = sorted((sorted(c) for c in g.components()), key=min)
+    if len(comps) > 1:
+        return False, None, comps
+    packer = ReferencePacker(g, k)
+    for e in sorted(g.edges):
+        if packer.try_insert(e) and packer.total == k * (g.n - 1):
+            return True, [sorted(t) for t in packer.forests_as_edge_sets()], None
+    groups: dict[int, list[int]] = {}
+    for x in range(g.n):
+        groups.setdefault(packer.clumps.find(x), []).append(x)
+    return False, None, sorted(groups.values(), key=min)

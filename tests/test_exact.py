@@ -411,6 +411,29 @@ class TestDeterminant:
         assert det_exact(m) == 3
         assert char_poly_exact(m) == IntPoly([3, -4, 1])
 
+    @pytest.mark.parametrize("rows", [
+        [[2, 1], [1, 2]],                         # exact ints: the one-pass check
+        [[np.int64(2), 1], [1, np.int32(2)]],     # numpy ints: entry by entry
+        [[10**30 + 2, 1], [1, 2]],                # past int64: an object array
+    ])
+    def test_list_rows_accepted(self, rows):
+        assert det_exact(rows) == 2 * int(rows[0][0]) - 1
+        assert char_poly_exact(rows) == IntPoly(
+            [2 * int(rows[0][0]) - 1, -int(rows[0][0]) - 2, 1])
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[1, 2.0], [3, 4]], "integer entries required$"),
+        ([[1, np.float64(2)], [3, 4]], "integer entries required$"),
+        ([[1, 2], [np.bool_(False), 4]], "bool"),
+        ([[1, 2], [3]], "not square"),
+        ([[1, 2, 3], [4, 5, 6]], "not square"),
+    ])
+    def test_list_rows_refused(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            det_exact(rows)
+        with pytest.raises(ValueError, match=message):
+            char_poly_exact(rows)
+
 
 def elimination_case(n, seed, n_primes, which, zero_pivot, zero_column, big):
     """An n x n integer matrix and its primes for the elimination tests.

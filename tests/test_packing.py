@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import count_spanning_trees_exhaustive, sigma_bruteforce
+from oracles import (
+    ReferencePacker,
+    count_spanning_trees_exhaustive,
+    reference_pack,
+    sigma_bruteforce,
+)
 
 from treepack import exact, packing
 from treepack.cli import _certificate_digest
@@ -528,6 +533,27 @@ def test_pack_trees_is_pinned_on_seeded_regular_graphs():
     assert h.hexdigest() == PINNED_SWEEP_PACKS
 
 
+# The long-chain regime: pack_trees(g, 5) on the 32 graphs of the analyze
+# benchmark's pool (10-regular, n = 80, graph seeds from splitmix64 at seed 1).
+# The five trees take 395 of the 400 edges, and each pack runs some 60
+# exchange chains of length one or more.  One SHA-256 covers the trees in
+# forest order.
+PINNED_LONG_CHAIN_PACKS = "5dea552268ddc56262a22809784d3c36d577dbe33d1633d5c936928ef2584d35"
+
+
+def test_pack_trees_is_pinned_on_long_chains():
+    h = hashlib.sha256()
+    state = 1
+    for _ in range(32):
+        state, seed = splitmix64(state)
+        r = pack_trees(random_regular(GenConfig(10, 80, seed)), 5)
+        doc = [seed, r.success,
+               None if r.trees is None else [sorted(t) for t in r.trees],
+               None if r.witness is None else [sorted(b) for b in r.witness.blocks]]
+        h.update(json.dumps(doc, separators=(",", ":")).encode())
+    assert h.hexdigest() == PINNED_LONG_CHAIN_PACKS
+
+
 # ---------------------------------------------------------------------------
 # sigma starts at Kundu's bound max(floor(kappa'/2), 1) and climbs: one pack
 # when the bound is the edge bound, else one success at the bound and the
@@ -562,8 +588,9 @@ def test_sigma_pack_count(monkeypatch, name, start, packs):
 
 
 # ---------------------------------------------------------------------------
-# Path queries on rooted forests, against the breadth-first search they
-# replaced.
+# The forest state of _Packer under its link and swap operations: after
+# every operation the component ids, the rooted form and the path queries
+# must agree with breadth-first searches of the forest.
 
 
 def _bfs_path(adj, u, v):
@@ -574,7 +601,7 @@ def _bfs_path(adj, u, v):
         x = queue.popleft()
         if x == v:
             break
-        for y in adj.get(x, ()):
+        for y in adj[x]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
@@ -588,94 +615,155 @@ def _bfs_path(adj, u, v):
 
 
 class _ForestModel:
-    """k forests kept beside a _Packer, edited through its own add/remove."""
+    """k forests of a _Packer, edited only through its _link and _swap, with
+    each forest's adjacency kept beside it for the checks."""
 
     def __init__(self, n, k):
+        self.n = n
         self.packer = _Packer(make_graph(n, []), k)
-        self.adj = [{} for _ in range(k)]
+        self.adj = [[set() for _ in range(n)] for _ in range(k)]
+        self.edges = [set() for _ in range(k)]
 
-    def add(self, i, e):
+    def _add(self, i, e):
         u, v = e
-        self.adj[i].setdefault(u, set()).add(v)
-        self.adj[i].setdefault(v, set()).add(u)
-        self.packer._forest_add(i, e)
+        self.adj[i][u].add(v)
+        self.adj[i][v].add(u)
+        self.edges[i].add(e)
 
-    def grow(self, i, edges):
-        """Add the edges no other forest holds; skipping one splits a tree."""
-        for e in edges:
-            if e not in self.packer.edge_forest:
-                self.add(i, e)
-
-    def remove(self, i, e):
+    def _remove(self, i, e):
         u, v = e
         self.adj[i][u].discard(v)
         self.adj[i][v].discard(u)
-        self.packer._forest_remove(i, e)
+        self.edges[i].discard(e)
 
     def component(self, i, x):
         seen, stack = {x}, [x]
         while stack:
-            for y in self.adj[i].get(stack.pop(), ()):
+            for y in self.adj[i][stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
         return seen
 
-    def check_paths(self, rng, i, queries):
-        n = self.packer.n
-        for _ in range(queries):
-            u = rng.randrange(n)
-            comp = sorted(self.component(i, u) - {u})
-            if not comp:
+    def free(self, e):
+        return e not in self.packer.edge_forest
+
+    def pick_link(self, rng, i):
+        """An edge held by no forest whose ends are apart in forest i."""
+        a = rng.randrange(self.n)
+        outside = sorted(set(range(self.n)) - self.component(i, a))
+        if outside:
+            e = tuple(sorted((a, rng.choice(outside))))
+            if self.free(e):
+                return e
+        return None
+
+    def pick_swap(self, rng, i):
+        """A tree edge of forest i and an edge held by no forest whose
+        forest path runs through it."""
+        if not self.edges[i]:
+            return None
+        out = rng.choice(sorted(self.edges[i]))
+        self._remove(i, out)
+        side_a, side_b = self.component(i, out[0]), self.component(i, out[1])
+        self._add(i, out)
+        e = tuple(sorted((rng.choice(sorted(side_a)), rng.choice(sorted(side_b)))))
+        return (out, e) if e != out and self.free(e) else None
+
+    def link(self, i, e, hang=True):
+        self._add(i, e)
+        self.packer._link(i, e, hang)
+
+    def swap(self, i, out, e, hang=True):
+        self._remove(i, out)
+        self._add(i, e)
+        self.packer._swap(i, out, e, hang)
+
+    def check(self, rng, i, queries=4):
+        """Component ids, members, rooted form and path queries of forest i
+        against breadth-first searches of its adjacency."""
+        packer, n = self.packer, self.n
+        comp, parent, depth = packer.comp[i], packer.parent[i], packer.depth[i]
+        assert {e for e, j in packer.edge_forest.items() if j == i} == self.edges[i]
+        ids, trees = set(), []
+        seen = set()
+        for x in range(n):
+            if x in seen:
                 continue
-            v = rng.choice(comp)
-            assert self.packer._tree_path(i, u, v) == _bfs_path(self.adj[i], u, v)
-
-
-def _random_forest_edges(rng, n, components):
-    """Edges of a random forest on n vertices with the given tree count."""
-    order = list(range(n))
-    rng.shuffle(order)
-    edges = []
-    # the first `components` vertices are roots; each later vertex hangs
-    # below a random earlier one
-    for j in range(components, n):
-        edges.append(tuple(sorted((order[j], order[rng.randrange(j)]))))
-    return edges
+            tree = self.component(i, x)
+            seen |= tree
+            trees.append(tree)
+            # one id per tree, a different one for every tree
+            assert {comp[y] for y in tree} == {comp[x]} and comp[x] not in ids
+            ids.add(comp[x])
+            assert sorted(packer.members[i][comp[x]]) == sorted(tree)
+            # climbing parent reaches the tree's one root in depth[y] steps,
+            # along forest edges
+            roots = set()
+            for y in tree:
+                z = y
+                for _ in range(depth[y]):
+                    assert parent[z] in self.adj[i][z]
+                    z = parent[z]
+                assert parent[z] == z
+                roots.add(z)
+            assert len(roots) == 1
+        assert sum(len(m) for m in packer.members[i]) == n
+        for _ in range(queries):
+            tree = rng.choice(trees)
+            if len(tree) > 1:
+                u, v = rng.sample(sorted(tree), 2)
+                assert packer._tree_path(i, u, v) == _bfs_path(self.adj[i], u, v)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tree_path_matches_bfs_on_random_forests(seed):
+    # forests grown by links alone, in random order, down to a few trees
     rng = random.Random(seed)
     n = rng.randint(20, 150)
     model = _ForestModel(n, 3)
     for i in range(3):
-        model.grow(i, _random_forest_edges(rng, n, rng.randint(1, 6)))
-    for i in range(3):
-        model.check_paths(rng, i, 60)
+        for _ in range(n - rng.randint(1, 6)):
+            e = model.pick_link(rng, i)
+            if e is not None:
+                model.link(i, e)
+                model.check(rng, i, 2)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_tree_path_follows_interleaved_edits(seed):
-    # an added edge joins two trees; a query answered from the rooting
-    # taken before the add would not find the paths through it
+    # random sequences of links and swaps, each re-hanging only the part that
+    # moved, and of chains that touch one forest twice: a swap and a link
+    # whose paths were found before either, then a whole-forest re-root
     rng = random.Random(100 + seed)
     n = rng.randint(20, 150)
     model = _ForestModel(n, 2)
+    # start from a third to two thirds as many trees as vertices, so that
+    # links stay possible through the sequence
     for i in range(2):
-        model.grow(i, _random_forest_edges(rng, n, rng.randint(2, 5)))
+        for _ in range(n - rng.randint(n // 3, 2 * n // 3)):
+            e = model.pick_link(rng, i)
+            if e is not None:
+                model.link(i, e)
     for _ in range(80):
         i = rng.randrange(2)
-        model.check_paths(rng, i, 3)
-        held = sorted(e for e, j in model.packer.edge_forest.items() if j == i)
-        model.remove(i, rng.choice(held))
-        model.check_paths(rng, i, 3)
-        # re-join two trees with a fresh edge
-        a = rng.randrange(n)
-        outside = sorted(set(range(n)) - model.component(i, a))
-        if outside:
-            model.grow(i, [tuple(sorted((a, rng.choice(outside))))])
-        model.check_paths(rng, 1 - i, 2)
+        op = rng.randrange(3)
+        if op == 0:
+            e = model.pick_link(rng, i)
+            if e is not None:
+                model.link(i, e)
+        elif op == 1:
+            picked = model.pick_swap(rng, i)
+            if picked is not None:
+                model.swap(i, *picked)
+        else:
+            picked, e = model.pick_swap(rng, i), model.pick_link(rng, i)
+            if picked is not None and e is not None and e != picked[1]:
+                model.swap(i, *picked, hang=False)
+                model.link(i, e, hang=False)
+                model.packer._root_forest(i)
+        model.check(rng, i)
+        model.check(rng, 1 - i, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +771,9 @@ def test_tree_path_follows_interleaved_edits(seed):
 
 
 @st.composite
-def large_graphs(draw):
-    """Seeded random regular graphs and G(n, p) graphs with 10 <= n <= 150."""
-    n = draw(st.integers(min_value=10, max_value=150))
+def large_graphs(draw, max_n=150):
+    """Seeded random regular graphs and G(n, p) graphs with 10 <= n <= max_n."""
+    n = draw(st.integers(min_value=10, max_value=max_n))
     seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
     if draw(st.booleans()):
         d = draw(st.integers(min_value=3, max_value=8))
@@ -739,48 +827,6 @@ def test_one_more_edge_raises_sigma_by_at_most_one(g, rnd):
 # same trees in forest order and the same witness blocks.
 
 
-class _ReferencePacker(_Packer):
-    """_Packer whose labeling search enqueues every labeled edge and whose
-    clumps are a union-find."""
-
-    def __init__(self, g, k):
-        super().__init__(g, k)
-        self.clumps = packing._DSU(g.n)
-
-    def try_insert(self, e):
-        if self.clumps.find(e[0]) == self.clumps.find(e[1]):
-            return False
-        label = {e: None}
-        queue = deque([e])
-        while queue:
-            f = queue.popleft()
-            for i, d in enumerate(self.dsu):
-                if d.find(f[0]) != d.find(f[1]):
-                    self._apply_chain(f, i, label)
-                    return True
-            for i in range(self.k):
-                for h in self._tree_path(i, *f):
-                    if h not in label:
-                        label[h] = f
-                        queue.append(h)
-        for a, b in label:
-            self.clumps.union(a, b)
-        return False
-
-
-def _reference_pack(g, k):
-    """(success, trees, witness blocks) of the reference packer; g must be
-    connected with n >= 2."""
-    packer = _ReferencePacker(g, k)
-    for e in sorted(g.edges):
-        if packer.try_insert(e) and packer.total == k * (g.n - 1):
-            return True, [sorted(t) for t in packer.forests_as_edge_sets()], None
-    groups = {}
-    for x in range(g.n):
-        groups.setdefault(packer.clumps.find(x), []).append(x)
-    return False, None, sorted(groups.values(), key=min)
-
-
 def _pack_outcome(g, k):
     r = pack_trees(g, k)
     return (r.success,
@@ -803,7 +849,7 @@ def test_pack_trees_matches_reference_on_random_regular(d, n, seed):
     g = random_regular(GenConfig(d, n, seed))
     assert len(g.components()) == 1
     for k in range(1, d // 2 + 2):
-        assert _pack_outcome(g, k) == _reference_pack(g, k)
+        assert _pack_outcome(g, k) == reference_pack(g, k)
 
 
 @st.composite
@@ -822,28 +868,61 @@ def connected_irregular_graphs(draw):
 def test_pack_trees_matches_reference_on_irregular_graphs(g):
     assume(g.degree_if_regular() is None)
     for k in range(1, g.m // (g.n - 1) + 2):
-        assert _pack_outcome(g, k) == _reference_pack(g, k)
+        assert _pack_outcome(g, k) == reference_pack(g, k)
 
 
 def test_labeling_search_never_queries_inside_a_clump(monkeypatch):
     # a rejection-heavy sweep-mix pack: the reference asks for forest paths
     # between the ends of in-clump edges, pack_trees must not
     g = random_regular(GenConfig(10, 44, 1))
-    in_clump = {_Packer: 0, _ReferencePacker: 0}
+    in_clump = {_Packer: 0, ReferencePacker: 0}
     queries = dict(in_clump)
-    tree_path = _Packer._tree_path
 
-    def watched(self, i, u, v):
-        if isinstance(self, _ReferencePacker):
-            same = self.clumps.find(u) == self.clumps.find(v)
-        else:
-            same = self.clump[u] == self.clump[v]
-        queries[type(self)] += 1
-        in_clump[type(self)] += same
-        return tree_path(self, i, u, v)
+    def watch(cls, same_clump):
+        tree_path = cls._tree_path
 
-    monkeypatch.setattr(_Packer, "_tree_path", watched)
-    assert _pack_outcome(g, 3) == _reference_pack(g, 3)
-    assert in_clump[_ReferencePacker] > 0
+        def watched(self, i, u, v):
+            queries[cls] += 1
+            in_clump[cls] += same_clump(self, u, v)
+            return tree_path(self, i, u, v)
+
+        monkeypatch.setattr(cls, "_tree_path", watched)
+
+    watch(_Packer, lambda p, u, v: p.clump[u] == p.clump[v])
+    watch(ReferencePacker, lambda p, u, v: p.clumps.find(u) == p.clumps.find(v))
+    assert _pack_outcome(g, 3) == reference_pack(g, 3)
+    assert in_clump[ReferencePacker] > 0
     assert in_clump[_Packer] == 0
-    assert queries[_Packer] < queries[_ReferencePacker]
+    assert queries[_Packer] < queries[ReferencePacker]
+
+
+@st.composite
+def packing_graphs(draw):
+    """large_graphs, or (one time in four) the disjoint union of two
+    smaller ones."""
+    if draw(st.integers(0, 3)):
+        return draw(large_graphs())
+    return disjoint_union(draw(large_graphs(max_n=75)), draw(large_graphs(max_n=75)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(packing_graphs())
+def test_pack_trees_matches_reference_on_large_graphs(g):
+    for k in range(1, g.m // (g.n - 1) + 2):
+        assert _pack_outcome(g, k) == reference_pack(g, k)
+
+
+def test_chain_touching_one_forest_twice(monkeypatch):
+    # on Hd at d = 6, a pack at k = 3 runs a chain whose moves hit one forest
+    # twice, which then takes them all and is re-rooted whole
+    rerooted = []
+    root_forest = _Packer._root_forest
+
+    def watched(self, i):
+        rerooted.append(i)
+        root_forest(self, i)
+
+    monkeypatch.setattr(_Packer, "_root_forest", watched)
+    g = build_Hd(6)
+    assert _pack_outcome(g, 3) == reference_pack(g, 3)
+    assert rerooted
