@@ -327,6 +327,8 @@ def _parse_partition_file(text: str, n: int) -> VertexPartition:
 
 def _cmd_quotient(args) -> int:
     g = _load_graph(args.graph)
+    if g.n == 0:
+        raise ValueError("quotient needs a graph with at least one vertex, the graph has none")
     if g.n > QUOTIENT_MAX_VERTICES:
         raise ValueError(f"quotient is limited to {QUOTIENT_MAX_VERTICES} vertices, "
                          f"the graph has {g.n}")

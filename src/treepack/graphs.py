@@ -248,6 +248,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"line {lineno}: expected integers in 'n m' header") from None
+    if n < 0:
+        raise ValueError(f"line {lineno}: vertex count must be nonnegative")
     body = rows[1:]
     if len(body) != m:
         raise ValueError(f"line {lineno}: header declares {m} edges, found {len(body)}")
@@ -261,4 +263,4 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise ValueError(f"line {lineno}: expected integer endpoints") from None
         _check_edge(n, u, v, pairs, f"line {lineno}: ")
-    return make_graph(n, pairs)
+    return Graph(n, frozenset(pairs))

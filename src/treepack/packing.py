@@ -23,22 +23,23 @@ labeler and its place in the queue, so the search finds the same chain,
 and a rejection merges the same vertex set.  The trees and witnesses are
 those of a search that enqueues every labeled edge.
 
-Each forest keeps a component id per vertex, with the members of each
-id, so "are u and v apart?" is two list reads, and a rooted form (parent
-and depth per vertex) for path queries, kept current by every edge move.
-A link joins two trees: the smaller takes the other's id and is re-hung
-below its end of the new edge, in one traversal of that tree alone.  A
+Each forest keeps a component id per vertex, with the size of each id,
+so "are u and v apart?" is two list reads, and a rooted form (parent and
+depth per vertex) for path queries, kept current by every edge move.  A
+link joins two trees: the smaller is re-hung below its end of the new
+edge, taking the other's id in the same traversal of that tree alone.  A
 swap drops a tree edge and takes an edge whose path runs through it: the
 components stay, and only the subtree below the dropped edge is re-hung,
-at its end of the new edge.  A chain whose moves touch one forest twice
-applies them all to that forest and then re-roots it whole, because its
-paths were found before either move.  A path query climbs from both ends
-to their lowest common ancestor in O(path length) instead of searching a
-whole component.  A forest has one u-v path, and the climb lists its
-edges in the same order a breadth-first search from u would (from v back
-to u) under any rooting: the search visits edges in the same order, so
-the trees, witnesses and certificate digests are byte-identical to those
-of a search-based packer.
+at its end of the new edge.  A chain applies its moves one by one, each
+on the forest as the moves before it left it; the labeling is
+breadth-first, so each swap's dropped edge is still on its new edge's
+path when the swap is made (``_Packer._apply_chain``).  A path query
+climbs from both ends to their lowest common ancestor in O(path length)
+instead of searching a whole component.  A forest has one u-v path, and
+the climb lists its edges in the same order a breadth-first search from u
+would (from v back to u) under any rooting: the search visits edges in
+the same order, so the trees, witnesses and certificate digests are
+byte-identical to those of a search-based packer.
 """
 
 from __future__ import annotations
@@ -95,14 +96,12 @@ class _Packer:
 
     def __init__(self, g: Graph, k: int):
         self.k = k
-        self.n = g.n
         self.forest_adj: list[list[set[int]]] = [[set() for _ in range(g.n)] for _ in range(k)]
-        self.edge_forest: dict[Edge, int] = {}
         self.total = 0
-        # component id per vertex, and the members of each id, per forest:
-        # a link relabels the smaller of the two trees it joins
+        # component id per vertex, and the size of each id, per forest: a
+        # link gives the smaller of the two trees it joins the other's id
         self.comp: list[list[int]] = [list(range(g.n)) for _ in range(k)]
-        self.members: list[list[list[int]]] = [[[x] for x in range(g.n)] for _ in range(k)]
+        self.size: list[list[int]] = [[1] * g.n for _ in range(k)]
         # rooted form of each forest, for path queries: parent and depth
         # per vertex (a root is its own parent), kept current by every link
         # and swap
@@ -114,69 +113,55 @@ class _Packer:
         # search, and a search labels it but does not enqueue it.
         self.clump = list(range(g.n))
 
-    def _hang(self, i: int, s: int, p: int, d: int):
-        """Give s parent p and depth d in forest i, and re-root the part of
-        its tree that s reaches without passing p, in one traversal."""
-        adj, parent, depth = self.forest_adj[i], self.parent[i], self.depth[i]
-        parent[s], depth[s] = p, d
+    def _hang(self, i: int, s: int, p: int):
+        """Hang s below p in forest i, and re-root the part of its tree that
+        s reaches without passing p, with p's component id, in one
+        traversal."""
+        adj, parent, depth, comp = self.forest_adj[i], self.parent[i], self.depth[i], self.comp[i]
+        c = comp[p]
+        parent[s], depth[s], comp[s] = p, depth[p] + 1, c
         stack = [s]
         while stack:
             x = stack.pop()
             px, dy = parent[x], depth[x] + 1
             for y in adj[x]:
                 if y != px:
-                    parent[y], depth[y] = x, dy
+                    parent[y], depth[y], comp[y] = x, dy, c
                     stack.append(y)
 
-    def _link(self, i: int, e: Edge, hang: bool = True):
+    def _link(self, i: int, e: Edge):
         """Add e, whose ends are apart in forest i.  The smaller of the two
-        trees takes the other's component id and, with hang, is re-hung
-        below its end of e."""
+        trees is re-hung below its end of e and takes the other's id."""
         u, v = e
         adj = self.forest_adj[i]
         adj[u].add(v)
         adj[v].add(u)
-        self.edge_forest[e] = i
-        comp, members = self.comp[i], self.members[i]
-        cu, cv = comp[u], comp[v]
-        if len(members[cu]) < len(members[cv]):
-            u, v, cu, cv = v, u, cv, cu
-        moved, members[cv] = members[cv], []
-        for x in moved:
-            comp[x] = cu
-        members[cu] += moved
-        if hang:
-            self._hang(i, v, u, self.depth[i][u] + 1)
+        comp, size = self.comp[i], self.size[i]
+        if size[comp[u]] < size[comp[v]]:
+            u, v = v, u
+        size[comp[u]] += size[comp[v]]
+        self._hang(i, v, u)
 
-    def _swap(self, i: int, out: Edge, e: Edge, hang: bool = True):
+    def _swap(self, i: int, out: Edge, e: Edge):
         """Drop the edge out of forest i and add e, whose forest path runs
-        through out.  The components stay; with hang, the subtree below out
-        is re-hung at its end of e."""
+        through out.  The components stay; the subtree below out is re-hung
+        at its end of e."""
         a, b = out
         adj = self.forest_adj[i]
         adj[a].discard(b)
         adj[b].discard(a)
-        del self.edge_forest[out]
         x, y = e
         adj[x].add(y)
         adj[y].add(x)
-        self.edge_forest[e] = i
-        if hang:
-            parent, depth = self.parent[i], self.depth[i]
-            below = b if parent[b] == a else a
-            # exactly one end of e lies below out: climb from x to find out which
-            z = x
-            while depth[z] > depth[below]:
-                z = parent[z]
-            if z != below:
-                x, y = y, x
-            self._hang(i, x, y, depth[y] + 1)
-
-    def _root_forest(self, i: int):
-        """Root every tree of forest i in one traversal."""
-        for ids in self.members[i]:
-            if ids:
-                self._hang(i, ids[0], ids[0], 0)
+        parent, depth = self.parent[i], self.depth[i]
+        below = b if parent[b] == a else a
+        # exactly one end of e lies below out: climb from x to find out which
+        z = x
+        while depth[z] > depth[below]:
+            z = parent[z]
+        if z != below:
+            x, y = y, x
+        self._hang(i, x, y)
 
     def _tree_path(self, i: int, u: int, v: int) -> list[Edge]:
         """Edges on the unique u-v path in forest i (same component assumed).
@@ -259,33 +244,36 @@ class _Packer:
         the forest `edge` vacated, and so on back to the new edge.
 
         `edge` links two trees of `forest`; every forest it or a later edge
-        vacates swaps that edge for its predecessor.  A forest touched once
-        re-hangs only the part that moved.  The paths were found before any
-        move, so a forest touched twice takes its moves and is then
-        re-rooted whole; its components stay as the link, if any, left them,
-        since a swap keeps a forest's vertex partition.
+        vacates swaps that edge for its predecessor.  The moves run from the
+        new edge outward, each re-hanging only what moved, and each is valid
+        on the forest as the moves before it left it.  Number the chain from
+        the new edge g_0, so that g_{j-1} labeled g_j.  The labeling is
+        breadth-first, so g_0, ..., g_{j-2} were dequeued before g_{j-1},
+        and g_j lies on no forest path of an edge dequeued before g_{j-1}:
+        that edge would have labeled g_j first.  Each earlier move in g_j's
+        forest adds one of g_0, ..., g_{j-2} and changes g_{j-1}'s path only
+        by that edge's cycle, so g_j is still on g_{j-1}'s path when it is
+        swapped out; and the ends of `edge` stay apart in `forest`, because
+        a swap keeps a forest's components.
         """
         swaps: list[tuple[int, Edge, Edge]] = []
         cur = edge
+        # each chain edge's forest, read before any edge moves
         while label[cur] is not None:
-            swaps.append((self.edge_forest[cur], cur, label[cur]))
+            u, v = cur
+            i = next(j for j, adj in enumerate(self.forest_adj) if v in adj[u])
+            swaps.append((i, cur, label[cur]))
             cur = label[cur]
-        touched = [forest] + [i for i, _, _ in swaps]
-        twice = {i for i in touched if touched.count(i) > 1}
-        # from the new edge back, so that each edge leaves its old forest
+        # from the new edge outward, so that each edge leaves its old forest
         # before it joins its new one
         for i, out, e in reversed(swaps):
-            self._swap(i, out, e, i not in twice)
-        self._link(forest, edge, forest not in twice)
-        for i in twice:
-            self._root_forest(i)
+            self._swap(i, out, e)
+        self._link(forest, edge)
         self.total += 1
 
     def forests_as_edge_sets(self) -> list[frozenset[Edge]]:
-        out: list[set[Edge]] = [set() for _ in range(self.k)]
-        for e, i in self.edge_forest.items():
-            out[i].add(e)
-        return [frozenset(s) for s in out]
+        return [frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+                for adj in self.forest_adj]
 
 
 def pack_trees(g: Graph, k: int) -> PackResult:

@@ -704,6 +704,18 @@ class TestQuotient:
                                 f"vertices, the graph has {n}\n")
         assert captured.out == ""
 
+    def test_graph_without_vertices_is_refused_before_reading_the_partition(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "quotient_matrix", None)
+        path = tmp_path / "empty.el"
+        path.write_text("0 0\n")
+        code = main(["quotient", str(path), str(tmp_path / "missing.txt")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == ("error: quotient needs a graph with at least one vertex, "
+                                "the graph has none\n")
+        assert captured.out == ""
+
     def test_vertex_cap_admits_the_cap(self, tmp_path, monkeypatch):
         class Reached(Exception):
             pass

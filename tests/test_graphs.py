@@ -131,7 +131,8 @@ def test_parse_rejects_duplicate_edges(text, message):
     ("3 2\n0 1\n\n2 3\n", "line 4: edge (2, 3) out of range for n=3"),
     ("3 1\n-1 2\n", "line 2: edge (-1, 2) out of range for n=3"),
     ("3 2\n2 0\n0 2\n", "line 3: duplicate edge (0, 2)"),
-    ("-1 0\n", "vertex count must be nonnegative"),
+    ("-1 0\n", "line 1: vertex count must be nonnegative"),
+    ("-2 1\n0 1\n", "line 1: vertex count must be nonnegative"),
 ])
 def test_parse_edge_messages(text, message):
     with pytest.raises(ValueError) as info:

@@ -646,7 +646,7 @@ class _ForestModel:
         return seen
 
     def free(self, e):
-        return e not in self.packer.edge_forest
+        return all(e not in edges for edges in self.edges)
 
     def pick_link(self, rng, i):
         """An edge held by no forest whose ends are apart in forest i."""
@@ -670,21 +670,21 @@ class _ForestModel:
         e = tuple(sorted((rng.choice(sorted(side_a)), rng.choice(sorted(side_b)))))
         return (out, e) if e != out and self.free(e) else None
 
-    def link(self, i, e, hang=True):
+    def link(self, i, e):
         self._add(i, e)
-        self.packer._link(i, e, hang)
+        self.packer._link(i, e)
 
-    def swap(self, i, out, e, hang=True):
+    def swap(self, i, out, e):
         self._remove(i, out)
         self._add(i, e)
-        self.packer._swap(i, out, e, hang)
+        self.packer._swap(i, out, e)
 
     def check(self, rng, i, queries=4):
-        """Component ids, members, rooted form and path queries of forest i
-        against breadth-first searches of its adjacency."""
+        """Edge set, component ids and sizes, rooted form and path queries
+        of forest i against breadth-first searches of its adjacency."""
         packer, n = self.packer, self.n
         comp, parent, depth = packer.comp[i], packer.parent[i], packer.depth[i]
-        assert {e for e, j in packer.edge_forest.items() if j == i} == self.edges[i]
+        assert packer.forests_as_edge_sets()[i] == self.edges[i]
         ids, trees = set(), []
         seen = set()
         for x in range(n):
@@ -696,7 +696,7 @@ class _ForestModel:
             # one id per tree, a different one for every tree
             assert {comp[y] for y in tree} == {comp[x]} and comp[x] not in ids
             ids.add(comp[x])
-            assert sorted(packer.members[i][comp[x]]) == sorted(tree)
+            assert packer.size[i][comp[x]] == len(tree)
             # climbing parent reaches the tree's one root in depth[y] steps,
             # along forest edges
             roots = set()
@@ -708,7 +708,6 @@ class _ForestModel:
                 assert parent[z] == z
                 roots.add(z)
             assert len(roots) == 1
-        assert sum(len(m) for m in packer.members[i]) == n
         for _ in range(queries):
             tree = rng.choice(trees)
             if len(tree) > 1:
@@ -733,8 +732,8 @@ def test_tree_path_matches_bfs_on_random_forests(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_tree_path_follows_interleaved_edits(seed):
     # random sequences of links and swaps, each re-hanging only the part that
-    # moved, and of chains that touch one forest twice: a swap and a link
-    # whose paths were found before either, then a whole-forest re-root
+    # moved, and of chains that touch one forest twice: a swap, then a link
+    # in the same forest
     rng = random.Random(100 + seed)
     n = rng.randint(20, 150)
     model = _ForestModel(n, 2)
@@ -757,11 +756,12 @@ def test_tree_path_follows_interleaved_edits(seed):
             if picked is not None:
                 model.swap(i, *picked)
         else:
-            picked, e = model.pick_swap(rng, i), model.pick_link(rng, i)
-            if picked is not None and e is not None and e != picked[1]:
-                model.swap(i, *picked, hang=False)
-                model.link(i, e, hang=False)
-                model.packer._root_forest(i)
+            picked = model.pick_swap(rng, i)
+            if picked is not None:
+                model.swap(i, *picked)
+            e = model.pick_link(rng, i)
+            if e is not None:
+                model.link(i, e)
         model.check(rng, i)
         model.check(rng, 1 - i, 1)
 
@@ -912,17 +912,49 @@ def test_pack_trees_matches_reference_on_large_graphs(g):
         assert _pack_outcome(g, k) == reference_pack(g, k)
 
 
-def test_chain_touching_one_forest_twice(monkeypatch):
-    # on Hd at d = 6, a pack at k = 3 runs a chain whose moves hit one forest
-    # twice, which then takes them all and is re-rooted whole
-    rerooted = []
-    root_forest = _Packer._root_forest
+def _chain_corpus():
+    """Hd at d = 6 with k = 3, the 32 analyze-pool graphs with k = 5, and the
+    sweep-mix graphs with k = 2 and 3."""
+    yield build_Hd(6), 3
+    state = 1
+    for _ in range(32):
+        state, seed = splitmix64(state)
+        yield random_regular(GenConfig(10, 80, seed)), 5
+    for d, n, seed in _sweep_pack_corpus():
+        g = random_regular(GenConfig(d, n, seed))
+        yield g, 2
+        yield g, 3
 
-    def watched(self, i):
-        rerooted.append(i)
-        root_forest(self, i)
 
-    monkeypatch.setattr(_Packer, "_root_forest", watched)
-    g = build_Hd(6)
-    assert _pack_outcome(g, 3) == reference_pack(g, 3)
-    assert rerooted
+def test_every_chain_move_is_valid_when_made(monkeypatch):
+    # a chain applies its moves one by one from the new edge outward, each
+    # re-hanging only what moved: every swap's dropped edge must be on its new
+    # edge's path in the forest as the earlier moves left it, and every link's
+    # ends apart, also on chains that touch one forest twice
+    swap, link, apply_chain = _Packer._swap, _Packer._link, _Packer._apply_chain
+    touched = []
+    chains = twice = 0
+
+    def checked_swap(self, i, out, e):
+        assert out in self._tree_path(i, *e)
+        touched.append(i)
+        swap(self, i, out, e)
+
+    def checked_link(self, i, e):
+        assert self.comp[i][e[0]] != self.comp[i][e[1]]
+        touched.append(i)
+        link(self, i, e)
+
+    def counted_chain(self, edge, forest, label):
+        nonlocal chains, twice
+        touched.clear()
+        apply_chain(self, edge, forest, label)
+        chains += 1
+        twice += len(set(touched)) < len(touched)
+
+    monkeypatch.setattr(_Packer, "_swap", checked_swap)
+    monkeypatch.setattr(_Packer, "_link", checked_link)
+    monkeypatch.setattr(_Packer, "_apply_chain", counted_chain)
+    for g, k in _chain_corpus():
+        assert _pack_outcome(g, k) == reference_pack(g, k)
+    assert 0 < twice < chains
