@@ -40,9 +40,10 @@ EXIT_FINDING = 3
 # determinant on the same host), and denser graphs take longer.
 ANALYZE_MAX_VERTICES = 650
 # It also refuses graphs whose packing work m * floor(m / (n - 1)), edges
-# times the most trees sigma can pack, is above this.  On the same host
-# analyze took 31.5 s on K140 (work 681,100), 32.8 s on K120,120 (864,000)
-# and 51.6 s on K160 (1,017,600, just over the cap).
+# times the most trees sigma can pack, is above this.  On the same host,
+# with the cap raised in a copy, analyze took 1.7-2.2 s on K140 (work
+# 681,100), 2.0-2.8 s on K120,120 (864,000) and 3.1-3.3 s on K160
+# (1,017,600, just over the cap) over two runs, so the cap has room.
 ANALYZE_MAX_PACKING_WORK = 1_000_000
 # quotient refuses partitions with more blocks before any compute.  Its time
 # goes to isolating the real roots of the degree-t characteristic

@@ -5,10 +5,12 @@ The packing routine is matroid-union augmentation over k forests
 an edge that cannot augment the current k forests is rejected for good
 (greedy is optimal in a matroid).  An edge first takes the first forest
 with its ends apart, a plain insert; only when every forest has them
-together does it enter the labeling search.  On overall failure the
-labeled closures of the rejected edges collapse into a partition
-witnessing the Nash-Williams/Tutte violation; the witness is re-validated
-by ``verify_certificate`` rather than trusted.
+together does it enter the labeling search.  The search tests each edge
+it labels the same way, as it labels it, and the first with its ends
+apart in some forest ends the search with its chain of labels.  On
+overall failure the labeled closures of the rejected edges collapse into
+a partition witnessing the Nash-Williams/Tutte violation; the witness is
+re-validated by ``verify_certificate`` rather than trusted.
 
 Clumps are vertex sets that every one of the k forests spans; they are
 held as one flat array of clump ids, where each id is a vertex of its own
@@ -210,25 +212,31 @@ class _Packer:
                 return True
         # breadth-first labeling over the exchange structure.  label[h] =
         # edge on whose fundamental cycle h was first reached; label[e] =
-        # None marks the root.  A dequeued edge first takes the first forest
-        # that has its ends apart (e itself has none: the plain insert above
-        # failed); only then are its paths in the k forests labeled.  An edge
-        # inside a clump is labeled but not enqueued: its paths stay in the
-        # clump.
+        # None marks the root.  An edge outside a clump takes the first
+        # forest that has its ends apart as soon as it is labeled, and is
+        # enqueued only if there is none; an edge inside a clump has its
+        # ends together in every forest and is labeled but not enqueued.
+        # This finds the chain a search testing each edge when it is
+        # dequeued would find: the queue is FIFO, so dequeue order is label
+        # order, and nothing changes while the search runs, so the first
+        # labeled edge with its ends apart, its first such forest and every
+        # label on its chain (each set before it) are the same; it only
+        # stops before querying the paths of the edges queued ahead of it.
         label: dict[Edge, Edge | None] = {e: None}
         queue = deque([e])
         while queue:
             f = queue.popleft()
             fu, fv = f
-            for i, comp in enumerate(comps):
-                if comp[fu] != comp[fv]:
-                    self._apply_chain(f, i, label)
-                    return True
             for i in range(self.k):
                 for h in self._tree_path(i, fu, fv):
                     if h not in label:
                         label[h] = f
-                        if clump[h[0]] != clump[h[1]]:
+                        hu, hv = h
+                        if clump[hu] != clump[hv]:
+                            for j, comp in enumerate(comps):
+                                if comp[hu] != comp[hv]:
+                                    self._apply_chain(h, j, label)
+                                    return True
                             queue.append(h)
 
         # rejected: each labeled edge lies on a forest path between the ends

@@ -958,3 +958,32 @@ def test_every_chain_move_is_valid_when_made(monkeypatch):
     for g, k in _chain_corpus():
         assert _pack_outcome(g, k) == reference_pack(g, k)
     assert 0 < twice < chains
+
+
+def test_labeled_edges_are_tested_when_labeled(monkeypatch):
+    # the labeling search tests each edge for a plain insert when it labels
+    # it, so an accepted search stops before querying the paths of the edges
+    # queued ahead of the winner.  On the 32 analyze-pool graphs at k = 5 a
+    # search that tests each edge when it dequeues it makes at least 1,550
+    # path queries per pack.  At k = 6 (474 > 400 edges) every pack fails,
+    # which covers the rejected searches and the witnesses.
+    tree_path = _Packer._tree_path
+    queries = 0
+
+    def counted(self, i, u, v):
+        nonlocal queries
+        queries += 1
+        return tree_path(self, i, u, v)
+
+    monkeypatch.setattr(_Packer, "_tree_path", counted)
+    state = 1
+    for _ in range(32):
+        state, seed = splitmix64(state)
+        g = random_regular(GenConfig(10, 80, seed))
+        queries = 0
+        outcome = _pack_outcome(g, 5)
+        assert outcome[0] and queries <= 600
+        assert outcome == reference_pack(g, 5)
+        outcome = _pack_outcome(g, 6)
+        assert not outcome[0]
+        assert outcome == reference_pack(g, 6)
