@@ -44,10 +44,11 @@ from .spectra import adjacency_spectrum, is_equitable, quotient_matrix
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
 # build_family refuses larger degrees, so construct and verify-family fail
-# at once.  On a 2-vCPU x86 host verify-family took 1.5 s on Gd and 3.9 s
-# on Hd at d = 100, and 5.0 s and 16.9 s at d = 160 (time grows about like
-# d**3, nearly all of it in the Stoer-Wagner cut inside sigma); construct
-# Hd took 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at d = 1000.
+# at once.  On a 2-vCPU x86 host verify-family took 0.53 s on Gd and
+# 0.92 s on Hd at d = 100, and 0.7-0.8 s and 1.7-1.8 s at d = 160 with the
+# cap raised (two runs each); in a cProfile of Hd at d = 100 the
+# Stoer-Wagner cut inside sigma takes 42% and pack_trees 28%.  construct Hd
+# took 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at d = 1000.
 FAMILY_MAX_DEGREE = 100
 
 

@@ -10,9 +10,10 @@ characteristic polynomial instead of the float eigensolver, and
 Sturm count at every bisection step; `det_mod_primes_unblocked` eliminates
 one column at a time, updating the whole trailing block at every pivot;
 `char_poly_faddeev_leverrier` runs Faddeev-LeVerrier on Python integers,
-with no primes; `reference_pack` packs with a labeling search that
-enqueues every labeled edge, on forests kept by union-find and re-rooted
-whole.
+with no primes; `reference_edge_connectivity` runs Stoer-Wagner on one
+weight dict per vertex, each phase from a heap; `reference_pack` packs
+with a labeling search that enqueues every labeled edge, on forests kept
+by union-find and re-rooted whole.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 import numpy as np
@@ -179,6 +181,58 @@ def edge_connectivity_bruteforce(g: Graph) -> int:
             m &= m - 1
         if crossing < best:
             best = crossing
+    return best
+
+
+def reference_edge_connectivity(g: Graph) -> tuple[int, frozenset[int]]:
+    """Stoer-Wagner as (value, side), on a sparse contracted graph.
+
+    The contracted graph is one weight dict per vertex, and each
+    maximum-adjacency phase pops a heap ordered by (-attachment, vertex)
+    with lazy deletion: maximum attachment, ties to the smallest index,
+    the same rule as `edge_connectivity`, so both return the same side.
+    """
+    if g.n < 2:
+        raise ValueError("edge connectivity needs at least 2 vertices")
+    comps = g.components()
+    if len(comps) > 1:
+        return 0, min(comps, key=min)
+
+    n = g.n
+    adj: list[dict[int, int]] = [dict.fromkeys(nbrs, 1) for nbrs in g.neighbors]
+    merged = [frozenset((v,)) for v in range(n)]
+    best: tuple[int, frozenset[int]] | None = None
+
+    for size in range(n, 1, -1):
+        # Heap keys are v - attach * n: smallest key means largest
+        # attachment, then smallest index, and key % n recovers v.
+        # Attachments only grow, so a vertex's freshest key pops first and
+        # its older keys are skipped.
+        attach = [0] * n
+        done = [False] * n
+        heap = [0]
+        s = t = 0
+        for _ in range(size):
+            v = heappop(heap) % n
+            while done[v]:
+                v = heappop(heap) % n
+            done[v] = True
+            s, t = t, v
+            for u, w in adj[v].items():
+                if not done[u]:
+                    attach[u] += w
+                    heappush(heap, u - attach[u] * n)
+        if best is None or attach[t] < best[0]:
+            best = attach[t], merged[t]
+        for u, w in adj[t].items():        # contract t into s
+            del adj[u][t]
+            if u != s:
+                adj[s][u] = adj[s].get(u, 0) + w
+                adj[u][s] = adj[s][u]
+        adj[t] = {}
+        merged[s] |= merged[t]
+
+    assert best is not None
     return best
 
 

@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import edge_connectivity_bruteforce
+from oracles import edge_connectivity_bruteforce, reference_edge_connectivity
 from test_packing import _determinism_corpus
 
 from treepack.connectivity import edge_connectivity
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
+    add_edges,
     complete_graph,
     crossing_edges,
     cycle_graph,
@@ -194,3 +195,52 @@ def test_side_certifies_the_value_up_to_150_vertices(g):
     p = partition(g.n, [r.side, frozenset(range(g.n)) - r.side])
     assert crossing_edges(g, p).total == r.value
     assert r.value <= min(g.degrees)
+
+
+# ---------------------------------------------------------------------------
+# The dense matrix Stoer-Wagner against the heap-driven one it replaced
+# (`reference_edge_connectivity`): same tie rule, so the same value and side.
+
+def _same_cut_as_reference(g):
+    r = edge_connectivity(g)
+    assert (r.value, r.side) == reference_edge_connectivity(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_graphs(max_n=150))
+def test_matches_reference_on_clustered_graphs(g):
+    _same_cut_as_reference(g)
+
+
+@st.composite
+def seeded_regular_graphs(draw):
+    d = draw(st.integers(min_value=3, max_value=12))
+    n = draw(st.integers(min_value=d + 1, max_value=120).filter(lambda n: n * d % 2 == 0))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return random_regular(GenConfig(d, n, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeded_regular_graphs())
+def test_matches_reference_on_random_regular_graphs(g):
+    _same_cut_as_reference(g)
+
+
+@pytest.mark.parametrize("build,d", [
+    *((build_Gd, d) for d in range(4, 31)),
+    *((build_Hd, d) for d in range(6, 31)),
+])
+def test_matches_reference_on_families(build, d):
+    _same_cut_as_reference(build(d))
+
+
+# The largest contracted weights the tests reach.  On K200 a live weight
+# reaches 9,088 and a dead-column entry -3,960,299, within 1% of the
+# n * (m + 1) bound in `edge_connectivity`; on the two K60 joined by one
+# edge, 864 and -421,498.
+@pytest.mark.parametrize("g", [
+    complete_graph(200),
+    add_edges(disjoint_union(complete_graph(60), complete_graph(60)), [(0, 60)]),
+], ids=["K200", "K60-K60"])
+def test_matches_reference_on_large_weights(g):
+    _same_cut_as_reference(g)
