@@ -60,6 +60,7 @@ from .spectra import (
     adjacency_spectrum,
     check_interlacing,
     eig_symmetric,
+    equitable_quotient,
     is_equitable,
     lambda2,
     laplacian_spectrum,

@@ -22,10 +22,12 @@ The workhorses are:
   the largest real root, and full real-root isolation with multiplicities;
   signs at a rational point a/b come from the homogenised sum
   sum c_i a^i b^(deg - i), so no ``Fraction`` arithmetic is involved.
-  Both isolations narrow an interval with one bisection, ``_bisect_top``,
-  which follows the largest root of the chain inside the interval: by
-  variation counts while it holds several roots, by the sign of the
-  chain's first member alone once it holds one;
+  Both isolations narrow an interval with one routine, ``_bisect_top``,
+  which follows the largest root of the chain inside the interval: it
+  bisects by variation counts while the interval holds several roots;
+  once it holds one, a secant search on the sign of the chain's first
+  member alone finds the cell of bisection's final grid that holds the
+  root, so the interval is the one bisection gives;
 * ``descartes_positivity_check`` — exact sign report for p, p', ..., p^(deg)
   at a rational point.
 """
@@ -514,32 +516,27 @@ DEFAULT_PRECISION = Fraction(1, 10**12)
 
 def _bisect_top(chain: Sequence[Sequence[int]], lo: int, hi: int, den: int,
                 v_lo: int, v_hi: int, prec: Fraction) -> RootInterval:
-    """Halve (lo/den, hi/den] around the largest root of the chain in it
-    until the width is at most prec; v_lo and v_hi are the variation counts
-    at lo/den and hi/den.
+    """The interval that bisection of (lo/den, hi/den] down to width prec
+    leaves around the largest root of the chain in it; v_lo and v_hi are
+    the variation counts at lo/den and hi/den.
 
-    A step doubles lo, hi and den, so the midpoint is the integer lo + hi
-    over the new den.  While the interval holds several roots, a variation
-    count at the midpoint keeps the half with the largest one.  Once it
-    holds one (v_lo - v_hi == 1), the first member f of the chain decides
-    alone: f is squarefree, so it changes sign exactly at its simple roots,
-    and the root lies above the midpoint iff f(hi) = 0 or f(mid) and f(hi)
-    differ in sign.  Both ways take the same decisions.  A midpoint that is
-    the root ends the search with a point interval.
+    A bisection step doubles lo, hi and den, so the midpoint is the integer
+    lo + hi over the new den.  While the interval holds several roots, a
+    variation count at the midpoint keeps the half with the largest one,
+    and a midpoint that is that root ends the search with a point interval.
+
+    Once it holds one root r (v_lo - v_hi == 1), bisection's answer depends
+    only on where r sits on the grid it would stop on: the 2**s + 1 points
+    x_j that split (lo/den, hi/den] into equal cells, s the steps it still
+    has to take.  Every midpoint it visits is an x_j; it returns the cell
+    (x_j, x_(j+1)] that holds r, unless r is an interior x_j: then r was the
+    midpoint of some step, which returned [r, r].  So _find_cell may probe
+    the grid in any order and returns the same interval.
     """
-    f_hi = None         # f at hi (its sign), fixed once one root remains
-    while (hi - lo) * prec.denominator > prec.numerator * den:
+    while v_lo - v_hi > 1 and (hi - lo) * prec.denominator > prec.numerator * den:
         mid = lo + hi
         lo, hi, den = 2 * lo, 2 * hi, 2 * den
-        if v_lo - v_hi > 1:
-            v_mid, on_root = _variations(chain, mid, den)
-        else:
-            if f_hi is None:
-                f_hi = _value(chain[0], hi, den)
-            f_mid = _value(chain[0], mid, den)
-            # the count at mid: one more than at hi iff the root is above mid
-            v_mid = v_hi + (f_mid != 0 and f_hi * f_mid <= 0)
-            on_root = not f_mid
+        v_mid, on_root = _variations(chain, mid, den)
         if v_mid > v_hi:
             lo, v_lo = mid, v_mid
         elif on_root:
@@ -547,16 +544,71 @@ def _bisect_top(chain: Sequence[Sequence[int]], lo: int, hi: int, den: int,
             return RootInterval(Fraction(mid, den), Fraction(mid, den))
         else:
             hi, v_hi = mid, v_mid
-    return RootInterval(Fraction(lo, den), Fraction(hi, den))
+    if v_lo - v_hi > 1:
+        return RootInterval(Fraction(lo, den), Fraction(hi, den))
+    return _find_cell(chain[0], lo, hi, den, prec)
+
+
+def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
+               prec: Fraction) -> RootInterval:
+    """The cell of bisection's final grid on (lo/den, hi/den] that holds the
+    one root r of the squarefree f there, or [r, r] when r is an interior
+    grid point, by a safeguarded secant search over the grid.
+
+    s is the least level with (hi - lo) * prec.den <= prec.num * den * 2**s,
+    and grid point j, 0 <= j <= 2**s, is x_j = (lo 2**s + j (hi - lo)) /
+    (den 2**s).  A bracket [a, b] of grid indices keeps r in (x_a, x_b].
+    f is squarefree, so it changes sign exactly at its simple roots, and r
+    lies above x iff f(hi) = 0 or f(x) and f(hi) differ in sign: the rule
+    bisection decides by.  Each probe is one exact sign evaluation.  The
+    top end x_(2**s) counts as the first probe, so the first real one is
+    the midpoint; after that each probe goes to the first grid point past
+    the zero of the secant through the last two probes, on the far side of
+    r from the last one, so that a good estimate lands the next two probes
+    on either side of r.  It is clamped into (a, b).  A probe that leaves
+    the bracket as wide as before halving, twice running, is followed by
+    the midpoint, so no halving of bisection takes more than 3 probes.
+    """
+    span, bound = (hi - lo) * prec.denominator, prec.numerator * den
+    s = max(0, span.bit_length() - bound.bit_length())
+    s += span > bound << s
+    base, step, scale = lo << s, hi - lo, den << s
+    a, b = 0, 1 << s
+    f_top = _value(f, base + b * step, scale)
+    last, f_last = b, f_top
+    prev = f_prev = None        # the probe before the last one
+    stalls = 0
+    while b - a > 1:
+        level = (b - a - 1).bit_length()    # the least L with b - a <= 2**L
+        if stalls == 2 or prev is None or f_last == f_prev:
+            j = (a + b) // 2
+        else:
+            # the secant's zero is last - num / div
+            num, div = f_last * (last - prev), f_last - f_prev
+            if not f_top or f_last * f_top < 0:     # r above last: aim above r
+                j = last + -num // div + 1
+            else:
+                j = last - num // div - 1
+            j = min(max(j, a + 1), b - 1)
+        f_j = _value(f, base + j * step, scale)
+        if not f_j:
+            x = Fraction(base + j * step, scale)
+            return RootInterval(x, x)
+        if not f_top or f_j * f_top < 0:
+            a = j
+        else:
+            b = j
+        prev, f_prev, last, f_last = last, f_last, j, f_j
+        stalls = 0 if (b - a - 1).bit_length() < level else stalls + 1
+    return RootInterval(Fraction(base + a * step, scale), Fraction(base + b * step, scale))
 
 
 def sturm_isolate_largest_root(
     p: IntPoly, precision: Fraction = DEFAULT_PRECISION
 ) -> RootInterval:
-    """Interval of width <= precision containing the largest real root of p.
-
-    Bisection with exact Sturm counts; endpoints stay rational throughout.
-    Raises if p has no real root.
+    """Interval of width <= precision containing the largest real root of p:
+    the one that bisection with exact Sturm counts gives (see _bisect_top).
+    Endpoints stay rational throughout.  Raises if p has no real root.
     """
     if p.is_zero() or p.degree == 0:
         raise ValueError("nonconstant polynomial required")

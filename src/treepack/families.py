@@ -39,7 +39,7 @@ from .exact import (
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, make_graph, partition
 from .packing import sigma as tree_packing_sigma, verify_certificate
 from .randgen import theorem_threshold
-from .spectra import adjacency_spectrum, is_equitable, quotient_matrix
+from .spectra import adjacency_spectrum, equitable_quotient
 
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
@@ -220,11 +220,10 @@ def _validate_transcription(spec: FamilySpec, d: int, g: Graph) -> list[list[int
     """The hand-written quotient rows, checked against the equitable
     quotient of the built graph g."""
     rows = spec.quotient_rows(d)
-    part = equitable_partition(spec, d)
-    if not is_equitable(g, part):
+    quotient = equitable_quotient(g, equitable_partition(spec, d))
+    if quotient is None:
         raise ValueError("transcription bug: partition is not equitable")
-    q = quotient_matrix(g, part)
-    if not q.is_integer() or q.as_int() != rows:
+    if quotient != rows:
         raise ValueError("transcription bug: quotient differs from computed matrix")
     return rows
 

@@ -89,14 +89,6 @@ class QuotientMatrix:
     def t(self) -> int:
         return len(self.entries)
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def as_int(self) -> list[list[int]]:
-        if not self.is_integer():
-            raise ValueError("quotient matrix has non-integer entries")
-        return [[int(x) for x in row] for row in self.entries]
-
     def char_poly(self) -> IntPoly:
         """Exact char poly, denominators cleared (roots unchanged).
 
@@ -141,23 +133,29 @@ def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:
         tuple(tuple(Fraction(c, sizes[i]) for c in row) for i, row in enumerate(counts)))
 
 
-def is_equitable(g: Graph, p: VertexPartition) -> bool:
-    """True iff every vertex has exactly b_ij neighbors in block j."""
+def equitable_quotient(g: Graph, p: VertexPartition) -> list[list[int]] | None:
+    """The quotient of an equitable partition as integer rows: row i holds
+    the neighbors that every vertex of block i has in each block.  None
+    when some two vertices of one block count differently."""
     if p.n != g.n:
         raise ValueError("partition does not match graph")
     owner = p.block_of
-    profile: dict[int, list[int]] = {}
+    rows: list[list[int] | None] = [None] * p.t
     for v in range(g.n):
         counts = [0] * p.t
         for w in g.neighbors[v]:
             counts[owner[w]] += 1
         b = owner[v]
-        if b in profile:
-            if profile[b] != counts:
-                return False
-        else:
-            profile[b] = counts
-    return True
+        if rows[b] is None:
+            rows[b] = counts
+        elif rows[b] != counts:
+            return None
+    return rows
+
+
+def is_equitable(g: Graph, p: VertexPartition) -> bool:
+    """True iff every vertex has exactly b_ij neighbors in block j."""
+    return equitable_quotient(g, p) is not None
 
 
 @dataclass(frozen=True)

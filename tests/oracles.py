@@ -7,7 +7,9 @@ enumerate, and their guards keep the enumerations small;
 `exact_adjacency_roots` takes the eigenvalues from the exact
 characteristic polynomial instead of the float eigensolver, and
 `sturm_count_roots` and `sturm_count_largest_root` isolate roots with a
-Sturm count at every bisection step; `det_mod_primes_unblocked` eliminates
+Sturm count at every bisection step; `bisect_top_reference` narrows an
+isolated root by one bisection step per halving, and `by_bisection` runs
+the isolations with it; `det_mod_primes_unblocked` eliminates
 one column at a time, updating the whole trailing block at every pivot;
 `char_poly_faddeev_leverrier` runs Faddeev-LeVerrier on Python integers,
 with no primes; `reference_edge_connectivity` runs Stoer-Wagner on one
@@ -23,9 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 
+import treepack.exact as exact
 from treepack.exact import (
     IntPoly,
     RootInterval,
@@ -35,6 +39,8 @@ from treepack.exact import (
     isolate_real_roots,
     squarefree_decomposition,
     squarefree_part,
+    _value,
+    _variations,
 )
 from treepack.graphs import Edge, Graph
 
@@ -153,6 +159,49 @@ def sturm_count_roots(p: IntPoly, prec: Fraction) -> list[tuple[RootInterval, in
                 mid = (lo + hi) / 2
                 pending += [(mid, hi), (lo, mid)]     # lower half first
     return sorted(found, key=lambda item: item[0].lo)
+
+
+def bisect_top_reference(chain, lo: int, hi: int, den: int, v_lo: int, v_hi: int,
+                         prec: Fraction) -> RootInterval:
+    """`exact._bisect_top` by plain bisection: halve (lo/den, hi/den] around
+    the largest root of the chain in it until the width is at most prec.
+
+    A step doubles lo, hi and den, so the midpoint is the integer lo + hi
+    over the new den.  While the interval holds several roots, a variation
+    count at the midpoint keeps the half with the largest one.  Once it
+    holds one, the first member f of the chain decides alone: the root lies
+    above the midpoint iff f(hi) = 0 or f(mid) and f(hi) differ in sign.  A
+    midpoint that is the root ends the search with a point interval.
+    """
+    f_hi = None         # f at hi (its sign), fixed once one root remains
+    while (hi - lo) * prec.denominator > prec.numerator * den:
+        mid = lo + hi
+        lo, hi, den = 2 * lo, 2 * hi, 2 * den
+        if v_lo - v_hi > 1:
+            v_mid, on_root = _variations(chain, mid, den)
+        else:
+            if f_hi is None:
+                f_hi = _value(chain[0], hi, den)
+            f_mid = _value(chain[0], mid, den)
+            # the count at mid: one more than at hi iff the root is above mid
+            v_mid = v_hi + (f_mid != 0 and f_hi * f_mid <= 0)
+            on_root = not f_mid
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
+        elif on_root:
+            # mid is a root and none lies above it
+            return RootInterval(Fraction(mid, den), Fraction(mid, den))
+        else:
+            hi, v_hi = mid, v_mid
+    return RootInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def by_bisection(isolate, p: IntPoly, prec: Fraction):
+    """isolate(p, prec), for `isolate_real_roots` or
+    `sturm_isolate_largest_root`, with every interval narrowed by
+    bisect_top_reference."""
+    with mock.patch.object(exact, "_bisect_top", bisect_top_reference):
+        return isolate(p, prec)
 
 
 def edge_connectivity_bruteforce(g: Graph) -> int:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ from treepack.spectra import QuotientMatrix
 
 from oracles import (
     adjacency_int,
+    bisect_top_reference,
+    by_bisection,
     char_poly_faddeev_leverrier,
     det_mod_primes_unblocked,
     sturm_count_largest_root,
@@ -706,6 +709,134 @@ class TestRootIsolation:
         monkeypatch.setattr(exact, "_variations", lambda *a: calls.append(a) or variations(*a))
         isolate_real_roots(p10_poly(16), Fraction(1, 10 ** 30))
         assert len(calls) <= 50
+
+
+@st.composite
+def grid_roots(draw):
+    """An interval (lo/den, hi/den] that bisection halves s times, and a
+    polynomial with a root r on its final grid of 2**s cells: on a grid
+    point (a point interval, or the top end hi) or off one by much less than
+    a cell.  An optional second factor puts a root within about a cell of
+    r, or an irrational pair around it, so the interval may hold several
+    roots closer together than prec."""
+    den, lo, span = draw(st.integers(1, 40)), draw(st.integers(-60, 60)), draw(st.integers(1, 60))
+    s = draw(st.integers(0, 64))
+    scale = den << s
+    r = Fraction((lo << s) + draw(st.integers(1, 1 << s)) * span, scale)
+    r += draw(st.sampled_from([0, 0, 1, -1])) * Fraction(1, scale * draw(st.integers(2, 10**6)))
+    p = IntPoly([-r.numerator, r.denominator])
+    near = draw(st.sampled_from(["none", "rational", "irrational"]))
+    if near == "rational":
+        q = r + Fraction(draw(st.integers(-3, 3)) or 1, scale * draw(st.integers(1, 4)))
+        p = p * IntPoly([-q.numerator, q.denominator])
+    elif near == "irrational":
+        # (m x - m r)^2 = k: roots r +- sqrt(k)/m, within a few cells of r
+        m, k = scale * draw(st.integers(1, 8)), draw(st.sampled_from([2, 3, 5]))
+        c = m * r
+        p = p * IntPoly([c.numerator ** 2 - k * c.denominator ** 2,
+                         -2 * m * c.numerator * c.denominator,
+                         (m * c.denominator) ** 2])
+    return p, lo, lo + span, den, Fraction(span, scale)
+
+
+@st.composite
+def clustered_polys(draw):
+    """Products of factors b x - a with large b and neighbouring a, so some
+    roots lie closer together than 10**-6, times dyadic and repeated roots."""
+    p = IntPoly([draw(st.sampled_from([-1, 1, 2]))])
+    b = 10 ** draw(st.integers(3, 40))
+    a = draw(st.integers(-5 * b, 5 * b))
+    for _ in range(draw(st.integers(2, 3))):
+        p = p * IntPoly([-a, b])
+        a += draw(st.integers(1, 1000))
+    if draw(st.booleans()):
+        p = p * draw(bisection_polys())
+    return p
+
+
+def _bisection_steps(lo, hi, den, prec):
+    """The halvings bisection takes from (lo/den, hi/den] down to prec."""
+    s = 0
+    while (hi - lo) * prec.denominator > prec.numerator * (den << s):
+        s += 1
+    return s
+
+
+class TestCellSearch:
+    """The single-root search returns bisection's interval exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_roots())
+    # the root at the top end: f(hi) = 0
+    @example((IntPoly([-1, 1]), 0, 1, 1, Fraction(1, 2 ** 64)))
+    # the root on an interior grid point: a point interval
+    @example((IntPoly([-3, 8]), 0, 1, 1, Fraction(1, 2 ** 64)))
+    # a root 5 * 2**-15 below hi and another 2**-15 above it: secants
+    # through probes on either side point past hi or land just under it, and
+    # only the midpoints after two of them keep the search to 3 probes per
+    # halving (without them it moves one cell at a time)
+    @example((IntPoly([-(2 ** 15 - 5), 2 ** 15]) * IntPoly([-(2 ** 15 + 1), 2 ** 15]),
+              0, 1, 1, Fraction(1, 2 ** 64)))
+    def test_matches_bisection_on_the_grid(self, case):
+        p, lo, hi, den, prec = case
+        chain = sturm_chain(p)
+        v_lo, v_hi = _variations(chain, lo, den)[0], _variations(chain, hi, den)[0]
+        if v_lo == v_hi:
+            return      # the offset moved the root out of the interval
+        # with one root in the interval every evaluation is the search's:
+        # the top end, then at most 3 probes per halving
+        budget = [3 * _bisection_steps(lo, hi, den, prec) + 1 if v_lo - v_hi == 1 else None]
+        value = exact._value
+
+        def counting_value(*args):
+            if budget[0] is not None:
+                budget[0] -= 1
+                assert budget[0] >= 0, "more than 3 probes per halving"
+            return value(*args)
+
+        with mock.patch.object(exact, "_value", counting_value):
+            found = exact._bisect_top(chain, lo, hi, den, v_lo, v_hi, prec)
+        assert found == bisect_top_reference(chain, lo, hi, den, v_lo, v_hi, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(bisection_polys(), clustered_polys()), st.integers(0, 60))
+    def test_isolations_match_bisection(self, p, digits):
+        prec = Fraction(1, 10 ** digits)
+        assert isolate_real_roots(p, prec) == by_bisection(isolate_real_roots, p, prec)
+        assert (sturm_isolate_largest_root(p, prec)
+                == by_bisection(sturm_isolate_largest_root, p, prec))
+
+    @pytest.mark.parametrize("spec", [GD, HD], ids=["Gd", "Hd"])
+    def test_families_match_bisection(self, spec):
+        for d in range(spec.d_min, 101):
+            for prec in (exact.DEFAULT_PRECISION, Fraction(1, 10 ** 30)):
+                p = spec.poly(d)
+                assert isolate_real_roots(p, prec) == by_bisection(isolate_real_roots, p, prec)
+
+    def test_probes_per_halving(self, monkeypatch):
+        # per single-root interval: [bisection's steps, sign evaluations]
+        calls, inside = [], []
+        find_cell, value = exact._find_cell, exact._value
+
+        def counting_find_cell(f, lo, hi, den, prec):
+            inside.append([_bisection_steps(lo, hi, den, prec), 0])
+            try:
+                return find_cell(f, lo, hi, den, prec)
+            finally:
+                calls.append(inside.pop())
+
+        def counting_value(*args):
+            if inside:
+                inside[-1][1] += 1
+            return value(*args)
+
+        monkeypatch.setattr(exact, "_find_cell", counting_find_cell)
+        monkeypatch.setattr(exact, "_value", counting_value)
+        isolate_real_roots(HD.poly(16), Fraction(1, 10 ** 30))
+        assert sum(steps for steps, _ in calls) == 981
+        # the top end, then at most 3 probes per halving
+        assert all(evals <= 3 * steps + 1 for steps, evals in calls)
+        assert sum(evals for _, evals in calls) <= 250
 
 
 def test_descartes_positivity():

@@ -22,6 +22,7 @@ from treepack.spectra import (
     adjacency_spectrum,
     check_interlacing,
     eig_symmetric,
+    equitable_quotient,
     is_equitable,
     lambda2,
     laplacian_spectrum,
@@ -141,8 +142,7 @@ class TestQuotient:
         g = complete_bipartite(2, 3)
         p = partition(5, [[0, 1], [2, 3, 4]])
         q = quotient_matrix(g, p)
-        assert q.is_integer()
-        assert q.as_int() == [[0, 3], [2, 0]]
+        assert equitable_quotient(g, p) == [[0, 3], [2, 0]]
         assert q.char_poly() == char_poly_exact([[0, 3], [2, 0]])
         vals = q.eigenvalues_exact()
         assert vals == pytest.approx([math.sqrt(6), -math.sqrt(6)])
@@ -159,6 +159,25 @@ class TestQuotient:
     def test_not_equitable(self):
         g = cycle_graph(5)
         assert not is_equitable(g, partition(5, [[0, 1], [2, 3, 4]]))
+        assert equitable_quotient(g, partition(5, [[0, 1], [2, 3, 4]])) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph_with_partition(), st.booleans())
+    def test_equitable_quotient_is_the_quotient_matrix(self, gp, singletons):
+        # equitable iff each vertex's count in each block is its block's
+        # average, the quotient matrix entry; then the rows are those entries
+        g, p = gp
+        if singletons:      # always equitable: the rows are the adjacency matrix
+            p = partition(g.n, [[v] for v in range(g.n)])
+        q = quotient_matrix(g, p)
+        owner = p.block_of
+        equitable = all(
+            sum(owner[w] == j for w in g.neighbors[v]) == q.entries[owner[v]][j]
+            for v in range(g.n) for j in range(p.t))
+        rows = equitable_quotient(g, p)
+        assert (rows is not None) == equitable
+        if equitable:
+            assert rows == [list(row) for row in q.entries]
 
     @settings(max_examples=60, deadline=None)
     @given(graph_with_partition())
