@@ -6,11 +6,20 @@ repeats) are thrown back, and the whole attempt restarts from scratch
 when no progress is possible.  No edge-switch repair is ever applied, so
 every returned graph is an honest sample of the restricted pairing
 process, bit-reproducible from its seed.
+
+The stubs are shuffled by a Fisher-Yates on the `getrandbits` of
+`random.Random(seed)` that makes the draws of CPython's
+`random.Random.shuffle` (3.10 to 3.13) without its per-element method
+calls: for m = len(stubs) down to 2 it redraws getrandbits(m.bit_length())
+until the value r is below m, then swaps positions m-1 and r.  Every
+graph depends on these draws, so a test holds the two shuffles to the
+same permutation and the same generator state.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -55,12 +64,13 @@ def random_regular(cfg: GenConfig) -> Graph:
     Raises ValueError when no attempt in MAX_PAIRING_ATTEMPTS yields a
     simple graph: (d, n) is then too dense for the pairing model.
     """
-    rng = random.Random(cfg.seed & _MASK64)
+    getrandbits = random.Random(cfg.seed & _MASK64).getrandbits
     for _ in range(MAX_PAIRING_ATTEMPTS):
-        edges = _pairing_attempt(rng, cfg.n, cfg.d)
+        edges = _pairing_attempt(getrandbits, cfg.n, cfg.d)
         if edges is not None:
             g = make_graph(cfg.n, edges)
-            assert g.degree_if_regular() == cfg.d
+            if g.degree_if_regular() != cfg.d:
+                raise AssertionError(f"random_regular drew a graph that is not {cfg.d}-regular")
             return g
     raise ValueError(
         f"no simple {cfg.d}-regular pairing on {cfg.n} vertices "
@@ -68,14 +78,32 @@ def random_regular(cfg: GenConfig) -> Graph:
     )
 
 
-def _pairing_attempt(rng: random.Random, n: int, d: int) -> list[Edge] | None:
+def _shuffle(x: list[int], getrandbits: Callable[[int], int]) -> None:
+    """Shuffle x in place as random.Random.shuffle would, given that
+    generator's getrandbits.  One pass per run of m sharing k =
+    m.bit_length(), so k is not recomputed per element."""
+    top = len(x)
+    while top > 1:
+        k = top.bit_length()
+        bottom = 1 << (k - 1)
+        for m in range(top, bottom - 1, -1):
+            r = getrandbits(k)
+            while r >= m:
+                r = getrandbits(k)
+            m -= 1
+            x[m], x[r] = x[r], x[m]
+        top = bottom - 1
+
+
+def _pairing_attempt(getrandbits: Callable[[int], int], n: int, d: int) -> list[Edge] | None:
+    # an edge u < v is held as the int u*n + v, whose order is that of (u, v)
     stubs = [v for v in range(n) for _ in range(d)]
-    edges: set[Edge] = set()
+    edges: set[int] = set()
     while stubs:
-        rng.shuffle(stubs)
+        _shuffle(stubs, getrandbits)
         leftover: list[int] = []
         for u, v in zip(stubs[0::2], stubs[1::2]):
-            e = (u, v) if u < v else (v, u)
+            e = u * n + v if u < v else v * n + u
             if u == v or e in edges:
                 leftover.extend((u, v))
             else:
@@ -83,7 +111,7 @@ def _pairing_attempt(rng: random.Random, n: int, d: int) -> list[Edge] | None:
         if len(leftover) == len(stubs):
             return None     # dead end: discard the whole attempt
         stubs = leftover
-    return sorted(edges)
+    return [divmod(e, n) for e in sorted(edges)]
 
 
 @dataclass(frozen=True)

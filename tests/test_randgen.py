@@ -1,7 +1,14 @@
+import hashlib
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import treepack
 from treepack import randgen
 from treepack.families import build_Gd
 from treepack.graphs import complete_graph, crossing_edges
@@ -13,6 +20,31 @@ from treepack.randgen import (
     theorem_check,
     theorem_threshold,
 )
+
+# SHA-256 of repr(sorted(g.edges)) for random_regular(GenConfig(d, n, seed)):
+# the sweep mix over four seeds, the analyze size, a near-half density and
+# a cycle cover.  Most of them need more than one pairing attempt: (8, 32, 0)
+# takes 8, (10, 80, 2) and (20, 41, 1) take 9.  Every graph, and with it
+# every sweep golden, hangs on these.
+PINNED_GRAPHS = {
+    (6, 30, 0): "cb40379a7e6c323f290c683221214ca55fb1ae2f8c72e6d72cfb7cf45944149f",
+    (6, 30, 1): "6263a25158c465b9e026c3a6de09e1ed2fd9b2abbb01a1665db17d84471fa595",
+    (6, 30, 10451216379200822465): "40ff4429c5c2795528695cd5b1587844516ba39ce2eeaf0fb593c58e9943f1a7",
+    (6, 30, 2**64 - 1): "d53e3a50389d79b98e6a158795e27bb9376d39cb41a102e312834abfeb4a7767",
+    (8, 32, 0): "358d83b94ed8d48d8ada3449672cbe678e260f3fc4d6300b199b41ec657d295c",
+    (8, 32, 1): "74cdd75977678ae66114cebad4cac7f94ea936dd8344e60d77e02d0f7347ad59",
+    (8, 32, 10451216379200822465): "b4bc54cfa4d7b07a08ca9bd4b8b20ec2466bf8771b5dfe9310aff62e40bd0750",
+    (8, 32, 2**64 - 1): "0488b91fb1517c7f6379d1278bf4d3ec9182e65c9971f4fa755e15985507f2b9",
+    (10, 44, 0): "2a6442c3d4c87dfc5498e19941fd06257966c18ca65d26253fd5da510c260dd5",
+    (10, 44, 1): "cdc2657935950a932afd6f91b58621c709e9a67ef4f5de750cbe80f0d6bd6cbe",
+    (10, 44, 10451216379200822465): "eb8252f9a0a0515849e79b2e5701b3706d51ade726aea7f6a7dca044be4a087d",
+    (10, 44, 2**64 - 1): "1c44ffafc0a2e047c1b961146d6629faf3f04e6e21cc76e08f0a964c3d746598",
+    (10, 80, 1): "6ac9f65ed2d30145da72b5ecae0a41dc505e154a87e251044cf9cbf5d579ad3b",
+    (10, 80, 2): "c0904e0b3cf222478532977d7e5390695db2d0080f10722ae4bc6c734bc79af0",
+    (3, 4, 0): "8cf7c838487fa83befc874746e035d5439fdf57ea2738bdd1c8d35cd0b813741",
+    (20, 41, 1): "6e2351054b5633c3225823fb70176f4b8cb52e148b6fcd90cdccf686b49f84c0",
+    (2, 1000, 1): "8fab5b04c977d12470579efb8f03145791c473e2a62f03d3b8090ed91e136632",
+}
 
 
 class TestGenConfig:
@@ -48,6 +80,47 @@ class TestRandomRegular:
             assert g.n == n
             assert g.degree_if_regular() == d
             assert all(u != v for u, v in g.edges)
+
+    @pytest.mark.parametrize("d, n, seed", sorted(PINNED_GRAPHS))
+    def test_graph_matches_pinned_digest(self, d, n, seed):
+        edges = sorted(random_regular(GenConfig(d, n, seed)).edges)
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == PINNED_GRAPHS[d, n, seed]
+
+    def test_refusal_message(self, monkeypatch):
+        # the first pairing attempt for (8, 32, 0) dead-ends
+        monkeypatch.setattr(randgen, "MAX_PAIRING_ATTEMPTS", 1)
+        with pytest.raises(ValueError) as err:
+            random_regular(GenConfig(d=8, n=32, seed=0))
+        assert str(err.value) == "no simple 8-regular pairing on 32 vertices after 1 attempts"
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345678901234567, 2**64 - 1])
+    def test_shuffle_makes_the_draws_of_random_shuffle(self, seed):
+        # every graph depends on this: a change to CPython's
+        # _randbelow_with_getrandbits has to fail here
+        for length in [*range(71), 255, 256, 257, 440, 1000]:
+            ours, cpython = random.Random(seed), random.Random(seed)
+            x, y = list(range(length)), list(range(length))
+            randgen._shuffle(x, ours.getrandbits)
+            cpython.shuffle(y)
+            assert x == y, length
+            assert ours.getstate() == cpython.getstate(), length
+
+    def test_degree_check_survives_optimize(self):
+        # under python -O an assert would vanish; the check must still raise
+        code = (
+            "import sys, treepack.randgen as r\n"
+            "r._pairing_attempt = lambda getrandbits, n, d: [(0, 1), (1, 2), (2, 3), (0, 3)]\n"
+            "try:\n"
+            "    r.random_regular(r.GenConfig(3, 4, 0))\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+            "else:\n"
+            "    sys.exit('a 2-regular graph was returned for d = 3')\n"
+        )
+        src = str(Path(treepack.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-O", "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert "not 3-regular" in run.stdout
 
 
 class TestSplitmix:
