@@ -55,7 +55,7 @@ def edge_connectivity(g: Graph) -> CutResult:
     np.fill_diagonal(w, sentinel)
     rows = list(w)       # views into w; they follow every contraction
     merged = [frozenset((v,)) for v in range(n)]
-    best_value: int | None = None
+    best_value = g.m + 1     # above every cut, as a cut has at most m edges
     best_side: frozenset[int] = frozenset()
 
     for size in range(n, 1, -1):
@@ -71,7 +71,7 @@ def edge_connectivity(g: Graph) -> CutResult:
             attach += rows[s]
         t = attach.argmax()
         phase_weight = int(attach[t])
-        if best_value is None or phase_weight < best_value:
+        if phase_weight < best_value:
             best_value = phase_weight
             best_side = merged[t]
         # contract t into s; the live part of w stays symmetric
@@ -81,5 +81,4 @@ def edge_connectivity(g: Graph) -> CutResult:
         w[:, t] = sentinel
         merged[s] |= merged[t]
 
-    assert best_value is not None
     return CutResult(best_value, best_side)

@@ -19,9 +19,12 @@ The workhorses are:
     ``DET_MAX_DIM``, are those of a column-by-column elimination;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
   their content removed) for exact root counting, interval isolation of
-  the largest real root, and full real-root isolation with multiplicities;
-  signs at a rational point a/b come from the homogenised sum
-  sum c_i a^i b^(deg - i), so no ``Fraction`` arithmetic is involved.
+  the largest real root, and full real-root isolation with multiplicities.
+  One remainder sequence, ``_remainders``, serves both the gcd and the
+  chain: it ends in gcd(f, f'), so a squarefree f takes one pass.  Signs
+  and values at a rational point a/b come from the homogenised sum
+  sum c_i a^i b^(deg - i) (``_value``), so no ``Fraction`` arithmetic is
+  involved.
   Both isolations narrow an interval with one routine, ``_bisect_top``,
   which follows the largest root of the chain inside the interval: it
   bisects by variation counts while the interval holds several roots;
@@ -112,11 +115,9 @@ class IntPoly:
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate_at(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation, always returned as a reduced Fraction."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at x, always returned as a reduced Fraction."""
+        return Fraction(_value(self.coeffs, x.numerator, x.denominator),
+                        x.denominator ** max(self.degree, 0))
 
     def primitive(self) -> "IntPoly":
         """Divide out the content; sign normalized so the leading coeff is positive."""
@@ -378,18 +379,38 @@ def _divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int
 def _exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly:
     """num / den, where den divides num, as a primitive IntPoly."""
     q, r = _divmod(num.coeffs, den.coeffs)
-    assert not r, "exact polynomial division expected"
+    if r:
+        raise AssertionError("exact polynomial division expected")
     return IntPoly(q).primitive()
+
+
+def _remainders(f: Sequence[int], g: Sequence[int]) -> list[list[int]]:
+    """f, g (left out when zero), then each primitive pseudo-remainder of
+    the last two members, signed as a Sturm member; it stops at a constant
+    member or a zero remainder, so the last member is gcd(f, g) up to a
+    constant.
+
+    Pseudo-division scales by lc^(delta + 1), with lc the leading
+    coefficient of the divisor and delta the drop in degree, so the sign
+    -sign(lc)^(delta + 1) makes every member a positive multiple of the
+    classical rational member -rem(f_{i-1}, f_i).  It is -1 when lc > 0 or
+    delta is odd, else +1; delta + 1 may be 0 or less, when deg f < deg g.
+    """
+    seq = [list(f), list(g)] if g else [list(f)]
+    while len(seq) > 1 and len(seq[-1]) > 1:
+        prev, cur = seq[-2], seq[-1]
+        rem = _divmod(prev, cur)[1]
+        if not rem:
+            break
+        sign = -1 if cur[-1] > 0 or (len(prev) - len(cur)) % 2 else 1
+        content = sign * gcd(*rem)
+        seq.append([c // content for c in rem])
+    return seq
 
 
 def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient (primitive PRS)."""
-    a_cs, b_cs = a.coeffs, b.coeffs
-    while b_cs:
-        r = _divmod(a_cs, b_cs)[1]
-        g = gcd(*r)
-        a_cs, b_cs = b_cs, [c // g for c in r]
-    return IntPoly(a_cs).primitive()
+    return IntPoly(_remainders(a.coeffs, b.coeffs)[-1]).primitive()
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -430,24 +451,19 @@ def sturm_chain(p: IntPoly) -> list[list[int]]:
     """Sturm chain of the squarefree part of p, one primitive member each.
 
     Member i+1 is the pseudo-remainder of members i-1 and i, content
-    removed.  Pseudo-division scales by lc^(delta + 1), with lc the leading
-    coefficient of member i and delta the drop in degree, so the sign
-    -sign(lc)^(delta + 1) makes every member a positive multiple of the
-    classical rational member -rem(f_{i-1}, f_i).  Signs at every point, and
-    so all root counts, are those of the classical chain.
+    removed and signed so that signs at every point, and so all root
+    counts, are those of the classical chain (see _remainders).  The
+    remainders of f and f' end in gcd(f, f'): when that is a constant, f is
+    squarefree and they are the chain; otherwise the chain is rebuilt from
+    f / gcd(f, f').
     """
-    sf = squarefree_part(p)
-    chain = [list(sf.coeffs), list(sf.derivative().primitive().coeffs)]
-    while len(chain[-1]) > 1:
-        prev, cur = chain[-2], chain[-1]
-        rem = _divmod(prev, cur)[1]
-        if not rem:
-            break
-        sign = -((1 if cur[-1] > 0 else -1) ** (len(prev) - len(cur) + 1))
-        g = sign * gcd(*rem)
-        chain.append([c // g for c in rem])
-    if not chain[-1]:
-        chain.pop()
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    f = p.primitive()
+    chain = _remainders(f.coeffs, f.derivative().primitive().coeffs)
+    if len(chain[-1]) > 1:
+        f = _exact_quotient(f, IntPoly(chain[-1]))
+        chain = _remainders(f.coeffs, f.derivative().primitive().coeffs)
     return chain
 
 

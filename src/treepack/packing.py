@@ -54,7 +54,7 @@ import numpy as np
 
 from .connectivity import CutResult, edge_connectivity
 from .exact import det_exact
-from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition
+from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition, singleton_partition
 from .spectra import laplacian_spectrum
 
 _FLOAT_EXACT = 2 ** 53   # beyond this, rounded float products are meaningless
@@ -288,7 +288,9 @@ def pack_trees(g: Graph, k: int) -> PackResult:
     """k edge-disjoint spanning trees of g, or a Nash-Williams/Tutte witness.
 
     A witness is a vertex partition whose crossing-edge total is at most
-    k(t-1) - 1, certifying that no k-packing exists.
+    k(t-1) - 1, certifying that no k-packing exists.  With fewer than
+    k(n-1) edges the edge count settles it: the witness is the n singletons,
+    and nothing is packed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -301,6 +303,8 @@ def pack_trees(g: Graph, k: int) -> PackResult:
         return PackResult(k, False, None, witness)
 
     target = k * (g.n - 1)
+    if g.m < target:
+        return PackResult(k, False, None, singleton_partition(g.n))
     packer = _Packer(g, k)
     for e in sorted(g.edges):
         if packer.try_insert(e) and packer.total == target:

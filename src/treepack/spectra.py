@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import IntPoly, char_poly_exact, isolate_real_roots
-from .graphs import Graph, VertexPartition
+from .graphs import Graph, VertexPartition, crossing_edges
 
 SYMMETRY_RTOL = 1e-12
 INTERLACING_TOL = 1e-9
@@ -120,14 +120,11 @@ class QuotientMatrix:
 
 def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:
     """Quotient matrix of a partition, with exact Fraction entries."""
-    if p.n != g.n:
-        raise ValueError("partition does not match graph")
-    owner = p.block_of
-    counts = [[0] * p.t for _ in range(p.t)]
-    for u, v in g.edges:
-        i, j = owner[u], owner[v]
-        counts[i][j] += 1   # an internal edge counts twice on the diagonal
-        counts[j][i] += 1
+    cross = crossing_edges(g, p).pair_counts
+    counts = [list(row) for row in cross]
+    for i, block in enumerate(p.blocks):
+        # a block's degree sum counts its internal edges twice, its crossing edges once
+        counts[i][i] = sum(g.degrees[v] for v in block) - sum(cross[i])
     sizes = p.sizes()
     return QuotientMatrix(
         tuple(tuple(Fraction(c, sizes[i]) for c in row) for i, row in enumerate(counts)))

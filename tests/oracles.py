@@ -9,7 +9,9 @@ characteristic polynomial instead of the float eigensolver, and
 `sturm_count_roots` and `sturm_count_largest_root` isolate roots with a
 Sturm count at every bisection step; `bisect_top_reference` narrows an
 isolated root by one bisection step per halving, and `by_bisection` runs
-the isolations with it; `det_mod_primes_unblocked` eliminates
+the isolations with it; `sturm_chain_two_pass` takes the squarefree part
+by a remainder sequence run to a zero remainder, then builds its chain by
+a second one; `det_mod_primes_unblocked` eliminates
 one column at a time, updating the whole trailing block at every pivot;
 `char_poly_faddeev_leverrier` runs Faddeev-LeVerrier on Python integers,
 with no primes; `reference_edge_connectivity` runs Stoer-Wagner on one
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
+from math import gcd
 from unittest import mock
 
 import numpy as np
@@ -39,6 +42,8 @@ from treepack.exact import (
     isolate_real_roots,
     squarefree_decomposition,
     squarefree_part,
+    _divmod,
+    _exact_quotient,
     _value,
     _variations,
 )
@@ -202,6 +207,36 @@ def by_bisection(isolate, p: IntPoly, prec: Fraction):
     bisect_top_reference."""
     with mock.patch.object(exact, "_bisect_top", bisect_top_reference):
         return isolate(p, prec)
+
+
+def sturm_chain_two_pass(p: IntPoly) -> list[list[int]]:
+    """`sturm_chain` in two passes.  The first divides p by gcd(p, p'),
+    taken by a primitive remainder sequence (content removed, signs left
+    as they come) run until a remainder is zero.  The second builds the
+    chain of that squarefree part: member i+1 is the pseudo-remainder of
+    members i-1 and i, content removed and signed -sign(lc)^(delta + 1),
+    with lc the leading coefficient of member i and delta >= 0 the drop in
+    degree."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    a, b = p.coeffs, p.derivative().coeffs
+    while b:
+        r = _divmod(a, b)[1]
+        content = gcd(*r)
+        a, b = b, [c // content for c in r]
+    sf = _exact_quotient(p, IntPoly(a).primitive())
+    chain = [list(sf.coeffs), list(sf.derivative().primitive().coeffs)]
+    while len(chain[-1]) > 1:
+        prev, cur = chain[-2], chain[-1]
+        rem = _divmod(prev, cur)[1]
+        if not rem:
+            break
+        sign = -((1 if cur[-1] > 0 else -1) ** (len(prev) - len(cur) + 1))
+        content = sign * gcd(*rem)
+        chain.append([c // content for c in rem])
+    if not chain[-1]:
+        chain.pop()
+    return chain
 
 
 def edge_connectivity_bruteforce(g: Graph) -> int:

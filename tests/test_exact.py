@@ -39,6 +39,7 @@ from treepack.families import (
     claimed_charpoly,
     p3_poly,
     p10_poly,
+    verify_family,
 )
 from treepack.graphs import petersen_graph
 from treepack.randgen import GenConfig, random_regular
@@ -50,6 +51,7 @@ from oracles import (
     by_bisection,
     char_poly_faddeev_leverrier,
     det_mod_primes_unblocked,
+    sturm_chain_two_pass,
     sturm_count_largest_root,
     sturm_count_roots,
 )
@@ -210,6 +212,15 @@ class TestIntPoly:
         p = IntPoly([2, 0, 1])  # x^2 + 2
         assert p.evaluate_at(3) == 11
         assert p.evaluate_at(Fraction(1, 2)) == Fraction(9, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_polys, st.one_of(st.fractions(), ints))
+    def test_evaluate_matches_fraction_horner(self, p, x):
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + c
+        value = p.evaluate_at(x)
+        assert type(value) is Fraction and value == acc
 
     @settings(max_examples=100, deadline=None)
     @given(small_polys, small_polys)
@@ -569,24 +580,41 @@ def test_squarefree_decomposition():
     assert squarefree_part(p) == poly_from_roots([1, -2]).primitive()
 
 
+def fraction_rem(num, den):
+    """Reference: the remainder of num by den (nonzero), ascending Fraction
+    lists, by long division over Fraction."""
+    rem = num[:]
+    while len(rem) >= len(den):
+        q = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        for i, c in enumerate(den):
+            rem[shift + i] -= q * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
 def fraction_sturm_chain(sf):
     """Reference: the classical Sturm chain f, f', -rem(f_{i-1}, f_i), ...
     over Fraction."""
     chain = [[Fraction(c) for c in sf.coeffs], [Fraction(c) for c in sf.derivative().coeffs]]
     while len(chain[-1]) > 1:
-        rem, den = chain[-2][:], chain[-1]
-        while len(rem) >= len(den):
-            q = rem[-1] / den[-1]
-            shift = len(rem) - len(den)
-            for i, c in enumerate(den):
-                rem[shift + i] -= q * c
-            rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
+        rem = fraction_rem(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
     return [c for c in chain if c]
+
+
+def fraction_gcd(a, b):
+    """Reference: gcd(a, b) by Euclid's algorithm over Fraction, scaled to a
+    primitive integer polynomial with positive leading coefficient."""
+    x, y = [Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs]
+    while y:
+        x, y = y, fraction_rem(x, y)
+    scale = math.lcm(*(c.denominator for c in x))
+    return IntPoly([int(c * scale) for c in x]).primitive()
 
 
 def fraction_variations(chain, x):
@@ -643,6 +671,45 @@ class TestSturm:
             count, on_root = _variations(chain, x.numerator, x.denominator)
             assert count == fraction_variations(reference, x)
             assert on_root == (squarefree_part(p).evaluate_at(x) == 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_polys, st.lists(ints, min_size=1, max_size=3).map(IntPoly))
+    # deg a < deg b: the first remainder is a itself, with delta + 1 <= 0
+    @example(IntPoly([0, 1]), IntPoly([0, 0, 0, 1]), IntPoly([1]))
+    @example(IntPoly([0, -1]), IntPoly([0, 0, 1]), IntPoly([1]))
+    @example(IntPoly([0, -2]), IntPoly([0, 0, 0, 5]), IntPoly([-1, 1]))
+    # constant arguments and a zero b
+    @example(IntPoly([-6]), IntPoly([4, 2]), IntPoly([1]))
+    @example(IntPoly([3, 0, -1]), IntPoly([-4]), IntPoly([1]))
+    @example(IntPoly([3, 0, -1]), IntPoly([]), IntPoly([2, -1]))
+    def test_gcd_matches_fraction_euclid(self, a, b, common):
+        a, b = a * common, b * common
+        assert exact._gcd(a, b) == fraction_gcd(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bisection_polys(), st.lists(ints, min_size=1, max_size=4).map(IntPoly))
+    # x^4: Yun's decomposition takes gcd(x, x^3), where delta + 1 <= 0
+    @example(IntPoly([0, 0, 0, 0, 1]), IntPoly([1]))
+    @example(IntPoly([-3]), IntPoly([1]))
+    @example(IntPoly([1, -2, 1]), IntPoly([0, -5]))
+    def test_matches_two_pass_chain(self, p, extra):
+        # bisection_polys repeat factors: the chain is rebuilt from f / gcd(f, f')
+        p = p * extra
+        if p.is_zero():
+            with pytest.raises(ValueError, match="zero polynomial"):
+                sturm_chain(p)
+            return
+        assert sturm_chain(p) == sturm_chain_two_pass(p)
+
+    @pytest.mark.parametrize("spec, d, bound", [(HD, 16, 30), (GD, 12, 9)])
+    def test_family_verification_division_count(self, monkeypatch, spec, d, bound):
+        # a squarefree polynomial's chain is one remainder sequence; taking
+        # gcd(p, p') first and then the chain took 54 and 19 pseudo-divisions
+        calls = []
+        divmod_ = exact._divmod
+        monkeypatch.setattr(exact, "_divmod", lambda *a: calls.append(a) or divmod_(*a))
+        verify_family(spec, d)
+        assert len(calls) <= bound
 
     def test_cauchy_bound_exceeds_roots(self):
         p = poly_from_roots([3, -7, 11])

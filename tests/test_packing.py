@@ -867,8 +867,22 @@ def connected_irregular_graphs(draw):
 @given(connected_irregular_graphs())
 def test_pack_trees_matches_reference_on_irregular_graphs(g):
     assume(g.degree_if_regular() is None)
-    for k in range(1, g.m // (g.n - 1) + 2):
+    top = g.m // (g.n - 1)
+    for k in range(1, top + 1):
         assert _pack_outcome(g, k) == reference_pack(g, k)
+    # top + 1 trees need more edges than g has: the n singletons witness it
+    over = pack_trees(g, top + 1)
+    assert over.witness == singleton_partition(g.n)
+    assert verify_pack_result(g, over).ok
+
+
+def test_too_few_edges_settle_without_packing(monkeypatch):
+    # m < k(n - 1): the edge count alone refuses k trees, so no packer runs
+    monkeypatch.setattr(packing, "_Packer", None)
+    g = random_regular(GenConfig(10, 300, 5))
+    r = pack_trees(g, 6)
+    assert not r.success and r.witness == singleton_partition(g.n)
+    assert verify_pack_result(g, r).ok
 
 
 def test_labeling_search_never_queries_inside_a_clump(monkeypatch):

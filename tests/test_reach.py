@@ -5,6 +5,9 @@ The five subcommands run in-process on small inputs under `sys.setprofile`,
 which sees every Python call.  A function that none of them calls and that
 no allow-list reason covers is library-only code: delete it with its tests,
 or give it a caller.
+
+No check in the package is an `assert` statement either: `python -O`
+strips those.
 """
 
 import ast
@@ -44,7 +47,6 @@ ALLOWED = {
     "graphs.cycle_graph": TEST_CONSTRUCTOR,
     "graphs.disjoint_union": TEST_CONSTRUCTOR,
     "graphs.path_graph": TEST_CONSTRUCTOR,
-    "graphs.singleton_partition": TEST_CONSTRUCTOR,
 }
 
 
@@ -141,3 +143,11 @@ def test_every_allowance_holds():
         if not holds:
             wrong.append(f"{qualname}: {reason}")
     assert not wrong
+
+
+def test_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements vanish under python -O: {found}"
