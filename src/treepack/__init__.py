@@ -11,7 +11,6 @@ from .exact import (
     descartes_positivity_check,
     det_exact,
     isolate_real_roots,
-    squarefree_decomposition,
     sturm_isolate_largest_root,
 )
 from .families import (

@@ -233,6 +233,7 @@ def _cmd_verify_family(args) -> int:
     if args.d_min > args.d_max:
         raise ValueError("--d-min must not exceed --d-max")
     spec = FAMILIES[args.family]
+    check_family_degree(spec, args.d_min)
     check_family_degree(spec, args.d_max)
     _check_json_dir(args)
     precision = Fraction(1, 10 ** 30) if args.exact_range else DEFAULT_PRECISION

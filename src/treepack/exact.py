@@ -21,7 +21,10 @@ The workhorses are:
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities.
   One remainder sequence, ``_remainders``, serves both the gcd and the
-  chain: it ends in gcd(f, f'), so a squarefree f takes one pass.  Signs
+  chain: it ends in gcd(f, f'), so a squarefree f takes one pass.
+  ``isolate_real_roots`` runs Yun's squarefree decomposition on it, and
+  the gcd pass that finds the last layer squarefree is that layer's chain.
+  Signs
   and values at a rational point a/b come from the homogenised sum
   sum c_i a^i b^(deg - i) (``_value``), so no ``Fraction`` arithmetic is
   involved.
@@ -413,40 +416,6 @@ def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(_remainders(a.coeffs, b.coeffs)[-1]).primitive()
 
 
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """p / gcd(p, p'), as a primitive IntPoly with positive leading coefficient."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    # a constant's derivative is 0, so the gcd is the constant and the
-    # quotient is 1
-    return _exact_quotient(p, _gcd(p, p.derivative()))
-
-
-def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun-style decomposition: p = c * prod q_i^i with each q_i squarefree.
-
-    Returns the nonconstant (q_i, i) factors.  Used to recover eigenvalue
-    multiplicities from characteristic polynomials.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    out: list[tuple[IntPoly, int]] = []
-    work = p.primitive()
-    mult = 1
-    while work.degree > 0:
-        sf = squarefree_part(work)
-        # factor appearing with multiplicity >= mult is sf; peel one layer:
-        # q = work / sf has exactly the factors of multiplicity >= 2 in work.
-        q = _exact_quotient(work, sf)
-        # factors exactly at this multiplicity: sf / squarefree_part-of-q's-support
-        layer = _exact_quotient(sf, _gcd(sf, q))
-        if layer.degree > 0:
-            out.append((layer, mult))
-        work = q
-        mult += 1
-    return out
-
-
 def sturm_chain(p: IntPoly) -> list[list[int]]:
     """Sturm chain of the squarefree part of p, one primitive member each.
 
@@ -644,17 +613,37 @@ def isolate_real_roots(
 
     Each root comes back as a (RootInterval, multiplicity) pair; every
     interval has width <= precision.
+
+    Yun's decomposition peels p into squarefree layers, the roots of
+    multiplicity 1, 2, ... in turn.  With rad(w) the product of x - r over
+    the distinct roots r of w, the remainder sequence of w and w' ends in
+    g = gcd(w, w') = w / rad(w), which holds every root of w once less; the
+    layer of w's simple roots is rad(w) / gcd(rad(w), g), and the next step
+    takes w = g.  Once g is a constant, w is squarefree and its remainder
+    sequence is already its Sturm chain, so the last layer takes one pass.
     """
     if p.is_zero() or p.degree == 0:
         raise ValueError("nonconstant polynomial required")
+    # layers holds the (Sturm chain, multiplicity) of each nonconstant layer
+    layers, work, mult = [], p.primitive(), 1
+    while True:
+        seq = _remainders(work.coeffs, work.derivative().primitive().coeffs)
+        g = IntPoly(seq[-1]).primitive()
+        if g.degree == 0:
+            layers.append((seq, mult))
+            break
+        rad = _exact_quotient(work, g)
+        layer = _exact_quotient(rad, _gcd(rad, g))
+        if layer.degree > 0:
+            layers.append((sturm_chain(layer), mult))
+        work, mult = g, mult + 1
     prec = Fraction(precision)
     found: list[tuple[RootInterval, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        chain = sturm_chain(factor)
-        bound = cauchy_bound(factor)
+    for chain, mult in layers:
+        bound = cauchy_bound(IntPoly(chain[0]))
 
         def refine(lo: int, hi: int, den: int, v_lo: int, v_hi: int):
-            # v_lo - v_hi = number of roots of `factor` in (lo/den, hi/den]
+            # v_lo - v_hi = number of roots of the layer in (lo/den, hi/den]
             if v_lo == v_hi:
                 return
             if v_lo - v_hi == 1:

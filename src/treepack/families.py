@@ -44,11 +44,12 @@ from .spectra import adjacency_spectrum, equitable_quotient
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
 # build_family refuses larger degrees, so construct and verify-family fail
-# at once.  On a 2-vCPU x86 host verify-family took 0.53 s on Gd and
-# 0.92 s on Hd at d = 100, and 0.7-0.8 s and 1.7-1.8 s at d = 160 with the
-# cap raised (two runs each); in a cProfile of Hd at d = 100 the
-# Stoer-Wagner cut inside sigma takes 42% and pack_trees 28%.  construct Hd
-# took 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at d = 1000.
+# at once.  On a 2-vCPU x86 host one verify_family call took 0.17-0.19 s on
+# Gd and 0.31-0.49 s on Hd at d = 100, and 0.45-0.53 s and 0.84-1.33 s at
+# d = 160 with the cap raised (three to six runs each, after import); in a
+# cProfile of Hd at d = 100 the Stoer-Wagner cut inside sigma takes 43% and
+# pack_trees 29%.  construct Hd took 1.5 s at d = 400 and 13.8 s with
+# 886 MB peak RSS at d = 1000.
 FAMILY_MAX_DEGREE = 100
 
 

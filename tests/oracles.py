@@ -7,7 +7,10 @@ enumerate, and their guards keep the enumerations small;
 `exact_adjacency_roots` takes the eigenvalues from the exact
 characteristic polynomial instead of the float eigensolver, and
 `sturm_count_roots` and `sturm_count_largest_root` isolate roots with a
-Sturm count at every bisection step; `bisect_top_reference` narrows an
+Sturm count at every bisection step, on the squarefree layers of
+`squarefree_decomposition`, a Yun decomposition that runs a separate gcd
+pass for each squarefree part (`isolate_real_roots` reuses its remainder
+sequence for the chain); `bisect_top_reference` narrows an
 isolated root by one bisection step per halving, and `by_bisection` runs
 the isolations with it; `sturm_chain_two_pass` takes the squarefree part
 by a remainder sequence run to a zero remainder, then builds its chain by
@@ -40,10 +43,9 @@ from treepack.exact import (
     char_poly_exact,
     count_real_roots,
     isolate_real_roots,
-    squarefree_decomposition,
-    squarefree_part,
     _divmod,
     _exact_quotient,
+    _gcd,
     _value,
     _variations,
 )
@@ -122,6 +124,40 @@ def exact_adjacency_roots(g: Graph) -> list[float]:
     characteristic polynomial."""
     roots = isolate_real_roots(char_poly_exact(adjacency_int(g)))
     return sorted((iv.as_float() for iv, mult in roots for _ in range(mult)), reverse=True)
+
+
+def squarefree_part(p: IntPoly) -> IntPoly:
+    """p / gcd(p, p'), as a primitive IntPoly with positive leading coefficient."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    # a constant's derivative is 0, so the gcd is the constant and the
+    # quotient is 1
+    return _exact_quotient(p, _gcd(p, p.derivative()))
+
+
+def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
+    """Yun-style decomposition: p = c * prod q_i^i with each q_i squarefree.
+
+    Returns the nonconstant (q_i, i) factors.  Used to recover eigenvalue
+    multiplicities from characteristic polynomials.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    out: list[tuple[IntPoly, int]] = []
+    work = p.primitive()
+    mult = 1
+    while work.degree > 0:
+        sf = squarefree_part(work)
+        # factor appearing with multiplicity >= mult is sf; peel one layer:
+        # q = work / sf has exactly the factors of multiplicity >= 2 in work.
+        q = _exact_quotient(work, sf)
+        # factors exactly at this multiplicity: sf / squarefree_part-of-q's-support
+        layer = _exact_quotient(sf, _gcd(sf, q))
+        if layer.degree > 0:
+            out.append((layer, mult))
+        work = q
+        mult += 1
+    return out
 
 
 def _bisect_by_counts(f: IntPoly, lo: Fraction, hi: Fraction,

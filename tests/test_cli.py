@@ -364,6 +364,21 @@ class TestVerifyFamily:
         assert captured.err == f"error: Gd is limited to d <= {FAMILY_MAX_DEGREE}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("family, d_min, d_max, message", [
+        ("Gd", "3", "4", "Gd needs d >= 4"),
+        ("Hd", "5", "6", "Hd needs d >= 6"),
+        ("Gd", "4", str(FAMILY_MAX_DEGREE + 1), f"Gd is limited to d <= {FAMILY_MAX_DEGREE}"),
+    ])
+    def test_bad_input_exits_1(self, tmp_path, capsys, family, d_min, d_max, message):
+        code = main(["verify-family", family, "--d-min", d_min, "--d-max", d_max,
+                     "--json", str(tmp_path / "new" / "sub" / "x.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        # both ends of the range are checked before --json's directory is created
+        assert not (tmp_path / "new").exists()
+
     def test_degree_cap_admits_the_cap(self, monkeypatch):
         class Reached(Exception):
             pass

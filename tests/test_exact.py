@@ -25,8 +25,6 @@ from treepack.exact import (
     descartes_positivity_check,
     det_exact,
     isolate_real_roots,
-    squarefree_decomposition,
-    squarefree_part,
     sturm_chain,
     sturm_isolate_largest_root,
     _det_prime,
@@ -51,6 +49,8 @@ from oracles import (
     by_bisection,
     char_poly_faddeev_leverrier,
     det_mod_primes_unblocked,
+    squarefree_decomposition,
+    squarefree_part,
     sturm_chain_two_pass,
     sturm_count_largest_root,
     sturm_count_roots,
@@ -628,6 +628,15 @@ def fraction_variations(chain, x):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def divisions(monkeypatch, f, *args):
+    """The number of pseudo-divisions that f(*args) makes."""
+    calls = []
+    divmod_ = exact._divmod
+    monkeypatch.setattr(exact, "_divmod", lambda *a: calls.append(a) or divmod_(*a))
+    f(*args)
+    return len(calls)
+
+
 class TestSturm:
     def test_count_half_open_semantics(self):
         p = poly_from_roots([1, 2, 3])
@@ -701,15 +710,13 @@ class TestSturm:
             return
         assert sturm_chain(p) == sturm_chain_two_pass(p)
 
-    @pytest.mark.parametrize("spec, d, bound", [(HD, 16, 30), (GD, 12, 9)])
+    @pytest.mark.parametrize("spec, d, bound", [(HD, 16, 18), (GD, 12, 4)])
     def test_family_verification_division_count(self, monkeypatch, spec, d, bound):
-        # a squarefree polynomial's chain is one remainder sequence; taking
-        # gcd(p, p') first and then the chain took 54 and 19 pseudo-divisions
-        calls = []
-        divmod_ = exact._divmod
-        monkeypatch.setattr(exact, "_divmod", lambda *a: calls.append(a) or divmod_(*a))
-        verify_family(spec, d)
-        assert len(calls) <= bound
+        # a squarefree polynomial's chain is one remainder sequence, and
+        # isolation takes it from the gcd pass of Yun's decomposition; taking
+        # gcd(p, p') first and then the chain took 54 and 19 pseudo-divisions,
+        # and building the chain again after Yun's gcd pass 30 and 9
+        assert divisions(monkeypatch, verify_family, spec, d) <= bound
 
     def test_cauchy_bound_exceeds_roots(self):
         p = poly_from_roots([3, -7, 11])
@@ -767,6 +774,15 @@ class TestRootIsolation:
         (at_hi, _), (point, _) = isolate_real_roots(IntPoly([0, -1, 1]))
         assert at_hi.lo < at_hi.hi == 0
         assert point.lo == point.hi == 1
+
+    @pytest.mark.parametrize("p, bound", [
+        (p10_poly(16), 9),
+        (poly_from_roots([3, 1, 1, -2, -2, -2, 5, 5, 5, 5]), 21),
+    ])
+    def test_division_count(self, monkeypatch, p, bound):
+        # the last layer's chain is the gcd pass of Yun's decomposition that
+        # found it squarefree; building it again took 21 and 27
+        assert divisions(monkeypatch, isolate_real_roots, p) <= bound
 
     def test_single_root_steps_skip_the_chain(self, monkeypatch):
         # once an interval holds one root, bisection signs the first chain
