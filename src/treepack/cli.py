@@ -35,15 +35,17 @@ EXIT_FINDING = 3
 
 # analyze refuses larger graphs before any compute.  Its time grows about
 # like n**4 (the exact determinant needs O(n) primes, each an O(n**3)
-# elimination): on a 2-vCPU x86 host a random 10-regular graph took 8.2 s
-# at n = 650 and 11.0 s at n = 700 (67 s and 90 s with the unblocked
-# determinant on the same host), and denser graphs take longer.
+# elimination, and it is most of the run): on a 2-vCPU x86 host with one
+# BLAS thread, over four runs, a random 10-regular graph took 4.2-5.3 s at
+# n = 650 and 5.5-6.2 s at n = 700 (in a copy with the cap raised), and a
+# random 20-regular graph 5.4-6.3 s at n = 650.  Denser graphs take longer.
 ANALYZE_MAX_VERTICES = 650
 # It also refuses graphs whose packing work m * floor(m / (n - 1)), edges
 # times the most trees sigma can pack, is above this.  On the same host,
 # with the cap raised in a copy, analyze took 1.7-2.2 s on K140 (work
 # 681,100), 2.0-2.8 s on K120,120 (864,000) and 3.1-3.3 s on K160
-# (1,017,600, just over the cap) over two runs, so the cap has room.
+# (1,017,600, just over the cap) over two runs, so the cap has room; K158
+# (979,837, the densest graph admitted) took 2.1-2.8 s over four runs.
 ANALYZE_MAX_PACKING_WORK = 1_000_000
 # quotient refuses partitions with more blocks before any compute.  Its time
 # goes to isolating the real roots of the degree-t characteristic

@@ -50,7 +50,7 @@ def edge_connectivity(g: Graph) -> CutResult:
     # alone would take 34 GB.
     sentinel = -(g.m + 1)
     w = np.zeros((n, n), dtype=np.int64)
-    us, vs = np.array(list(g.edges), dtype=np.intp).T
+    us, vs = g.edge_index.T
     w[us, vs] = w[vs, us] = 1
     np.fill_diagonal(w, sentinel)
     rows = list(w)       # views into w; they follow every contraction

@@ -16,7 +16,10 @@ The workhorses are:
     (BLAS dgemm) per panel of columns for the trailing update.  Blocking
     only regroups the products: each entry still takes one product of two
     residues per earlier pivot, so the float64 bound, and with it
-    ``DET_MAX_DIM``, are those of a column-by-column elimination;
+    ``DET_MAX_DIM``, are those of a column-by-column elimination.  A
+    symmetric matrix, such as the reduced Laplacian behind a spanning-tree
+    count, factors as L D L^T mod p, so each pivot row of U is copied from
+    its pivot column instead of being computed;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities.
@@ -301,11 +304,22 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
     batched matrix product.  Each entry still receives one product of two
     reduced residues per earlier pivot, as in a column-by-column
     elimination, so the float64 bound is the same.
+
+    A symmetric matrix factors as L D L^T mod p, so pivot row k of U is
+    pivot column k before it is scaled into L: while the input is
+    symmetric the reduced column, residues in (-p, p) as the row pass
+    would leave them, is copied into the row, and the row's own products
+    and reduction are skipped.  A zero pivot that swaps rows under some
+    prime breaks the symmetry, and from that column on every prime takes
+    the row pass.  The pivots are kept, and each residue is their product,
+    signed by the swaps, taken once at the end.
     """
     n = len(ints)
     p_col = np.array(primes, dtype=np.float64)[:, None]
     work = _residues(ints, primes)
-    det = np.ones(len(primes))
+    symmetric = np.array_equal(ints, ints.T)
+    pivots = []                 # per column, the pivot under each prime
+    swapped = [False] * len(primes)
     for k0 in range(0, n, _DET_PANEL):
         k1 = min(k0 + _DET_PANEL, n)
         for k in range(k0, k1):
@@ -313,23 +327,31 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
             # are the pivots
             work[:, k:, k] -= (work[:, k:, k0:k] @ work[:, k0:k, k, None])[:, :, 0]
             col = work[:, k:, k] = _sym_mod(work[:, k:, k], p_col)
-            if not col[:, 0].all():
+            pivot = col[:, 0].tolist()
+            if not all(pivot):
                 for j in np.flatnonzero(col[:, 0] == 0):
                     below = np.flatnonzero(col[j])
                     if below.size:      # else the column is 0 mod p and det stays 0
                         i = k + int(below[0])
                         work[j, [k, i]] = work[j, [i, k]]
-                        det[j] = primes[j] - det[j]
-            work[:, k, k + 1:] -= (work[:, k, None, k0:k] @ work[:, k0:k, k + 1:])[:, 0]
-            row = work[:, k, k:] = _sym_mod(work[:, k, k:], p_col)
-            det = np.remainder(det * row[:, 0], p_col[:, 0])
+                        pivot[j] = float(col[j, below[0]])
+                        swapped[j] = not swapped[j]
+                        symmetric = False
+            if symmetric:
+                work[:, k, k + 1:] = col[:, 1:]
+            else:
+                work[:, k, k + 1:] -= (work[:, k, None, k0:k] @ work[:, k0:k, k + 1:])[:, 0]
+                work[:, k, k + 1:] = _sym_mod(work[:, k, k + 1:], p_col)
+            pivots.append(pivot)
             if k + 1 < n:
                 inv = np.array([pow(int(x), -1, p) if x else 0
-                                for x, p in zip(row[:, 0].tolist(), primes)], dtype=np.float64)
+                                for x, p in zip(pivot, primes)], dtype=np.float64)
                 work[:, k + 1:, k] = _sym_mod(work[:, k + 1:, k] * inv[:, None], p_col)
         if k1 < n:
             work[:, k1:, k1:] -= work[:, k1:, k0:k1] @ work[:, k0:k1, k1:]
-    return [int(r) for r in det]
+    per_prime = np.array(pivots, dtype=np.int64).reshape(n, len(primes)).T.tolist()
+    return [(-1 if s else 1) * prod(column) % p
+            for column, s, p in zip(per_prime, swapped, primes)]
 
 
 def det_exact(m: Sequence[Sequence[int]] | np.ndarray) -> int:
@@ -339,7 +361,9 @@ def det_exact(m: Sequence[Sequence[int]] | np.ndarray) -> int:
     Primes are taken until their product M exceeds twice that, a blocked
     float64 LU over a (primes, n, n) array, one per batch of primes, yields
     det mod every prime, and the Chinese remainder theorem combines them in
-    (-M/2, M/2).
+    (-M/2, M/2).  A symmetric matrix takes the L D L^T form of that LU,
+    which reads each pivot row off its pivot column, until a zero pivot
+    swaps rows under some prime.
     """
     ints = _int_array(m)
     if len(ints) == 0:
@@ -553,6 +577,9 @@ def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
     on either side of r.  It is clamped into (a, b).  A probe that leaves
     the bracket as wide as before halving, twice running, is followed by
     the midpoint, so no halving of bisection takes more than 3 probes.
+    Such a safeguard midpoint only narrows the bracket: the next secant
+    still runs through the two probes before it, which lie near r, rather
+    than through a far point.
     """
     span, bound = (hi - lo) * prec.denominator, prec.numerator * den
     s = max(0, span.bit_length() - bound.bit_length())
@@ -560,12 +587,15 @@ def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
     base, step, scale = lo << s, hi - lo, den << s
     a, b = 0, 1 << s
     f_top = _value(f, base + b * step, scale)
+    # the secant runs through the last two probes that were not safeguard
+    # midpoints: last, and prev before it
     last, f_last = b, f_top
-    prev = f_prev = None        # the probe before the last one
+    prev = f_prev = None
     stalls = 0
     while b - a > 1:
         level = (b - a - 1).bit_length()    # the least L with b - a <= 2**L
-        if stalls == 2 or prev is None or f_last == f_prev:
+        safeguard = stalls == 2
+        if safeguard or prev is None or f_last == f_prev:
             j = (a + b) // 2
         else:
             # the secant's zero is last - num / div
@@ -583,7 +613,8 @@ def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
             a = j
         else:
             b = j
-        prev, f_prev, last, f_last = last, f_last, j, f_j
+        if not safeguard:
+            prev, f_prev, last, f_last = last, f_last, j, f_j
         stalls = 0 if (b - a - 1).bit_length() < level else stalls + 1
     return RootInterval(Fraction(base + a * step, scale), Fraction(base + b * step, scale))
 

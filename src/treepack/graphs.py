@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,16 +51,25 @@ class Graph:
             return next(iter(degs))
         return None
 
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) intp array, one (u, v) row each,
+        from which the dense matrices fill without a Python loop."""
+        idx = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp,
+                          count=2 * self.m).reshape(self.m, 2)
+        idx.flags.writeable = False
+        return idx
+
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
+        us, vs = self.edge_index.T
+        a[us, vs] = a[vs, us] = 1.0
         return a
 
     def laplacian_matrix(self) -> np.ndarray:
-        lap = -self.adjacency_matrix()
-        for v in range(self.n):
-            lap[v, v] = self.degrees[v]
+        a = self.adjacency_matrix()
+        lap = -a
+        np.fill_diagonal(lap, a.sum(axis=1))
         return lap
 
     def components(self) -> list[frozenset[int]]:

@@ -39,7 +39,7 @@ from treepack.families import (
     p10_poly,
     verify_family,
 )
-from treepack.graphs import petersen_graph
+from treepack.graphs import complete_graph, disjoint_union, make_graph, petersen_graph
 from treepack.randgen import GenConfig, random_regular
 from treepack.spectra import QuotientMatrix
 
@@ -121,6 +121,40 @@ def integer_matrices(draw, max_n=10):
         i, j, k = draw(st.permutations(range(n)))[:3]
         c = draw(st.integers(-5, 5))
         rows[k] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=10):
+    """Symmetric matrices up to max_n x max_n with entries below 4 or near
+    10**30 in size (those need several batches of primes): plain, with a
+    zero diagonal (the first pivot is 0, so a row swap hands the
+    elimination to the row pass), or singular (a zero row and column,
+    spread by congruences A <- E A E^T with E = I + c e_ij)."""
+    n = draw(st.integers(0, max_n))
+    entries = st.sampled_from([
+        st.integers(-3, 3),
+        st.integers(10**29, 10**30).flatmap(lambda x: st.sampled_from([x, -x])),
+    ]).flatmap(lambda s: s)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    shape = draw(st.sampled_from(["plain", "zero diagonal", "singular"]))
+    if shape == "zero diagonal":
+        for i in range(n):
+            rows[i][i] = 0
+    elif shape == "singular" and n >= 2:
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            rows[k][i] = rows[i][k] = 0
+        for _ in range(draw(st.integers(1, 6))):
+            # row i += c row j, then column i += c column j
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-3, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += c * row[j]
     return rows
 
 
@@ -379,16 +413,76 @@ class TestDeterminant:
     def test_first_pivot_zero_mod_the_first_prime(self):
         p = _det_prime(0)
         assert det_exact([[p, 1], [1, 1]]) == p - 1
-        m = [[p, 1, 2], [1, 1, 0], [3, 0, 2 * p + 1]]
-        assert det_exact(m) == bareiss_det(m)
+        for m in ([[p, 1, 2], [1, 1, 0], [3, 0, 2 * p + 1]],
+                  [[p, 1, 2], [1, 1, 0], [2, 0, 2 * p + 1]]):     # symmetric
+            assert det_exact(m) == bareiss_det(m)
         # a residue of 0 under one prime is not a determinant of 0
         assert det_exact([[p, 0], [0, 1]]) == p
 
     def test_row_swap_under_every_prime(self):
         # the first pivot is 0, and after it the second pivot is 0 as well
         for m in ([[0, 2, 3], [4, 5, 6], [7, 8, 10]],
-                  [[1, 2, 3], [2, 4, 5], [3, 7, 1]]):
+                  [[1, 2, 3], [2, 4, 5], [3, 7, 1]],
+                  # symmetric: a zero diagonal, and a second pivot of 0
+                  [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+                  [[1, 1, 2], [1, 1, 3], [2, 3, 5]]):
             assert det_exact(m) == bareiss_det(m) != 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[0, 2, -1], [2, 0, 3], [-1, 3, 0]])
+    @example([[10**30, 1], [1, 10**30]])
+    def test_symmetric_matches_bareiss(self, rows):
+        assert rows == [list(col) for col in zip(*rows)]
+        assert det_exact(rows) == bareiss_det(rows)
+
+    def test_reduced_laplacians_of_random_graphs(self):
+        # the matrix-tree theorem: the count is positive iff g is connected
+        rng = random.Random(3)
+        connected = set()
+        for _ in range(80):
+            n = rng.randint(2, 14)
+            density = rng.choice([0.15, 0.3, 0.6, 0.9])
+            g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < density])
+            reduced = g.laplacian_matrix().astype(np.int64)[1:, 1:]
+            count = bareiss_det(reduced.tolist())
+            assert det_exact(reduced) == count
+            assert (count > 0) == (len(g.components()) == 1)
+            connected.add(count > 0)
+        assert connected == {True, False}
+
+    def test_symmetric_pass_skips_the_row_reduction(self, monkeypatch):
+        # per column: the column and the factors below the pivot, and on
+        # the general path the pivot row as well
+        calls = []
+        sym_mod = exact._sym_mod
+        monkeypatch.setattr(exact, "_sym_mod", lambda x, p: calls.append(1) or sym_mod(x, p))
+        primes = [_det_prime(i) for i in range(16)]
+
+        def reductions(ints):
+            calls.clear()
+            exact._det_mod_primes(ints, primes)
+            return len(calls)
+
+        two_k4 = disjoint_union(complete_graph(4), complete_graph(4))
+        for g in (petersen_graph(), two_k4, random_regular(GenConfig(10, 80, 0))):
+            ints = g.laplacian_matrix().astype(np.int64)[1:, 1:]
+            n = len(ints)
+            assert reductions(ints) == 2 * n - 1
+            general = ints.copy()
+            general[0, -1] += 1
+            assert reductions(general) == 3 * n - 1
+        # two disjoint K4: the last pivot is 0 under every prime, with
+        # nothing below it, so the residues are 0 without a swap
+        ints = two_k4.laplacian_matrix().astype(np.int64)[1:, 1:]
+        assert exact._det_mod_primes(ints, primes) == [0] * 16
+        # a swap at column 0 under one prime sends every prime to the row
+        # pass from that column on
+        p = primes[0]
+        assert reductions(np.array([[p, 1], [1, 1]], dtype=np.int64)) == 3 * 2 - 1
+        assert reductions(np.array([[1, 1, 2], [1, 1, 3], [2, 3, 5]], dtype=np.int64)) == 2 + 3 + 2
 
     def test_laplacian_minors_match_bareiss(self):
         for g in (petersen_graph(), build_Hd(8), random_regular(GenConfig(10, 60, 3))):
@@ -449,7 +543,8 @@ class TestDeterminant:
             char_poly_exact(rows)
 
 
-def elimination_case(n, seed, n_primes, which, zero_pivot, zero_column, big):
+def elimination_case(n, seed, n_primes, which, zero_pivot, zero_column, big,
+                     symmetric=False):
     """An n x n integer matrix and its primes for the elimination tests.
 
     Entries are residues mod p = primes[which] plus multiples of p, up to
@@ -457,12 +552,25 @@ def elimination_case(n, seed, n_primes, which, zero_pivot, zero_column, big):
     leading (c + 1) x (c + 1) minor 0 mod p, since row c repeats row c - 1
     mod p on columns 0..c, so the pivot at column c is 0 mod p;
     zero_column = z makes column z 0 mod p.
+
+    A symmetric case mirrors the upper triangle, of the residues and of the
+    lifted entries.  There zero_pivot = c makes row and column c 0 mod p
+    inside the leading (c + 1) x (c + 1) block, so the pivot at column c is
+    0 mod p and a row swap ends the symmetric pass; zero_column = z makes
+    row and column z 0 mod p, a zero pivot with nothing to swap in.
     """
     primes = [_det_prime(i) for i in range(n_primes)]
     p = primes[which]
     rng = random.Random(seed)
     res = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-    if zero_pivot == 0:
+    if symmetric:
+        res = [[res[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if zero_pivot is not None:
+            for j in range(zero_pivot + 1):
+                res[zero_pivot][j] = res[j][zero_pivot] = 0
+        if zero_column is not None:
+            res[zero_column] = [0] * n
+    elif zero_pivot == 0:
         res[0][0] = 0
     elif zero_pivot is not None:
         res[zero_pivot][:zero_pivot + 1] = res[zero_pivot - 1][:zero_pivot + 1]
@@ -471,12 +579,15 @@ def elimination_case(n, seed, n_primes, which, zero_pivot, zero_column, big):
             row[zero_column] = 0
     spread = 10**30 // p if big else 3
     rows = [[r + p * rng.randint(-spread, spread) for r in row] for row in res]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     return np.array(rows, dtype=object if big else np.int64), primes
 
 
 PANEL = exact._DET_PANEL
 case_defaults = dict(seed=5, n_primes=16, which=3, zero_pivot=None, zero_column=None,
-                     big=False, panel=PANEL)
+                     big=False, panel=PANEL, symmetric=False)
+symmetric_defaults = {**case_defaults, "symmetric": True}
 
 
 class TestBlockedElimination:
@@ -484,11 +595,12 @@ class TestBlockedElimination:
     by residue.  zero_pivot is an offset from the panel width b, so the
     forced zero pivots fall at columns b - 1, b and b + 1."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 70), panel=st.sampled_from([1, 2, 3, 5, 8, PANEL]),
            seed=st.integers(0, 2**32 - 1), n_primes=st.integers(1, 16),
            which=st.integers(0, 15), zero_pivot=st.sampled_from([None, -1, 0, 1]),
-           zero_column=st.none() | st.integers(0, 69), big=st.booleans())
+           zero_column=st.none() | st.integers(0, 69), big=st.booleans(),
+           symmetric=st.booleans())
     @example(n=1, **case_defaults)
     @example(n=PANEL - 7, **case_defaults)                      # n < b
     @example(n=2 * PANEL + 5, **case_defaults)                  # n not a multiple of b
@@ -497,15 +609,23 @@ class TestBlockedElimination:
     @example(n=PANEL + 9, **{**case_defaults, "zero_pivot": 0})
     @example(n=PANEL + 9, **{**case_defaults, "zero_pivot": 1})
     @example(n=PANEL + 9, **{**case_defaults, "zero_column": PANEL + 2})
+    @example(n=2 * PANEL + 5, **symmetric_defaults)
+    @example(n=2 * PANEL, **{**symmetric_defaults, "big": True})
+    @example(n=PANEL + 9, **{**symmetric_defaults, "zero_pivot": -1})
+    @example(n=PANEL + 9, **{**symmetric_defaults, "zero_pivot": 0})
+    @example(n=PANEL + 9, **{**symmetric_defaults, "zero_pivot": 1})
+    @example(n=PANEL + 9, **{**symmetric_defaults, "zero_column": PANEL + 2})
     def test_residues_match_unblocked_reference(self, n, panel, seed, n_primes, which,
-                                                zero_pivot, zero_column, big):
+                                                zero_pivot, zero_column, big, symmetric):
         which %= n_primes
         pivot_col = None if zero_pivot is None else panel + zero_pivot
         if pivot_col is not None and pivot_col >= n:
             pivot_col = None
         if zero_column is not None and zero_column >= n:
             zero_column = None
-        ints, primes = elimination_case(n, seed, n_primes, which, pivot_col, zero_column, big)
+        ints, primes = elimination_case(n, seed, n_primes, which, pivot_col, zero_column, big,
+                                        symmetric)
+        assert np.array_equal(ints, ints.T) == symmetric or n == 1
         if pivot_col is not None:
             lead = ints[:pivot_col + 1, :pivot_col + 1]
             assert det_mod_primes_unblocked(lead, [primes[which]]) == [0]
@@ -919,7 +1039,7 @@ class TestCellSearch:
         assert sum(steps for steps, _ in calls) == 981
         # the top end, then at most 3 probes per halving
         assert all(evals <= 3 * steps + 1 for steps, evals in calls)
-        assert sum(evals for _, evals in calls) <= 250
+        assert sum(evals for _, evals in calls) <= 123
 
 
 def test_descartes_positivity():

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treepack.graphs import (
@@ -158,3 +159,42 @@ def test_handshake_lemma(g: Graph):
 @given(graphs())
 def test_text_format_round_trips(g: Graph):
     assert parse_edge_list(to_edge_list(g)) == g
+
+
+def adjacency_by_loop(g: Graph) -> np.ndarray:
+    """The adjacency matrix filled one edge at a time."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
+
+
+def laplacian_by_loop(g: Graph) -> np.ndarray:
+    """The Laplacian as -A (off-diagonal zeros are -0.0) with the degrees
+    written in one vertex at a time."""
+    lap = -adjacency_by_loop(g)
+    for v in range(g.n):
+        lap[v, v] = g.degrees[v]
+    return lap
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=12))
+@example(make_graph(0, []))
+@example(make_graph(1, []))
+@example(make_graph(4, [(0, 3)]))      # isolated vertices: +0.0 on the diagonal
+def test_dense_matrices_match_the_edge_loop(g: Graph):
+    # bit for bit, so the sign of every zero counts too
+    for got, want in ((g.adjacency_matrix(), adjacency_by_loop(g)),
+                      (g.laplacian_matrix(), laplacian_by_loop(g))):
+        assert got.dtype == want.dtype and got.shape == want.shape == (g.n, g.n)
+        assert got.tobytes() == want.tobytes()
+    assert sorted(map(tuple, g.edge_index.tolist())) == sorted(g.edges)
+
+
+def test_edge_index_is_cached_and_read_only():
+    g = petersen_graph()
+    assert g.edge_index is g.edge_index
+    assert g.edge_index.shape == (15, 2)
+    with pytest.raises(ValueError):
+        g.edge_index[0, 0] = 0
