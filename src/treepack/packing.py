@@ -335,18 +335,20 @@ class TreePackingResult:
 def sigma(g: Graph) -> TreePackingResult:
     """Spanning-tree packing number with certificates for both directions.
 
-    kappa' comes from Stoer-Wagner, and the search starts at
-    k = max(floor(kappa'/2), 1): Nash-Williams/Tutte, in the form Kundu
-    uses ("Bounds on the number of disjoint spanning trees", JCTB 1974),
-    gives sigma >= floor(kappa'/2).  While packs succeed it climbs, up to
-    floor(m / (n-1)), the trivial edge bound.  Every pack is a fresh
-    pack_trees(g, k) and the packer is exact, so the trees come from
-    pack_trees(g, sigma) and the witness from pack_trees(g, sigma+1).  The
-    witness is None when sigma+1 exceeds the edge bound (the edge count
-    certifies).  A failed first pack means k = 1 and a disconnected graph:
-    sigma is 0 with that pack's witness.  At a larger k only a packer bug
-    gets there, and the result lacks its sigma trees, which
-    ``verify_certificate`` rejects.
+    kappa' comes from `edge_connectivity`: Stoer-Wagner, cut short after
+    its first phase when a Cholesky certificate proves
+    lambda2 < d - 2(d-1)/(d+1) for a d-regular g, which forces kappa' = d.
+    The search starts at k = max(floor(kappa'/2), 1): Nash-Williams/Tutte,
+    in the form Kundu uses ("Bounds on the number of disjoint spanning
+    trees", JCTB 1974), gives sigma >= floor(kappa'/2).  While packs
+    succeed it climbs, up to floor(m / (n-1)), the trivial edge bound.
+    Every pack is a fresh pack_trees(g, k) and the packer is exact, so the
+    trees come from pack_trees(g, sigma) and the witness from
+    pack_trees(g, sigma+1).  The witness is None when sigma+1 exceeds the
+    edge bound (the edge count certifies).  A failed first pack means
+    k = 1 and a disconnected graph: sigma is 0 with that pack's witness.
+    At a larger k only a packer bug gets there, and the result lacks its
+    sigma trees, which ``verify_certificate`` rejects.
     """
     if g.n <= 1:
         return TreePackingResult(0, (), None)

@@ -18,7 +18,9 @@ a second one; `det_mod_primes_unblocked` eliminates
 one column at a time, updating the whole trailing block at every pivot;
 `char_poly_faddeev_leverrier` runs Faddeev-LeVerrier on Python integers,
 with no primes; `reference_edge_connectivity` runs Stoer-Wagner on one
-weight dict per vertex, each phase from a heap; `reference_pack` packs
+weight dict per vertex, each phase from a heap; `leading_minors` takes
+the leading principal minors of an integer matrix by Bareiss elimination
+on Python integers; `reference_pack` packs
 with a labeling search that enqueues every labeled edge, on forests kept
 by union-find and re-rooted whole.
 """
@@ -354,6 +356,30 @@ def reference_edge_connectivity(g: Graph) -> tuple[int, frozenset[int]]:
 
     assert best is not None
     return best
+
+
+def leading_minors(rows) -> list[int]:
+    """The leading principal minors D_1, D_2, ... of an integer matrix by
+    fraction-free Bareiss elimination without pivoting, up to and
+    including the first zero one, after which an unpivoted step would
+    divide by zero.  After step k the pivot a[k][k] is D_{k+1}, and each
+    division by the previous pivot is exact.  By Sylvester's criterion a
+    symmetric matrix is positive definite exactly when every D_j > 0."""
+    a = [list(map(int, r)) for r in rows]
+    minors: list[int] = []
+    prev = 1
+    for k in range(len(a)):
+        pivot = a[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        row_k = a[k][k + 1:]
+        for i in range(k + 1, len(a)):
+            a_ik = a[i][k]
+            a[i][k + 1:] = [(x * pivot - a_ik * y) // prev
+                            for x, y in zip(a[i][k + 1:], row_k)]
+        prev = pivot
+    return minors
 
 
 def count_spanning_trees_exhaustive(g: Graph) -> int:

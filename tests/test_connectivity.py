@@ -1,13 +1,17 @@
 import functools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import edge_connectivity_bruteforce, reference_edge_connectivity
+from oracles import edge_connectivity_bruteforce, leading_minors, reference_edge_connectivity
 from test_packing import _determinism_corpus
 
-from treepack.connectivity import edge_connectivity
+import treepack.connectivity as connectivity
+from treepack.connectivity import _certified_floor, edge_connectivity
+from treepack.exact import det_exact
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
     add_edges,
@@ -20,7 +24,7 @@ from treepack.graphs import (
     path_graph,
     petersen_graph,
 )
-from treepack.randgen import GenConfig, random_regular
+from treepack.randgen import GenConfig, random_regular, splitmix64
 
 
 @st.composite
@@ -244,3 +248,154 @@ def test_matches_reference_on_families(build, d):
 ], ids=["K200", "K60-K60"])
 def test_matches_reference_on_large_weights(g):
     _same_cut_as_reference(g)
+
+
+# ---------------------------------------------------------------------------
+# The early exit: a d-regular graph whose M = n((d^2-d+2)I - (d+1)A) + (2d-1)J
+# passes a shifted float Cholesky has lambda2 < q_d = d - 2(d-1)/(d+1), so
+# kappa' = d, and Stoer-Wagner stops after its first phase.
+
+def _kappa_matrix(g, d):
+    """M as Python integers, from the neighbour sets."""
+    n = g.n
+    diag = n * (d * d - d + 2) + 2 * d - 1
+    return [[diag if u == v else 2 * d - 1 - n * (d + 1) * (v in g.neighbors[u])
+             for v in range(n)]
+            for u in range(n)]
+
+
+def _positive_definite(g):
+    return all(minor > 0 for minor in leading_minors(_kappa_matrix(g, g.degree_if_regular())))
+
+
+def _lambda2(g):
+    return np.linalg.eigvalsh(g.adjacency_matrix())[-2]
+
+
+def _prism(k):
+    """C_k x K2: two k-cycles joined by a perfect matching."""
+    return make_graph(2 * k, [*((i, (i + 1) % k) for i in range(k)),
+                              *((k + i, k + (i + 1) % k) for i in range(k)),
+                              *((i, k + i) for i in range(k))])
+
+
+def _two_k4_minus_edge():
+    """Two copies of K4 - {2, 3} with 2-6 and 3-7 added: 3-regular, kappa' = 2."""
+    k4e = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    return make_graph(8, [*k4e, *((u + 4, v + 4) for u, v in k4e), (2, 6), (3, 7)])
+
+
+def _analyze_pool(seed):
+    state = seed
+    for _ in range(32):
+        state, graph_seed = splitmix64(state)
+        yield f"rr10-80-{graph_seed}", random_regular(GenConfig(10, 80, graph_seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=6, max_size=6),
+       st.integers(1, 6))
+def test_leading_minors_match_det_exact(rows, k):
+    minors = leading_minors([r[:k] for r in rows[:k]])
+    expected = [det_exact([r[:j] for r in rows[:j]]) for j in range(1, k + 1)]
+    assert minors == expected[:len(minors)]
+    assert len(minors) == k or minors[-1] == 0
+
+
+@st.composite
+def small_regular_graphs(draw):
+    d = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=d + 1, max_value=40).filter(lambda n: n * d % 2 == 0))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    return random_regular(GenConfig(d, n, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_regular_graphs())
+def test_certificate_is_sound_and_complete_off_the_boundary(g):
+    d = g.degree_if_regular()
+    floor = _certified_floor(g)
+    assert floor in (0, d)
+    positive_definite = _positive_definite(g)
+    if floor:
+        assert positive_definite
+        assert reference_edge_connectivity(g)[0] == d
+    if positive_definite and _lambda2(g) < (d * d - d + 2) / (d + 1) - 1e-6:
+        assert floor == d
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), _prism(6), random_regular(GenConfig(10, 80, 1))],
+                         ids=["Petersen", "C6xK2", "rr10-80-s1"])
+def test_cholesky_factors_m_less_the_least_safe_shift(g, monkeypatch):
+    # the factored matrix is M with sigma off its diagonal, sigma the least
+    # power of two at or above 2^8 (n+1) 2^-53 tr(M), all entries exact
+    seen = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: seen.append(a.copy()))
+    _certified_floor(g)
+    (a,) = seen
+    m = np.array(_kappa_matrix(g, g.degree_if_regular()), dtype=object)
+    bound = Fraction(2**8 * (g.n + 1) * int(np.trace(m)), 2**53)
+    sigma = Fraction(1)
+    while sigma < bound:
+        sigma *= 2
+    while sigma / 2 >= bound:
+        sigma /= 2
+    shift = m - np.frompyfunc(Fraction, 1, 1)(a)
+    assert (shift == sigma * np.eye(g.n, dtype=int)).all()
+
+
+# 2K2 has lambda2 = q_1 = 1 exactly, and an unshifted float Cholesky
+# factors its singular M without complaint (numpy 2.4's does).
+@pytest.mark.parametrize("g", [
+    _prism(6),
+    _two_k4_minus_edge(),
+    make_graph(4, [(0, 2), (1, 3)]),
+    *(build_Gd(d) for d in range(4, 13)),
+    *(build_Hd(d) for d in range(6, 17)),
+], ids=["C6xK2", "2(K4-e)", "2K2",
+        *(f"G{d}" for d in range(4, 13)), *(f"H{d}" for d in range(6, 17))])
+def test_no_certificate(g):
+    assert _certified_floor(g) == 0
+    assert not _positive_definite(g)
+
+
+def test_no_certificate_at_lambda2_equal_to_q():
+    # lambda2 = q_3 = 2 exactly, twice, so M is positive semidefinite with
+    # a 2-dimensional kernel (D_11 is already 0), and no float comparison
+    # of lambda2 with q_3 can decide it (eigvalsh gave 2.000000000000001)
+    g = _prism(6)
+    assert abs(_lambda2(g) - 2) < 1e-12
+    minors = leading_minors(_kappa_matrix(g, 3))
+    assert len(minors) == 11 and minors[-1] == 0 and min(minors[:-1]) > 0
+
+
+def test_no_certificate_below_degree():
+    g = _two_k4_minus_edge()
+    assert g.degree_if_regular() == 3
+    assert np.isclose(_lambda2(g), 5 ** 0.5)
+    assert edge_connectivity(g).value == reference_edge_connectivity(g)[0] == 2
+
+
+def _certified_corpus():
+    yield pytest.param(petersen_graph(), True, id="Petersen")
+    yield from (pytest.param(complete_graph(n), True, id=f"K{n}") for n in range(2, 9))
+    yield from (pytest.param(cycle_graph(n), True, id=f"C{n}") for n in range(5, 8))
+    yield pytest.param(_prism(5), True, id="C5xK2")
+    for seed in (1, 7):
+        # Bareiss on Python integers takes 0.2 s at n = 80, so the oracle
+        # checks the first four graphs of each pool
+        for i, (name, g) in enumerate(_analyze_pool(seed)):
+            yield pytest.param(g, i < 4, id=name)
+
+
+@pytest.mark.parametrize("g,check_oracle", list(_certified_corpus()))
+def test_certificate(g, check_oracle, monkeypatch):
+    d = g.degree_if_regular()
+    assert _certified_floor(g) == d
+    if check_oracle:
+        assert _positive_definite(g)
+    # one phase returns the (value, side) of every phase
+    r = edge_connectivity(g)
+    monkeypatch.setattr(connectivity, "_certified_floor", lambda g: 0)
+    assert r.value == d
+    assert r == edge_connectivity(g)
