@@ -30,16 +30,11 @@ from .families import (
 from .graphs import (
     Graph,
     VertexPartition,
-    add_edges,
     complete_graph,
-    complete_minus_matching,
     crossing_edges,
-    cycle_graph,
-    disjoint_union,
     make_graph,
     parse_edge_list,
     partition,
-    path_graph,
     petersen_graph,
     to_edge_list,
 )

@@ -12,14 +12,15 @@ The workhorses are:
 
   - ``char_poly_exact`` — Faddeev-LeVerrier mod p, one batched matrix
     product per step, no pivots;
-  - ``det_exact`` — a blocked LU mod p, with one batched matrix product
-    (BLAS dgemm) per panel of columns for the trailing update.  Blocking
-    only regroups the products: each entry still takes one product of two
-    residues per earlier pivot, so the float64 bound, and with it
-    ``DET_MAX_DIM``, are those of a column-by-column elimination.  A
-    symmetric matrix, such as the reduced Laplacian behind a spanning-tree
-    count, factors as L D L^T mod p, so each pivot row of U is copied from
-    its pivot column instead of being computed;
+  - ``det_exact`` — a blocked unpivoted L D L^T mod p of a symmetric
+    matrix whose leading principal minors are nonzero, such as the
+    reduced Laplacian of a connected graph, with one batched matrix
+    product (BLAS dgemm) per panel of columns for the trailing update.
+    Each pivot row is copied from its pivot column, and rows are never
+    swapped: a prime that divides a leading minor is replaced by the next
+    one.  Blocking only regroups the products: each entry still takes one
+    product of two residues per earlier pivot, so the float64 bound, and
+    with it ``DET_MAX_DIM``, are those of a column-by-column elimination;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities.
@@ -215,14 +216,31 @@ def _multimodular(kernel, ints: np.ndarray, bound: int) -> list[int]:
     above 2 * bound (at least one), in batches of _DET_BATCH per kernel
     call; the Chinese remainder theorem combines the residues of each
     value in (-M/2, M/2).
+
+    For a prime that divides a leading principal minor D_(j+1) of ints,
+    the kernel may report the column j in place of the residues.  That
+    prime is replaced by the next one.  bound covers every leading minor,
+    so once the primes reported at one column multiply past it, that
+    minor is 0, and ValueError names it.
     """
-    primes = [_det_prime(0)]
-    while prod(primes) <= 2 * bound:
-        primes.append(_det_prime(len(primes)))
+    primes: list[int] = []
     rows: list[list[int]] = []
-    for i in range(0, len(primes), _DET_BATCH):
-        rows += kernel(ints, primes[i:i + _DET_BATCH])
-    modulus = prod(primes)
+    reported: dict[int, int] = {}    # column -> product of the primes reported there
+    modulus, taken = 1, 0
+    while modulus <= 2 * bound or not primes:
+        batch = [_det_prime(taken)]
+        while len(batch) < _DET_BATCH and modulus * prod(batch) <= 2 * bound:
+            batch.append(_det_prime(taken + len(batch)))
+        taken += len(batch)
+        for p, row in zip(batch, kernel(ints, batch)):
+            if isinstance(row, int):
+                reported[row] = reported.get(row, 1) * p
+                if reported[row] > bound:
+                    raise ValueError(f"leading principal minor D_{row + 1} is 0")
+            else:
+                primes.append(p)
+                rows.append(row)
+                modulus *= p
     weights = [modulus // p * pow(modulus // p, -1, p) for p in primes]
     sums = [sum(r * w for r, w in zip(column, weights)) % modulus for column in zip(*rows)]
     return [x - modulus if 2 * x > modulus else x for x in sums]
@@ -293,55 +311,35 @@ def char_poly_exact(m: Sequence[Sequence[int]] | np.ndarray) -> IntPoly:
     return IntPoly(_multimodular(_char_poly_mod_primes, ints, bound)[::-1] + [1])
 
 
-def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
-    """det(ints) mod each prime, in [0, p), by one blocked float64 LU over a
-    (primes, n, n) array.
+def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[list[int] | int]:
+    """det(ints) mod each prime, as [residue] with the residue in [0, p),
+    by one blocked unpivoted L D L^T over a (primes, n, n) float64 array;
+    ints is symmetric.  A prime whose pivot at column j is 0, the first
+    such column, divides the leading minor D_(j+1): the column j is
+    reported in its place.
 
-    Columns go in panels of _DET_PANEL, and the factors stay in place
-    below each pivot as L.  Inside a panel, column k and then pivot row k
-    first take the products L @ U they missed from the panel's earlier
-    pivots; after the panel, the trailing block takes all of them in one
+    Columns go in panels of _DET_PANEL.  Inside a panel, column k first
+    takes the products L @ (D L^T) it missed from the panel's earlier
+    pivots and is reduced; as (D L^T) it is copied into pivot row k, and
+    scaled by the pivot's inverse it stays below the pivot as L.  After
+    the panel, the trailing block takes all of those products in one
     batched matrix product.  Each entry still receives one product of two
     reduced residues per earlier pivot, as in a column-by-column
-    elimination, so the float64 bound is the same.
-
-    A symmetric matrix factors as L D L^T mod p, so pivot row k of U is
-    pivot column k before it is scaled into L: while the input is
-    symmetric the reduced column, residues in (-p, p) as the row pass
-    would leave them, is copied into the row, and the row's own products
-    and reduction are skipped.  A zero pivot that swaps rows under some
-    prime breaks the symmetry, and from that column on every prime takes
-    the row pass.  The pivots are kept, and each residue is their product,
-    signed by the swaps, taken once at the end.
+    elimination, so the float64 bound is the same.  A zero pivot's inverse
+    is taken as 0, so every entry stays a residue, and each prime's
+    residue is the product of its pivots, taken once at the end.
     """
     n = len(ints)
     p_col = np.array(primes, dtype=np.float64)[:, None]
     work = _residues(ints, primes)
-    symmetric = np.array_equal(ints, ints.T)
     pivots = []                 # per column, the pivot under each prime
-    swapped = [False] * len(primes)
     for k0 in range(0, n, _DET_PANEL):
         k1 = min(k0 + _DET_PANEL, n)
         for k in range(k0, k1):
-            # row k and column k are updated and reduced only now that they
-            # are the pivots
             work[:, k:, k] -= (work[:, k:, k0:k] @ work[:, k0:k, k, None])[:, :, 0]
             col = work[:, k:, k] = _sym_mod(work[:, k:, k], p_col)
+            work[:, k, k + 1:] = col[:, 1:]
             pivot = col[:, 0].tolist()
-            if not all(pivot):
-                for j in np.flatnonzero(col[:, 0] == 0):
-                    below = np.flatnonzero(col[j])
-                    if below.size:      # else the column is 0 mod p and det stays 0
-                        i = k + int(below[0])
-                        work[j, [k, i]] = work[j, [i, k]]
-                        pivot[j] = float(col[j, below[0]])
-                        swapped[j] = not swapped[j]
-                        symmetric = False
-            if symmetric:
-                work[:, k, k + 1:] = col[:, 1:]
-            else:
-                work[:, k, k + 1:] -= (work[:, k, None, k0:k] @ work[:, k0:k, k + 1:])[:, 0]
-                work[:, k, k + 1:] = _sym_mod(work[:, k, k + 1:], p_col)
             pivots.append(pivot)
             if k + 1 < n:
                 inv = np.array([pow(int(x), -1, p) if x else 0
@@ -350,27 +348,30 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[int]:
         if k1 < n:
             work[:, k1:, k1:] -= work[:, k1:, k0:k1] @ work[:, k0:k1, k1:]
     per_prime = np.array(pivots, dtype=np.int64).reshape(n, len(primes)).T.tolist()
-    return [(-1 if s else 1) * prod(column) % p
-            for column, s, p in zip(per_prime, swapped, primes)]
+    return [column.index(0) if 0 in column else [prod(column) % p]
+            for column, p in zip(per_prime, primes)]
 
 
 def det_exact(m: Sequence[Sequence[int]] | np.ndarray) -> int:
-    """Exact determinant of an integer matrix by multi-modular elimination.
+    """Exact determinant of a symmetric integer matrix whose leading
+    principal minors are nonzero, a positive definite one for example, by
+    multi-modular L D L^T.  Any other input raises ValueError.
 
-    Hadamard's bound gives |det| <= isqrt(prod of the squared row norms).
-    Primes are taken until their product M exceeds twice that, a blocked
-    float64 LU over a (primes, n, n) array, one per batch of primes, yields
-    det mod every prime, and the Chinese remainder theorem combines them in
-    (-M/2, M/2).  A symmetric matrix takes the L D L^T form of that LU,
-    which reads each pivot row off its pivot column, until a zero pivot
-    swaps rows under some prime.
+    Hadamard's bound gives |D_j| <= isqrt(prod of the squared row norms)
+    for every leading minor D_j, a zero row counted as norm 1.  Primes are
+    taken until their product M exceeds twice that, one blocked float64
+    elimination over a (primes, n, n) array per batch of primes yields det
+    mod every prime, and the Chinese remainder theorem combines them in
+    (-M/2, M/2).  A prime that divides some D_j is replaced; primes that
+    divide one D_j and multiply past the bound prove D_j = 0.
     """
     ints = _int_array(m)
+    if not np.array_equal(ints, ints.T):
+        raise ValueError("symmetric matrix required")
     if len(ints) == 0:
         return 1
-    bound = isqrt(prod(_norms_sq(ints)))
-    return _multimodular(lambda a, primes: [[r] for r in _det_mod_primes(a, primes)],
-                         ints, bound)[0]
+    bound = isqrt(prod(s or 1 for s in _norms_sq(ints)))
+    return _multimodular(_det_mod_primes, ints, bound)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -60,29 +60,6 @@ from .spectra import laplacian_spectrum
 _FLOAT_EXACT = 2 ** 53   # beyond this, rounded float products are meaningless
 
 
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 @dataclass(frozen=True)
 class PackResult:
     """Either k edge-disjoint spanning trees or a violating partition."""
@@ -372,7 +349,8 @@ def sigma(g: Graph) -> TreePackingResult:
 class TreeCount:
     """Spanning-tree count, with the float route as a cross-check.
 
-    exact: determinant of the reduced Laplacian.
+    exact: determinant of the reduced Laplacian, or 0 without one when
+        the graph is disconnected.
     agree: whether the rounded product of the nonzero Laplacian
         eigenvalues over n equals exact; None when the count is too large
         for the float route to round exactly (>= 2^53), and then the
@@ -390,7 +368,10 @@ class TreeCount:
 def count_spanning_trees(g: Graph) -> TreeCount:
     if g.n == 0:
         raise ValueError("empty graph")
-    exact = det_exact(g.laplacian_matrix()[1:, 1:].astype(np.int64))
+    # a connected graph's reduced Laplacian is positive definite, as
+    # det_exact requires; any other graph has no spanning tree
+    connected = len(g.components()) == 1
+    exact = det_exact(g.laplacian_matrix()[1:, 1:].astype(np.int64)) if connected else 0
     if exact >= _FLOAT_EXACT:
         return TreeCount(exact, None)
     product = prod(laplacian_spectrum(g)[1:]) / g.n
@@ -408,10 +389,16 @@ class CertificateCheck:
 def _is_spanning_tree(g: Graph, edges: frozenset[Edge]) -> bool:
     if len(edges) != g.n - 1:
         return False
-    d = _DSU(g.n)
+    # n - 1 edges that close no cycle; union-find with path halving
+    parent = list(range(g.n))
     for u, v in edges:
-        if not d.union(u, v):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
+        parent[v] = u
     return True
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from .exact import IntPoly, char_poly_exact, isolate_real_roots
 from .graphs import Graph, VertexPartition, crossing_edges
 
-SYMMETRY_RTOL = 1e-12
 INTERLACING_TOL = 1e-9
 GROUPING_TOL = 1e-7
 
@@ -29,29 +28,15 @@ def multiplicities(values: Sequence[float]) -> list[tuple[float, int]]:
     return groups
 
 
-def eig_symmetric(m: np.ndarray, want_vectors: bool = False):
-    """Eigenvalues of a dense symmetric matrix as a descending tuple.
-
-    With want_vectors, returns (eigenvalues, eigenvectors) with orthonormal
-    columns matching the eigenvalue order.  Rejects asymmetric input.  An
-    exactly symmetric matrix is solved as given, without the symmetrised
-    copy (it would equal the input bit for bit); any other is checked
-    against SYMMETRY_RTOL and symmetrised.
-    """
+def eig_symmetric(m: np.ndarray) -> tuple[float, ...]:
+    """Eigenvalues of a dense, exactly symmetric matrix as a descending
+    tuple; any other matrix is refused."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     if not np.array_equal(a, a.T):
-        scale = np.linalg.norm(a) or 1.0
-        if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * scale:
-            raise ValueError("matrix is not symmetric")
-        a = (a + a.T) / 2
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(a)
-        order = np.argsort(vals)[::-1]
-        return tuple(float(v) for v in vals[order]), vecs[:, order]
-    vals = np.linalg.eigvalsh(a)
-    return tuple(float(v) for v in vals[::-1])
+        raise ValueError("matrix is not symmetric")
+    return tuple(float(v) for v in np.linalg.eigvalsh(a)[::-1])
 
 
 def adjacency_spectrum(g: Graph) -> tuple[float, ...]:

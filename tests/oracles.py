@@ -15,7 +15,8 @@ isolated root by one bisection step per halving, and `by_bisection` runs
 the isolations with it; `sturm_chain_two_pass` takes the squarefree part
 by a remainder sequence run to a zero remainder, then builds its chain by
 a second one; `det_mod_primes_unblocked` eliminates
-one column at a time, updating the whole trailing block at every pivot;
+one column at a time without pivoting, updating the whole trailing block
+at every pivot;
 `char_poly_faddeev_leverrier` runs Faddeev-LeVerrier on Python integers,
 with no primes; `reference_edge_connectivity` runs Stoer-Wagner on one
 weight dict per vertex, each phase from a heap; `leading_minors` takes
@@ -413,36 +414,36 @@ def _joins_all(n: int, edges) -> bool:
     return joins == n - 1
 
 
-def det_mod_primes_unblocked(ints: np.ndarray, primes: list[int]) -> list[int]:
-    """det(ints) mod each prime by column-by-column float64 elimination over
-    a (primes, n, n) array: `exact._det_mod_primes` without panels.
+def det_mod_primes_unblocked(ints: np.ndarray, primes: list[int]) -> list[list[int] | int]:
+    """det(ints) mod each prime as [residue], by column-by-column float64
+    elimination without pivoting over a (primes, n, n) array:
+    `exact._det_mod_primes` without panels, and with each pivot row
+    computed by elimination rather than copied from its column.
 
     Row and column k are reduced mod p only when they become the pivots,
     and the whole trailing block takes the rank-1 update of every pivot.
-    A pivot that is 0 mod p swaps rows in that prime's slice only; a column
-    that is 0 mod p leaves the residue 0.
+    A prime whose pivot at column k is 0 mod p, the first such column,
+    divides the leading minor D_(k+1), and k is reported in its place.
     """
     n = len(ints)
     work = (ints[None] % np.array(primes, dtype=ints.dtype)[:, None, None]).astype(np.float64)
     p_vec = np.array(primes, dtype=np.float64)
     p_col = p_vec[:, None]
     det = np.ones(len(primes))
+    first_zero: list[int | None] = [None] * len(primes)
     for k in range(n):
-        col = work[:, k:, k] = np.remainder(work[:, k:, k], p_col)
-        for j in np.flatnonzero(col[:, 0] == 0):
-            below = np.flatnonzero(col[j])
-            if below.size:
-                i = k + int(below[0])
-                work[j, [k, i]] = work[j, [i, k]]
-                det[j] = primes[j] - det[j]
+        work[:, k:, k] = np.remainder(work[:, k:, k], p_col)
         row = work[:, k, k:] = np.remainder(work[:, k, k:], p_col)
+        for j in np.flatnonzero(row[:, 0] == 0):
+            if first_zero[j] is None:
+                first_zero[j] = k
         det = np.remainder(det * row[:, 0], p_vec)
         if k + 1 < n:
             inv = np.array([pow(int(x), -1, p) if x else 0
                             for x, p in zip(row[:, 0].tolist(), primes)], dtype=np.float64)
             factor = np.remainder(work[:, k + 1:, k] * inv[:, None], p_col)
             work[:, k + 1:, k + 1:] -= factor[:, :, None] * row[:, None, 1:]
-    return [int(r) for r in det]
+    return [[int(r)] if z is None else z for r, z in zip(det, first_zero)]
 
 
 def char_poly_faddeev_leverrier(rows) -> IntPoly:

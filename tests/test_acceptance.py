@@ -9,6 +9,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from builders import (
+    complete_bipartite,
+    complete_minus_matching,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+)
 from oracles import (
     count_spanning_trees_exhaustive,
     edge_connectivity_bruteforce,
@@ -28,17 +35,7 @@ from treepack.families import (
     verify_Gd,
     verify_Hd,
 )
-from treepack.graphs import (
-    complete_bipartite,
-    complete_graph,
-    complete_minus_matching,
-    cycle_graph,
-    disjoint_union,
-    make_graph,
-    path_graph,
-    petersen_graph,
-    singleton_partition,
-)
+from treepack.graphs import complete_graph, make_graph, petersen_graph, singleton_partition
 from treepack.packing import (
     TreePackingResult,
     count_spanning_trees,

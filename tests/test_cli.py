@@ -10,16 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from builders import add_edges, cycle_graph, disjoint_union
+
 from treepack import cli, packing, randgen
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from treepack.connectivity import edge_connectivity
 from treepack.families import FAMILY_MAX_DEGREE, build_Gd, build_Hd
 from treepack.graphs import (
-    add_edges,
     complete_graph,
     crossing_edges,
-    disjoint_union,
-    cycle_graph,
     make_graph,
     parse_edge_list,
     partition,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from builders import add_edges, cycle_graph, disjoint_union, path_graph
 from oracles import edge_connectivity_bruteforce, leading_minors, reference_edge_connectivity
 from test_packing import _determinism_corpus
 
@@ -13,17 +14,7 @@ import treepack.connectivity as connectivity
 from treepack.connectivity import _certified_floor, edge_connectivity
 from treepack.exact import det_exact
 from treepack.families import build_Gd, build_Hd
-from treepack.graphs import (
-    add_edges,
-    complete_graph,
-    crossing_edges,
-    cycle_graph,
-    disjoint_union,
-    make_graph,
-    partition,
-    path_graph,
-    petersen_graph,
-)
+from treepack.graphs import complete_graph, crossing_edges, make_graph, partition, petersen_graph
 from treepack.randgen import GenConfig, random_regular, splitmix64
 
 
@@ -296,10 +287,17 @@ def _analyze_pool(seed):
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=6, max_size=6),
        st.integers(1, 6))
 def test_leading_minors_match_det_exact(rows, k):
+    # det_exact takes symmetric matrices and names the first zero minor
+    rows = [[rows[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
     minors = leading_minors([r[:k] for r in rows[:k]])
-    expected = [det_exact([r[:j] for r in rows[:j]]) for j in range(1, k + 1)]
-    assert minors == expected[:len(minors)]
     assert len(minors) == k or minors[-1] == 0
+    for j, minor in enumerate(minors, 1):
+        block = [r[:j] for r in rows[:j]]
+        if minor:
+            assert det_exact(block) == minor
+        else:
+            with pytest.raises(ValueError, match=f"D_{j} is 0"):
+                det_exact(block)
 
 
 @st.composite

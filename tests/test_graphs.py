@@ -3,19 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from builders import add_edges, complete_minus_matching, cycle_graph, disjoint_union, path_graph
+
 from treepack.graphs import (
     Graph,
     VertexPartition,
-    add_edges,
     complete_graph,
-    complete_minus_matching,
     crossing_edges,
-    cycle_graph,
-    disjoint_union,
     make_graph,
     parse_edge_list,
     partition,
-    path_graph,
     petersen_graph,
     singleton_partition,
     to_edge_list,

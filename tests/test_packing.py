@@ -10,6 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from builders import (
+    add_edges,
+    complete_bipartite,
+    complete_minus_matching,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+)
 from oracles import (
     ReferencePacker,
     count_spanning_trees_exhaustive,
@@ -24,15 +32,9 @@ from treepack.exact import _det_mod_primes as det_mod_primes
 from treepack.exact import det_exact
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import (
-    add_edges,
-    complete_bipartite,
     complete_graph,
-    complete_minus_matching,
     crossing_edges,
-    cycle_graph,
-    disjoint_union,
     make_graph,
-    path_graph,
     petersen_graph,
     singleton_partition,
 )
@@ -47,6 +49,7 @@ from treepack.packing import (
     verify_pack_result,
 )
 from treepack.randgen import GenConfig, random_regular, splitmix64
+from treepack.spectra import laplacian_spectrum
 
 
 @st.composite
@@ -255,6 +258,26 @@ class TestCountSpanningTrees:
         assert c.exact == 0
         assert c.agree is not False
 
+    @pytest.mark.parametrize("g", [
+        make_graph(2, []),
+        disjoint_union(complete_graph(2), complete_graph(2)),
+        disjoint_union(complete_graph(1), petersen_graph()),
+        disjoint_union(petersen_graph(), complete_graph(1)),
+        disjoint_union(cycle_graph(40), complete_graph(30)),
+        disjoint_union(random_regular(GenConfig(10, 40, 1)), random_regular(GenConfig(10, 40, 2))),
+    ])
+    def test_disconnected_graph_takes_no_determinant(self, monkeypatch, g):
+        # the count is 0 by the components alone; agree still compares it
+        # with the eigenvalue product, which need not round to 0
+        def no_determinant(m):
+            raise AssertionError("det_exact ran on a disconnected graph")
+
+        monkeypatch.setattr(packing, "det_exact", no_determinant)
+        product = math.prod(laplacian_spectrum(g)[1:]) / g.n
+        c = count_spanning_trees(g)
+        assert c.exact == 0
+        assert c.agree == (round(product) == 0 if math.isfinite(product) else None)
+
     @pytest.mark.parametrize("noise", [1e-14, -1e-14])
     @pytest.mark.parametrize("big", [1e200, math.inf, math.nan])
     def test_non_finite_product_leaves_agree_open(self, monkeypatch, noise, big):
@@ -320,7 +343,9 @@ class TestClosedFormTreeCounts:
 
     def test_k1_and_a_disconnected_graph(self, det_calls):
         self.assert_count(complete_graph(1), 1, det_calls)
-        self.assert_count(disjoint_union(cycle_graph(40), complete_graph(30)), 0, det_calls)
+        # no spanning tree, and no determinant taken
+        assert count_spanning_trees(disjoint_union(cycle_graph(40), complete_graph(30))).exact == 0
+        assert len(det_calls) == 1
 
 
 class TestVerifyCertificate:

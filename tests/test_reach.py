@@ -26,7 +26,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 TRACER = "tracer-bound: perfbench/tracer.py wraps it by name"
 TOUR = "README tour: the library tour calls or imports it"
-TEST_CONSTRUCTOR = "test constructor: the tests build their inputs with it"
 DUNDER = "Python protocol dunder"
 
 # module.qualname -> why it stays although no subcommand calls it
@@ -41,12 +40,6 @@ ALLOWED = {
     "families.build_Hd": TOUR,
     "graphs.complete_graph": TOUR,
     "graphs.petersen_graph": TOUR,
-    "graphs.add_edges": TEST_CONSTRUCTOR,
-    "graphs.complete_bipartite": TEST_CONSTRUCTOR,
-    "graphs.complete_minus_matching": TEST_CONSTRUCTOR,
-    "graphs.cycle_graph": TEST_CONSTRUCTOR,
-    "graphs.disjoint_union": TEST_CONSTRUCTOR,
-    "graphs.path_graph": TEST_CONSTRUCTOR,
 }
 
 
@@ -126,9 +119,6 @@ def test_every_function_is_reached_or_allowed(tmp_path, capsys):
 def test_every_allowance_holds():
     tour = "".join(re.findall(r"```python\n(.*?)```",
                               (ROOT / "README.md").read_text(encoding="utf-8"), re.S))
-    tests = "".join(path.read_text(encoding="utf-8")
-                    for path in sorted((ROOT / "tests").glob("test_*.py"))
-                    if path.name != "test_reach.py")
     traced = {f"{module}.{name}"
               for module, names in _layer_functions().values() for name in names or ()}
     wrong = []
@@ -137,7 +127,6 @@ def test_every_allowance_holds():
         holds = {
             TRACER: qualname in traced,
             TOUR: re.search(rf"\b{name}\b", tour),
-            TEST_CONSTRUCTOR: re.search(rf"\b{name}\(", tests),
             DUNDER: name.startswith("__") and name.endswith("__"),
         }[reason]
         if not holds:

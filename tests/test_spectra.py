@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from builders import complete_bipartite, cycle_graph
 from oracles import exact_adjacency_roots
 
 from treepack.exact import char_poly_exact
-from treepack.graphs import (
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    make_graph,
-    partition,
-    petersen_graph,
-)
+from treepack.graphs import complete_graph, make_graph, partition, petersen_graph
 from treepack.spectra import (
     QuotientMatrix,
     adjacency_spectrum,
@@ -52,8 +46,13 @@ def graph_with_partition(draw):
 
 class TestEigSymmetric:
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not symmetric"):
             eig_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        # no tolerance: an asymmetry of 1e-14 is refused as well
+        b = petersen_graph().adjacency_matrix().astype(float)
+        b[0, 1] += 1e-14
+        with pytest.raises(ValueError, match="not symmetric"):
+            eig_symmetric(b)
 
     @settings(max_examples=80, deadline=None)
     @given(graphs())
@@ -63,12 +62,6 @@ class TestEigSymmetric:
         scale = max(1.0, np.linalg.norm(a))
         assert abs(vals.sum() - np.trace(a)) <= 1e-9 * scale
         assert abs((vals ** 2).sum() - (a ** 2).sum()) <= 1e-9 * scale ** 2
-
-    def test_near_symmetric_input_is_symmetrised(self):
-        a = petersen_graph().adjacency_matrix()
-        b = a.copy()
-        b[0, 1] += 1e-14
-        assert eig_symmetric(b) == eig_symmetric((b + b.T) / 2)
 
     def test_exactly_symmetric_input_needs_no_float_copy(self):
         rng = np.random.default_rng(3)
@@ -83,13 +76,6 @@ class TestEigSymmetric:
             tracemalloc.stop()
         assert spectrum == expected
         assert peak < a.nbytes / 2
-
-    def test_eigenvectors_satisfy_residual(self):
-        a = petersen_graph().adjacency_matrix()
-        spectrum, vecs = eig_symmetric(a, want_vectors=True)
-        for i, lam in enumerate(spectrum):
-            v = vecs[:, i]
-            assert np.linalg.norm(a @ v - lam * v) < 1e-10
 
 
 def test_known_spectra():
