@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph
+from .spectra import certify_lambda2_below
 
 
 @dataclass(frozen=True)
@@ -20,27 +19,11 @@ class CutResult:
 
 
 def _certified_floor(g: Graph) -> int:
-    """d when a float Cholesky proves lambda2 < d - 2(d-1)/(d+1) for a
-    d-regular g, which forces kappa' = d; else 0.  See `edge_connectivity`."""
+    """d when `certify_lambda2_below` proves lambda2 < q_d = d - 2(d-1)/(d+1)
+    for a d-regular g, which forces kappa' = d; else 0.  See
+    `edge_connectivity`."""
     d = g.degree_if_regular()
-    if not d:
-        return 0
-    n = g.n
-    diag = n * (d * d - d + 2) + 2 * d - 1
-    # sigma = 2**e, the least power of two >= 2**8 (n+1) 2**-53 tr(M),
-    # with tr(M) = n * diag
-    sigma = math.ldexp(1.0, ((n + 1) * n * diag - 1).bit_length() - 45)
-    if Fraction(diag - sigma) != diag - Fraction(sigma):
-        return 0
-    m = np.full((n, n), float(2 * d - 1))
-    us, vs = g.edge_index.T
-    m[us, vs] = m[vs, us] = 2 * d - 1 - n * (d + 1)
-    np.fill_diagonal(m, diag - sigma)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return 0
-    return d
+    return d if d and certify_lambda2_below(g, d * d - d + 2, d + 1) else 0
 
 
 def edge_connectivity(g: Graph) -> CutResult:
@@ -52,19 +35,11 @@ def edge_connectivity(g: Graph) -> CutResult:
     two-block quotient of that cut then interlaces to
     lambda2 >= d - t(1/s + 1/(n - s)) >= d - 2t/(d + 1) (the kappa' form of
     Cioaba, Linear Algebra Appl. 2010).  So lambda2 < q_d = d - 2(d-1)/(d+1)
-    proves kappa' = d.  The integer matrix
-    M = n((d^2 - d + 2) I - (d + 1) A) + (2d - 1) J has eigenvalue n on the
-    all-ones vector and n(d + 1)(q_d - lambda_i) on its complement, so M is
-    positive definite exactly when lambda2 < q_d.  Its entries are exact
-    in float64.  The bound holds only when ``np.linalg.cholesky`` succeeds
-    on M - sigma I, with sigma a power of two at least
-    2^8 (n + 1) 2^-53 tr(M) and the shifted diagonal checked to be exact.
-    A Cholesky that runs to completion on a symmetric B returns R with
-    R^T R = B + E and ||E||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr(B)
-    (Demmel; Higham, Accuracy and Stability of Numerical Algorithms,
-    Thm 10.3).  That is about (n + 1) 2^-53 tr(M), and sigma is at least
-    2^8 times it, so M = R^T R + sigma I - E is positive definite.  Otherwise (g not
-    regular, or no factor) the bound is 0.
+    proves kappa' = d.  `spectra.certify_lambda2_below(g, d^2 - d + 2, d + 1)`
+    proves that with a shifted float Cholesky of the integer matrix
+    M = n((d^2 - d + 2) I - (d + 1) A) + (2d - 1) J, which is positive
+    definite exactly when lambda2 < q_d.  Otherwise (g not regular, or no
+    factor) the bound is 0.
 
     The phase loop stops once the best phase weight is at or below the
     bound.  Phase 1 of a d-regular graph ends at the last vertex's degree
@@ -95,8 +70,8 @@ def edge_connectivity(g: Graph) -> CutResult:
     copy and the factor) and frees them before ``w`` is allocated.  At
     n = 5000 (random 10-regular) the call peaked at 632 MB RSS, 587 MB
     above the process before it.  Only `hunt`'s counterexample path runs
-    it there, right after a dense eigensolve that peaks about as high
-    (see `randgen.SWEEP_MAX_VERTICES`).
+    it there, after that trial's own certificate at theta_k, which holds
+    the same three arrays (see `randgen.SWEEP_MAX_VERTICES`).
     """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")

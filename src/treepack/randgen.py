@@ -25,14 +25,17 @@ from fractions import Fraction
 
 from .graphs import Edge, Graph, VertexPartition, make_graph
 from .packing import pack_trees, sigma as packing_sigma, verify_pack_result
-from .spectra import lambda2
+from .spectra import certify_lambda2_below, lambda2
 
 _MASK64 = (1 << 64) - 1
 # random_regular gives up after this many pairing attempts
 MAX_PAIRING_ATTEMPTS = 10_000
-# Sweeps refuse larger graphs before drawing one.  One d = 10, k = 2 trial
-# (pack_trees plus a dense n x n eigensolve) took 12 s at n = 2600, 30 s at
-# n = 3900 and 60 s (666 MB peak RSS) at n = 5200 on a 2-vCPU x86 host.
+# Sweeps refuse larger graphs before drawing one.  One certified d = 10,
+# k = 2 trial (drawing, the premise certificate and pack_trees) took 1.1 s
+# at n = 2600, 2.2 s at n = 3900 and 4.6 s at n = 5000, peaking at 632 MB
+# RSS there (the certificate's three n x n float64 arrays), on a 2-vCPU x86
+# host with one BLAS thread.  A trial the certificate refuses also takes a
+# dense eigensolve, 20 s at n = 5000.
 SWEEP_MAX_VERTICES = 5000
 
 
@@ -188,22 +191,30 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
     """Test 'small lambda2 forces k disjoint spanning trees' empirically.
 
     The statements under test hypothesize d >= 2k; below that the premise
-    is counted as false for every trial (the run is vacuous, never a bug).
-    Arguments that `check_sweep_args` rejects are rejected before any
-    graph is drawn.  The premise compares the float lambda2 exactly with
-    the rational threshold.
+    is counted as false for every trial (the run is vacuous, never a bug)
+    and no eigenvalue is computed.  Arguments that `check_sweep_args`
+    rejects are rejected before any graph is drawn.
+
+    The premise lambda2 < theta_k = (d(d+1) - 2k + 1)/(d+1) is proved by
+    `spectra.certify_lambda2_below` with a = d(d+1) - 2k + 1, b = d + 1.
+    Only a trial that certificate refuses compares the float lambda2
+    exactly with the rational threshold, so only those trials, and the
+    lambda2 recorded in a counterexample, take a dense eigensolve.  A
+    certified trial's float lambda2 lies below theta_k as well (see the
+    certificate's margin), so every tally is the one the float
+    comparison alone gives.
     """
     check_sweep_args(d, n, k, trials)
     degree_ok = d >= 2 * k
     threshold = theorem_threshold(d, k)
+    a, b = d * (d + 1) - 2 * k + 1, d + 1
     state = seed & _MASK64
     both = premise_only = conclusion_only = neither = 0
     bad: list[Counterexample] = []
     for _ in range(trials):
         state, trial_seed = splitmix64(state)
         g = random_regular(GenConfig(d=d, n=n, seed=trial_seed))
-        lam2 = lambda2(g)
-        premise = degree_ok and lam2 < threshold
+        premise = degree_ok and (certify_lambda2_below(g, a, b) or lambda2(g) < threshold)
         packed = pack_trees(g, k)
         check = verify_pack_result(g, packed)
         if not check.ok:
@@ -213,7 +224,7 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
         elif premise:
             premise_only += 1
             bad.append(Counterexample(
-                graph=g, d=d, n=n, k=k, lambda2=lam2,
+                graph=g, d=d, n=n, k=k, lambda2=lambda2(g),
                 sigma=packing_sigma(g).sigma, seed=trial_seed,
                 witness=packed.witness,
             ))

@@ -1,10 +1,11 @@
-"""Dense symmetric eigensolving, quotient matrices, and interlacing checks."""
+"""Dense symmetric eigensolving, a certified bound on lambda2, quotient
+matrices, and interlacing checks."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, ldexp
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,59 @@ def lambda2(g: Graph) -> float:
     if g.n == 1:
         raise ValueError("lambda2 undefined for a single vertex")
     return adjacency_spectrum(g)[1]
+
+
+def certify_lambda2_below(g: Graph, a: int, b: int) -> bool:
+    """True when a float Cholesky proves lambda2 < a/b for a d-regular g
+    with a/b <= d; False when it does not, and for an irregular g or
+    a/b > d, where the bound holds for every d-regular g and proves
+    nothing.  At a/b = d it proves that g is connected (K2 at q_1 = 1).
+
+    The integer matrix M = n(aI - bA) + (bd - a + 1)J has eigenvalue n on
+    the all-ones vector and nb(a/b - lambda_i) on its complement, so M is
+    positive definite exactly when lambda2 < a/b.  M depends on a and b,
+    not only on a/b.  Its entries are exact in float64.  The proof holds
+    only when ``np.linalg.cholesky`` succeeds on M - sigma I, with sigma
+    the least power of two at or above 2^8 (n + 1) 2^-53 tr(M) and the
+    shifted diagonal checked to be exact.  A Cholesky that runs to
+    completion on a symmetric B returns R with R^T R = B + E and
+    ||E||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr(B) (Demmel; Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3).  That is
+    about (n + 1) 2^-53 tr(M), and sigma is at least 2^8 times it, so
+    M = R^T R + sigma I - E is positive definite.
+
+    A certified M has lambda_min(M) >= sigma - ||E|| > 0, so a/b - lambda2
+    is at least about 2^8 (n + 1) 2^-53 tr(M) / (nb): 5e-10 for a
+    10-regular graph with n = 44 at theta_2 = 10 - 3/11, and 7e-6 at
+    n = 5000, far above the error of a dense float eigensolve (about
+    1e-13 there).  The float lambda2 of a certified graph therefore lies
+    below a/b too.
+
+    The call holds three n x n float64 arrays at once (M, numpy's working
+    copy and the factor): 600 MB at n = 5000.
+    """
+    if b < 1:
+        raise ValueError("b must be a positive integer")
+    d = g.degree_if_regular()
+    if not d or a > b * d:
+        return False
+    n = g.n
+    ones = b * d - a + 1        # J's coefficient, at least 1
+    diag = n * a + ones
+    # sigma = 2**e, the least power of two >= 2**8 (n+1) 2**-53 tr(M),
+    # with tr(M) = n * diag
+    sigma = ldexp(1.0, ((n + 1) * n * diag - 1).bit_length() - 45)
+    if Fraction(diag - sigma) != diag - Fraction(sigma):
+        return False
+    m = np.full((n, n), float(ones))
+    us, vs = g.edge_index.T
+    m[us, vs] = m[vs, us] = ones - n * b
+    np.fill_diagonal(m, diag - sigma)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def laplacian_spectrum(g: Graph) -> tuple[float, ...]:

@@ -15,7 +15,8 @@ from treepack.connectivity import _certified_floor, edge_connectivity
 from treepack.exact import det_exact
 from treepack.families import build_Gd, build_Hd
 from treepack.graphs import complete_graph, crossing_edges, make_graph, partition, petersen_graph
-from treepack.randgen import GenConfig, random_regular, splitmix64
+from treepack.randgen import GenConfig, random_regular, splitmix64, theorem_threshold
+from treepack.spectra import certify_lambda2_below
 
 
 @st.composite
@@ -246,17 +247,26 @@ def test_matches_reference_on_large_weights(g):
 # passes a shifted float Cholesky has lambda2 < q_d = d - 2(d-1)/(d+1), so
 # kappa' = d, and Stoer-Wagner stops after its first phase.
 
-def _kappa_matrix(g, d):
-    """M as Python integers, from the neighbour sets."""
+def _certificate_matrix(g, a, b):
+    """M = n(aI - bA) + (bd - a + 1)J as Python integers, from the
+    neighbour sets."""
     n = g.n
-    diag = n * (d * d - d + 2) + 2 * d - 1
-    return [[diag if u == v else 2 * d - 1 - n * (d + 1) * (v in g.neighbors[u])
+    ones = b * g.degree_if_regular() - a + 1
+    return [[n * a + ones if u == v else ones - n * b * (v in g.neighbors[u])
              for v in range(n)]
             for u in range(n)]
 
 
+def _kappa_matrix(g, d):
+    return _certificate_matrix(g, d * d - d + 2, d + 1)
+
+
+def _is_positive_definite(m):
+    return all(minor > 0 for minor in leading_minors(m))
+
+
 def _positive_definite(g):
-    return all(minor > 0 for minor in leading_minors(_kappa_matrix(g, g.degree_if_regular())))
+    return _is_positive_definite(_kappa_matrix(g, g.degree_if_regular()))
 
 
 def _lambda2(g):
@@ -397,3 +407,69 @@ def test_certificate(g, check_oracle, monkeypatch):
     monkeypatch.setattr(connectivity, "_certified_floor", lambda g: 0)
     assert r.value == d
     assert r == edge_connectivity(g)
+
+
+# ---------------------------------------------------------------------------
+# The same certificate at any a/b <= d: theorem_check asks it at
+# theta_k = (d(d+1) - 2k + 1)/(d+1), edge_connectivity at q_d.
+
+def _thresholds(d):
+    """(a, b) of theta_k for every k with 2k <= d, then of q_d."""
+    out = [(d * (d + 1) - 2 * k + 1, d + 1) for k in range(1, d // 2 + 1)]
+    assert [Fraction(a, b) for a, b in out] == [theorem_threshold(d, k)
+                                               for k in range(1, d // 2 + 1)]
+    return [*out, (d * d - d + 2, d + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_regular_graphs())
+def test_certificate_at_any_threshold_is_sound_and_complete_off_the_boundary(g):
+    lam2 = _lambda2(g)
+    for a, b in _thresholds(g.degree_if_regular()):
+        certified = certify_lambda2_below(g, a, b)
+        positive_definite = _is_positive_definite(_certificate_matrix(g, a, b))
+        if certified:
+            assert positive_definite
+            # the float verdict a certified trial no longer computes
+            assert lam2 < Fraction(a, b)
+        if positive_definite and lam2 < a / b - 1e-6:
+            assert certified
+
+
+@pytest.mark.parametrize("g, a, b", [
+    *((build_Gd(d), d * (d + 1) - 3, d + 1) for d in range(4, 13)),
+    *((build_Hd(d), d * (d + 1) - 5, d + 1) for d in range(6, 17)),
+    (_prism(6), 8, 4),
+], ids=[*(f"G{d}-theta2" for d in range(4, 13)), *(f"H{d}-theta3" for d in range(6, 17)),
+        "C6xK2-q3"])
+def test_no_certificate_where_m_is_not_positive_definite(g, a, b):
+    # Gd's lambda2 lies above theta_2 and Hd's above theta_3; the prism's
+    # lambda2 is q_3 = 2 exactly
+    assert not certify_lambda2_below(g, a, b)
+    assert not _is_positive_definite(_certificate_matrix(g, a, b))
+
+
+def test_no_certificate_for_an_irregular_graph():
+    g = path_graph(4)     # lambda2 = 0.618... < 1
+    assert g.degree_if_regular() is None
+    assert not certify_lambda2_below(g, 1, 1)
+
+
+def test_no_certificate_above_the_degree():
+    # lambda2(K4) = -1 lies below 7/2, but a/b > d proves nothing
+    assert not certify_lambda2_below(complete_graph(4), 7, 2)
+
+
+def test_bound_at_the_degree_proves_connectivity():
+    # at a/b = d, M = n(dI - A) + J is positive definite exactly when the
+    # graph is connected
+    assert certify_lambda2_below(complete_graph(4), 3, 1)
+    assert certify_lambda2_below(complete_graph(2), 2, 2)
+    two_k4 = disjoint_union(complete_graph(4), complete_graph(4))
+    assert not certify_lambda2_below(two_k4, 3, 1)
+    assert not _is_positive_definite(_certificate_matrix(two_k4, 3, 1))
+
+
+def test_b_must_be_positive():
+    with pytest.raises(ValueError, match="b must be a positive integer"):
+        certify_lambda2_below(complete_graph(4), -1, -1)

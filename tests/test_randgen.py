@@ -12,7 +12,7 @@ import treepack
 from treepack import randgen
 from treepack.families import build_Gd
 from treepack.graphs import complete_graph, crossing_edges
-from treepack.packing import CertificateCheck
+from treepack.packing import CertificateCheck, pack_trees
 from treepack.randgen import (
     GenConfig,
     random_regular,
@@ -20,6 +20,7 @@ from treepack.randgen import (
     theorem_check,
     theorem_threshold,
 )
+from treepack.spectra import adjacency_spectrum
 
 # SHA-256 of repr(sorted(g.edges)) for random_regular(GenConfig(d, n, seed)):
 # the sweep mix over four seeds, the analyze size, a near-half density and
@@ -178,9 +179,15 @@ class TestTheoremCheck:
             theorem_check(d=10, n=cap + 2, k=2, trials=1, seed=0)
 
     @pytest.mark.parametrize("d, tally", [(5, "conclusion_only"), (4, "neither")])
-    def test_premise_false_tallies(self, d, tally):
-        # d < 2k makes the premise false; K6 packs three trees, K6 minus a
-        # perfect matching (12 < 15 edges) does not
+    def test_premise_false_tallies(self, monkeypatch, d, tally):
+        # d < 2k makes the premise false without any spectral work; K6
+        # packs three trees, K6 minus a perfect matching (12 < 15 edges)
+        # does not
+        def no_spectral_work(*args):
+            raise AssertionError("the premise was computed although d < 2k")
+
+        monkeypatch.setattr(randgen, "lambda2", no_spectral_work)
+        monkeypatch.setattr(randgen, "certify_lambda2_below", no_spectral_work)
         r = theorem_check(d=d, n=6, k=3, trials=3, seed=0)
         assert getattr(r, tally) == 3 and r.clean
 
@@ -204,6 +211,8 @@ class TestTheoremCheck:
         lam2 = float(theorem_threshold(6, 3))
         assert Fraction(lam2) < theorem_threshold(6, 3)
         monkeypatch.setattr(randgen, "random_regular", lambda cfg: complete_graph(7))
+        # K7 certifies, so the certificate is made to refuse to reach the float
+        monkeypatch.setattr(randgen, "certify_lambda2_below", lambda g, a, b: False)
         monkeypatch.setattr(randgen, "lambda2", lambda g: lam2)
         r = theorem_check(d=6, n=7, k=3, trials=1, seed=0)
         assert r.premise_and_conclusion == 1
@@ -219,3 +228,45 @@ class TestTheoremCheck:
         for c in r.counterexamples:
             assert c.sigma == 1
             assert crossing_edges(g4, c.witness).total <= 2 * (c.witness.t - 1) - 1
+
+    def test_certified_trial_never_eigensolves(self, monkeypatch):
+        def no_eigensolve(g):
+            raise AssertionError("a certified trial computed lambda2")
+
+        monkeypatch.setattr(randgen, "lambda2", no_eigensolve)
+        r = theorem_check(d=6, n=14, k=2, trials=25, seed=5)
+        assert r.premise_and_conclusion == 25
+
+    def test_refused_trials_take_the_float_comparison(self, monkeypatch):
+        # at theta_2 = 3.4 the first two 4-regular graphs are refused and
+        # the third certified; the tallies are those of the float
+        # comparison alone
+        verdicts, eigensolves = [], []
+        certify, float_lambda2 = randgen.certify_lambda2_below, randgen.lambda2
+
+        def recorded_certify(g, a, b):
+            assert (a, b) == (4 * 5 - 3, 5)     # theta_2 = 4 - 3/5 at d = 4
+            verdicts.append(certify(g, a, b))
+            return verdicts[-1]
+
+        def recorded_lambda2(g):
+            eigensolves.append(float_lambda2(g))
+            return eigensolves[-1]
+
+        monkeypatch.setattr(randgen, "certify_lambda2_below", recorded_certify)
+        monkeypatch.setattr(randgen, "lambda2", recorded_lambda2)
+        r = theorem_check(d=4, n=200, k=2, trials=3, seed=0)
+        assert verdicts == [False, False, True]
+        assert len(eigensolves) == 2 and min(eigensolves) >= theorem_threshold(4, 2)
+        assert (r.premise_and_conclusion, r.premise_only,
+                r.conclusion_only, r.neither) == (1, 0, 2, 0)
+
+    def test_hit_on_a_certified_graph_records_its_lambda2(self, monkeypatch):
+        # a packing forced to fail makes the one certified trial a hit
+        g = random_regular(GenConfig(d=6, n=14, seed=splitmix64(0)[1]))
+        assert randgen.certify_lambda2_below(g, 6 * 7 - 3, 7)
+        monkeypatch.setattr(randgen, "pack_trees", lambda g, k: pack_trees(g, g.m))
+        r = theorem_check(d=6, n=14, k=2, trials=1, seed=0)
+        (c,) = r.counterexamples
+        assert c.graph == g
+        assert c.lambda2 == adjacency_spectrum(g)[1]

@@ -82,6 +82,10 @@ def _run_subcommands(tmp_path) -> None:
          "--out", str(tmp_path / "k2")],
         ["hunt", "--d", "6", "--n", "14", "--k", "4", "--trials", "3",
          "--out", str(tmp_path / "k4")],
+        # the certificate refuses two of these three trials, so their
+        # premise takes the float lambda2
+        ["hunt", "--d", "4", "--n", "200", "--k", "2", "--trials", "3", "--seed", "0",
+         "--out", str(tmp_path / "mixed")],
     ]
     for argv in runs:
         assert main(argv) in (EXIT_OK, EXIT_FINDING), argv
