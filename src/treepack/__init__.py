@@ -55,7 +55,6 @@ from .spectra import (
     check_interlacing,
     eig_symmetric,
     equitable_quotient,
-    is_equitable,
     lambda2,
     laplacian_spectrum,
     multiplicities,

@@ -25,7 +25,7 @@ from .graphs import Graph, VertexPartition, parse_edge_list, partition, to_edge_
 from .packing import TreePackingResult, count_spanning_trees, sigma, verify_certificate
 from .randgen import TheoremReport, check_sweep_args, theorem_check, theorem_threshold
 from .spectra import (
-    adjacency_spectrum, check_interlacing, is_equitable, multiplicities, quotient_matrix,
+    adjacency_spectrum, check_interlacing, equitable_quotient, multiplicities, quotient_matrix,
 )
 
 EXIT_OK = 0
@@ -349,7 +349,7 @@ def _cmd_quotient(args) -> int:
         "t": q.t,
         "blocks": [sorted(b) for b in p.blocks],
         "matrix": [[str(entry) for entry in row] for row in q.entries],
-        "equitable": is_equitable(g, p),
+        "equitable": equitable_quotient(g, p) is not None,
         "quotient_eigenvalues": [_sig15(v) for v in inner],
         "interlacing": {"ok": inter.ok, "worst_margin": _sig15(inter.worst_margin)},
     }

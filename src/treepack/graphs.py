@@ -172,27 +172,16 @@ def singleton_partition(n: int) -> VertexPartition:
     return partition(n, [[v] for v in range(n)])
 
 
-@dataclass(frozen=True)
-class CrossingCounts:
-    """e(X_i, X_j) for each block pair, and the total."""
-
-    pair_counts: tuple[tuple[int, ...], ...]   # symmetric, zero diagonal
-    total: int                                 # sum over i < j
-
-
-def crossing_edges(g: Graph, p: VertexPartition) -> CrossingCounts:
+def crossing_edges(g: Graph, p: VertexPartition) -> int:
+    """The number of edges whose ends lie in different blocks of p."""
     if p.n != g.n:
         raise ValueError("partition does not match graph")
-    t = p.t
-    cnt = [[0] * t for _ in range(t)]
     owner = p.block_of
+    total = 0
     for u, v in g.edges:
-        i, j = owner[u], owner[v]
-        if i != j:
-            cnt[i][j] += 1
-            cnt[j][i] += 1
-    total = sum(map(sum, cnt)) // 2
-    return CrossingCounts(tuple(tuple(row) for row in cnt), total)
+        if owner[u] != owner[v]:
+            total += 1
+    return total
 
 
 # ---------------------------------------------------------------------------

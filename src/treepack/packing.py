@@ -448,6 +448,6 @@ def verify_pack_result(g: Graph, result: PackResult) -> CertificateCheck:
     w = result.witness
     if w is None or w.n != g.n or w.t < 2:
         return CertificateCheck(False, "failure needs a proper witness partition")
-    if crossing_edges(g, w).total > result.k * (w.t - 1) - 1:
+    if crossing_edges(g, w) > result.k * (w.t - 1) - 1:
         return CertificateCheck(False, "witness crossing count is not violating")
     return CertificateCheck(True)

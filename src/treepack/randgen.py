@@ -199,10 +199,11 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
     `spectra.certify_lambda2_below` with a = d(d+1) - 2k + 1, b = d + 1.
     Only a trial that certificate refuses compares the float lambda2
     exactly with the rational threshold, so only those trials, and the
-    lambda2 recorded in a counterexample, take a dense eigensolve.  A
-    certified trial's float lambda2 lies below theta_k as well (see the
-    certificate's margin), so every tally is the one the float
-    comparison alone gives.
+    lambda2 recorded in a counterexample of a certified trial, take a
+    dense eigensolve: a refused trial's counterexample records the
+    premise's lambda2.  A certified trial's float lambda2 lies below
+    theta_k as well (see the certificate's margin), so every tally is the
+    one the float comparison alone gives.
     """
     check_sweep_args(d, n, k, trials)
     degree_ok = d >= 2 * k
@@ -214,7 +215,8 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
     for _ in range(trials):
         state, trial_seed = splitmix64(state)
         g = random_regular(GenConfig(d=d, n=n, seed=trial_seed))
-        premise = degree_ok and (certify_lambda2_below(g, a, b) or lambda2(g) < threshold)
+        lam = None if not degree_ok or certify_lambda2_below(g, a, b) else lambda2(g)
+        premise = degree_ok and (lam is None or lam < threshold)
         packed = pack_trees(g, k)
         check = verify_pack_result(g, packed)
         if not check.ok:
@@ -224,7 +226,7 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
         elif premise:
             premise_only += 1
             bad.append(Counterexample(
-                graph=g, d=d, n=n, k=k, lambda2=lambda2(g),
+                graph=g, d=d, n=n, k=k, lambda2=lambda2(g) if lam is None else lam,
                 sigma=packing_sigma(g).sigma, seed=trial_seed,
                 witness=packed.witness,
             ))

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import IntPoly, char_poly_exact, isolate_real_roots
-from .graphs import Graph, VertexPartition, crossing_edges
+from .graphs import Graph, VertexPartition
 
 INTERLACING_TOL = 1e-9
 GROUPING_TOL = 1e-7
@@ -158,12 +158,18 @@ class QuotientMatrix:
 
 
 def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:
-    """Quotient matrix of a partition, with exact Fraction entries."""
-    cross = crossing_edges(g, p).pair_counts
-    counts = [list(row) for row in cross]
-    for i, block in enumerate(p.blocks):
-        # a block's degree sum counts its internal edges twice, its crossing edges once
-        counts[i][i] = sum(g.degrees[v] for v in block) - sum(cross[i])
+    """Quotient matrix of a partition, with exact Fraction entries.
+
+    Each edge is counted once from each end, so the diagonal holds twice
+    the internal edge count of its block."""
+    if p.n != g.n:
+        raise ValueError("partition does not match graph")
+    owner = p.block_of
+    counts = [[0] * p.t for _ in range(p.t)]
+    for u, v in g.edges:
+        i, j = owner[u], owner[v]
+        counts[i][j] += 1
+        counts[j][i] += 1
     sizes = p.sizes()
     return QuotientMatrix(
         tuple(tuple(Fraction(c, sizes[i]) for c in row) for i, row in enumerate(counts)))
@@ -187,11 +193,6 @@ def equitable_quotient(g: Graph, p: VertexPartition) -> list[list[int]] | None:
         elif rows[b] != counts:
             return None
     return rows
-
-
-def is_equitable(g: Graph, p: VertexPartition) -> bool:
-    """True iff every vertex has exactly b_ij neighbors in block j."""
-    return equitable_quotient(g, p) is not None
 
 
 @dataclass(frozen=True)

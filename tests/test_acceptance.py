@@ -264,7 +264,7 @@ def test_09_certificates_sound_and_corruptions_rejected():
             from treepack.graphs import crossing_edges
 
             singles = singleton_partition(g.n)
-            if crossing_edges(g, singles).total > (res.sigma + 1) * (g.n - 1) - 1:
+            if crossing_edges(g, singles) > (res.sigma + 1) * (g.n - 1) - 1:
                 assert not verify_certificate(
                     g, dataclasses.replace(res, witness_partition=singles)).ok
                 rejected += 1

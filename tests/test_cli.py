@@ -463,7 +463,7 @@ class TestHunt:
         blocks = sidecar["witness"]
         assert blocks == sorted((sorted(b) for b in blocks), key=lambda b: b[0])
         w = partition(written.n, blocks)
-        assert crossing_edges(written, w).total <= sidecar["k"] * (w.t - 1) - 1
+        assert crossing_edges(written, w) <= sidecar["k"] * (w.t - 1) - 1
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_hit_at_proved_k_is_a_bug(self, tmp_path, capsys, monkeypatch, k):

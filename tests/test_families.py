@@ -30,8 +30,8 @@ from treepack.families import (
     verify_Hd,
     verify_family,
 )
-from treepack.graphs import crossing_edges
-from treepack.spectra import equitable_quotient, is_equitable
+from treepack.graphs import crossing_edges, partition
+from treepack.spectra import equitable_quotient
 
 
 def quotient_rows(spec, d):
@@ -65,14 +65,17 @@ class TestBuilders:
             build_Hd(5)
 
     def test_copy_crossing_counts(self):
-        assert crossing_edges(build_Gd(4), natural_partition(GD, 4)).total == 3
-        assert crossing_edges(build_Hd(6), natural_partition(HD, 6)).total == 10
+        assert crossing_edges(build_Gd(4), natural_partition(GD, 4)) == 3
+        assert crossing_edges(build_Hd(6), natural_partition(HD, 6)) == 10
 
     def test_gd_pairwise_single_connector(self):
-        cross = crossing_edges(build_Gd(5), natural_partition(GD, 5))
+        # merging copies i and j hides their one connector and leaves two
+        g = build_Gd(5)
+        blocks = natural_partition(GD, 5).blocks
         for i in range(3):
             for j in range(i + 1, 3):
-                assert cross.pair_counts[i][j] == 1
+                rest = [b for x, b in enumerate(blocks) if x not in (i, j)]
+                assert crossing_edges(g, partition(g.n, [blocks[i] | blocks[j], *rest])) == 2
 
 
 class TestQuotientMatrices:
@@ -93,13 +96,13 @@ class TestQuotientMatrices:
     def test_a9_is_the_equitable_quotient(self):
         g = build_Gd(5)
         part = equitable_partition(GD, 5)
-        assert is_equitable(g, part)
+        assert equitable_quotient(g, part) is not None
         assert equitable_quotient(g, part) == GD.quotient_rows(5)
 
     def test_a25_is_the_equitable_quotient(self):
         h = build_Hd(7)
         part = equitable_partition(HD, 7)
-        assert is_equitable(h, part)
+        assert equitable_quotient(h, part) is not None
         assert equitable_quotient(h, part) == HD.quotient_rows(7)
 
     @pytest.mark.parametrize("d", [4, 6, 9])

@@ -93,11 +93,21 @@ class TestVertexPartition:
 def test_crossing_edges_counts():
     g = cycle_graph(6)
     p = partition(6, [[0, 1, 2], [3, 4, 5]])
-    c = crossing_edges(g, p)
-    assert c.total == 2
-    assert c.pair_counts[0][1] == 2
-    # every edge crosses under singletons
-    assert crossing_edges(g, singleton_partition(6)).total == g.m
+    assert crossing_edges(g, p) == 2
+    # every edge crosses under singletons, none under one block
+    assert crossing_edges(g, singleton_partition(6)) == g.m
+    assert crossing_edges(g, partition(6, [range(6)])) == 0
+    cases = [
+        (petersen_graph(), partition(10, [range(5), range(5, 10)])),
+        (petersen_graph(), partition(10, [[0, 2, 4], [1, 3], [5, 6, 7, 8, 9]])),
+        (complete_graph(7), partition(7, [[0], [1, 2], [3, 4, 5, 6]])),
+        (path_graph(5), partition(5, [[0, 4], [1, 3], [2]])),
+    ]
+    for g, p in cases:
+        brute = sum(1 for u, v in g.edges if not any(u in b and v in b for b in p.blocks))
+        assert crossing_edges(g, p) == brute
+    with pytest.raises(ValueError, match="partition does not match graph"):
+        crossing_edges(g, singleton_partition(g.n + 1))
 
 
 def test_edge_list_round_trip():

@@ -227,7 +227,24 @@ class TestTheoremCheck:
         assert r.premise_only == 2 and len(r.counterexamples) == 2
         for c in r.counterexamples:
             assert c.sigma == 1
-            assert crossing_edges(g4, c.witness).total <= 2 * (c.witness.t - 1) - 1
+            assert crossing_edges(g4, c.witness) <= 2 * (c.witness.t - 1) - 1
+
+    def test_hit_on_a_refused_trial_eigensolves_once(self, monkeypatch):
+        # the premise's lambda2 is the one the counterexample records
+        eigensolves = []
+
+        def counted_lambda2(g):
+            eigensolves.append(g)
+            return 0.0
+
+        g4 = build_Gd(4)
+        monkeypatch.setattr(randgen, "random_regular", lambda cfg: g4)
+        monkeypatch.setattr(randgen, "certify_lambda2_below", lambda g, a, b: False)
+        monkeypatch.setattr(randgen, "lambda2", counted_lambda2)
+        r = theorem_check(d=4, n=15, k=2, trials=1, seed=0)
+        (c,) = r.counterexamples
+        assert c.lambda2 == 0.0
+        assert len(eigensolves) == 1
 
     def test_certified_trial_never_eigensolves(self, monkeypatch):
         def no_eigensolve(g):

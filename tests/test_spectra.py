@@ -17,7 +17,6 @@ from treepack.spectra import (
     check_interlacing,
     eig_symmetric,
     equitable_quotient,
-    is_equitable,
     lambda2,
     laplacian_spectrum,
     multiplicities,
@@ -123,6 +122,8 @@ class TestQuotient:
         assert isinstance(q, QuotientMatrix)
         assert q.entries[0][1] == Fraction(2, 3)
         assert q.entries[0][0] == Fraction(4, 3)
+        with pytest.raises(ValueError, match="partition does not match graph"):
+            quotient_matrix(g, partition(7, [[0, 1, 2], [3, 4, 5, 6]]))
 
     def test_integer_quotient_and_charpoly(self):
         g = complete_bipartite(2, 3)
@@ -136,7 +137,7 @@ class TestQuotient:
     def test_petersen_equitable(self):
         g = petersen_graph()
         p = partition(10, [range(5), range(5, 10)])
-        assert is_equitable(g, p)
+        assert equitable_quotient(g, p) is not None
         # equitable quotient eigenvalues are graph eigenvalues
         spectrum = adjacency_spectrum(g)
         for val in quotient_matrix(g, p).eigenvalues_exact():
@@ -144,7 +145,6 @@ class TestQuotient:
 
     def test_not_equitable(self):
         g = cycle_graph(5)
-        assert not is_equitable(g, partition(5, [[0, 1], [2, 3, 4]]))
         assert equitable_quotient(g, partition(5, [[0, 1], [2, 3, 4]])) is None
 
     @settings(max_examples=100, deadline=None)
