@@ -75,7 +75,7 @@ def edge_connectivity(g: Graph) -> CutResult:
     """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
-    comps = g.components()
+    comps = g.components
     if len(comps) > 1:
         return CutResult(0, min(comps, key=min))
 

@@ -12,12 +12,11 @@ claim is re-checked here in exact arithmetic.
 
 Each family is a `FamilySpec` record (`GD`, `HD`, looked up by name in
 `FAMILIES`): the copy count, the missing edges and the connectors, the
-certificate polynomial, the hand-written quotient rows, the simple
-eigenvalues and the expected sigma and kappa'.  One builder, one pair of
-partition functions and one verifier, `verify_family`, serve both; only
-the interval evidence differs and is the spec's own function.  The
-quotient rows stay hand-written because they are the paper's matrices,
-which the built graph is checked against.
+certificate polynomial, the simple eigenvalues and the expected sigma and
+kappa'.  One builder, one pair of partition functions and one verifier,
+`verify_family`, serve both; only the interval evidence differs and is
+the spec's own function.  The quotient matrix whose characteristic
+polynomial is factored is the equitable quotient of the built graph.
 """
 
 from __future__ import annotations
@@ -110,7 +109,6 @@ class FamilySpec:
     crossing_claim: str
     poly: Callable[[int], IntPoly]              # certificate polynomial in d
     poly_name: str
-    quotient_rows: Callable[[int], list[list[int]]]
     # simple eigenvalues besides d: the claimed char poly of the quotient is
     # (x - d) prod (x - s) (x + 1)^2 P^2, and -1 fills the rest of the spectrum
     other_simple: tuple[int, ...]
@@ -163,70 +161,11 @@ def natural_partition(spec: FamilySpec, d: int) -> VertexPartition:
 
 def equitable_partition(spec: FamilySpec, d: int) -> VertexPartition:
     """The orbits: the interiors of the copies, then each labelled vertex
-    alone, copy by copy -- the row order of the quotient transcription."""
+    alone, copy by copy -- the row order of the quotient matrix."""
     size = d + 1
     blocks = [range(i * size + spec.labelled, (i + 1) * size) for i in range(spec.copies)]
     blocks += [[i * size + x] for i in range(spec.copies) for x in range(spec.labelled)]
     return partition(spec.copies * size, blocks)
-
-
-# ---------------------------------------------------------------------------
-# quotient-matrix transcriptions (the paper's matrices, written out by hand;
-# every verification checks them against the quotient of the built graph)
-
-
-def _a9_rows(d: int) -> list[list[int]]:
-    # order: interiors 0..2, then a1,b1,a2,b2,a3,b3 at indices 3..8
-    ai = [3, 5, 7]
-    bi = [4, 6, 8]
-    rows = [[0] * 9 for _ in range(9)]
-    for i in range(3):
-        rows[i][i] = d - 2
-        rows[i][ai[i]] = 1
-        rows[i][bi[i]] = 1
-        rows[ai[i]][i] = d - 1
-        rows[bi[i]][i] = d - 1
-    # connectors a1-a2, b2-b3, a3-b1
-    rows[ai[0]][ai[1]] = rows[ai[1]][ai[0]] = 1
-    rows[bi[1]][bi[2]] = rows[bi[2]][bi[1]] = 1
-    rows[ai[2]][bi[0]] = rows[bi[0]][ai[2]] = 1
-    return rows
-
-
-def _a25_rows(d: int) -> list[list[int]]:
-    # order: interiors 0..4, then a,b,c,d per copy at 5+4i .. 8+4i
-    def a(i): return 5 + 4 * (i % 5)
-    def b(i): return 6 + 4 * (i % 5)
-    def c(i): return 7 + 4 * (i % 5)
-    def dd(i): return 8 + 4 * (i % 5)
-
-    rows = [[0] * 25 for _ in range(25)]
-    for i in range(5):
-        rows[i][i] = d - 4
-        for col in (a(i), b(i), c(i), dd(i)):
-            rows[i][col] = 1
-            rows[col][i] = d - 3
-        rows[a(i)][b(i)] = rows[b(i)][a(i)] = 1      # a-b inside the copy
-        rows[a(i)][dd(i)] = rows[dd(i)][a(i)] = 1    # a-d inside the copy
-        rows[b(i)][c(i)] = rows[c(i)][b(i)] = 1      # b-c inside the copy
-        rows[c(i)][dd(i)] = rows[dd(i)][c(i)] = 1    # c-d inside the copy
-        rows[b(i)][a(i + 1)] = 1                     # connector b_i a_{i+1}
-        rows[a(i + 1)][b(i)] = 1
-        rows[c(i)][dd(i + 2)] = 1                    # connector c_i d_{i+2}
-        rows[dd(i + 2)][c(i)] = 1
-    return rows
-
-
-def _validate_transcription(spec: FamilySpec, d: int, g: Graph) -> list[list[int]]:
-    """The hand-written quotient rows, checked against the equitable
-    quotient of the built graph g."""
-    rows = spec.quotient_rows(d)
-    quotient = equitable_quotient(g, equitable_partition(spec, d))
-    if quotient is None:
-        raise ValueError("transcription bug: partition is not equitable")
-    if quotient != rows:
-        raise ValueError("transcription bug: quotient differs from computed matrix")
-    return rows
 
 
 def claimed_charpoly(spec: FamilySpec, d: int) -> IntPoly:
@@ -334,8 +273,8 @@ def verify_family(spec: FamilySpec, d: int,
         "spectrum_multiset", spec_ok,
         f"max deviation {worst:.3e}", f"within {SPECTRUM_TOL}", margin=worst))
 
-    rows = _validate_transcription(spec, d, g)
-    identity = char_poly_exact(rows) == claimed_charpoly(spec, d)
+    rows = equitable_quotient(g, equitable_partition(spec, d))
+    identity = rows is not None and char_poly_exact(rows) == claimed_charpoly(spec, d)
     checks.append(NamedCheck(
         "charpoly_factorization", identity,
         "char poly of quotient", spec.factorization, margin=0.0 if identity else None))
@@ -424,7 +363,7 @@ GD = FamilySpec(
     missing=((0, 1),),
     connectors=(((0, 0), (1, 0)), ((1, 1), (2, 1)), ((2, 0), (0, 1))),
     crossing_claim="total=3, one per pair",
-    poly=p3_poly, poly_name="p3", quotient_rows=_a9_rows,
+    poly=p3_poly, poly_name="p3",
     other_simple=(), factorization="(x-d)(x+1)^2 P3^2",
     sigma=1, kappa_prime=2, kappa_check="edge_connectivity", kappa_claim="2",
     interval_evidence=_gd_interval_evidence,
@@ -439,7 +378,7 @@ HD = FamilySpec(
     connectors=tuple(edge for i in range(5)
                      for edge in (((i, 1), ((i + 1) % 5, 0)), ((i, 2), ((i + 2) % 5, 3)))),
     crossing_claim="total=10",
-    poly=p10_poly, poly_name="p10", quotient_rows=_a25_rows,
+    poly=p10_poly, poly_name="p10",
     other_simple=(1, -3), factorization="(x-d)(x-1)(x+1)^2(x+3) P10^2",
     sigma=2, kappa_prime=4, kappa_check="edge_connectivity_derived",
     kappa_claim="4 (each copy boundary has 4 edges)",

@@ -72,7 +72,8 @@ class Graph:
         np.fill_diagonal(lap, a.sum(axis=1))
         return lap
 
-    def components(self) -> list[frozenset[int]]:
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
         """Connected components as vertex sets, ordered by smallest member."""
         seen = [False] * self.n
         comps = []
@@ -89,7 +90,7 @@ class Graph:
                         comp.add(w)
                         stack.append(w)
             comps.append(frozenset(comp))
-        return comps
+        return tuple(comps)
 
 
 def _check_edge(n: int, u: int, v: int, seen: set[Edge], where: str = "") -> None:

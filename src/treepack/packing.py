@@ -274,7 +274,7 @@ def pack_trees(g: Graph, k: int) -> PackResult:
     if g.n <= 1:
         return PackResult(k, True, tuple(frozenset() for _ in range(k)), None)
 
-    comps = g.components()
+    comps = g.components
     if len(comps) > 1:
         witness = partition(g.n, sorted(comps, key=min))
         return PackResult(k, False, None, witness)
@@ -370,7 +370,7 @@ def count_spanning_trees(g: Graph) -> TreeCount:
         raise ValueError("empty graph")
     # a connected graph's reduced Laplacian is positive definite, as
     # det_exact requires; any other graph has no spanning tree
-    connected = len(g.components()) == 1
+    connected = len(g.components) == 1
     exact = det_exact(g.laplacian_matrix()[1:, 1:].astype(np.int64)) if connected else 0
     if exact >= _FLOAT_EXACT:
         return TreeCount(exact, None)

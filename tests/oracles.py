@@ -317,7 +317,7 @@ def reference_edge_connectivity(g: Graph) -> tuple[int, frozenset[int]]:
     """
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
-    comps = g.components()
+    comps = g.components
     if len(comps) > 1:
         return 0, min(comps, key=min)
 
@@ -657,7 +657,7 @@ def reference_pack(g: Graph, k: int):
     components as the witness, and a failed pack with its clumps."""
     if g.n <= 1:
         return True, [[] for _ in range(k)], None
-    comps = sorted((sorted(c) for c in g.components()), key=min)
+    comps = sorted((sorted(c) for c in g.components), key=min)
     if len(comps) > 1:
         return False, None, comps
     packer = ReferencePacker(g, k)

@@ -6,6 +6,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, m
 from treepack.connectivity import edge_connectivity
 from treepack.families import FAMILY_MAX_DEGREE, build_Gd, build_Hd
 from treepack.graphs import (
+    Graph,
     complete_graph,
     crossing_edges,
     make_graph,
@@ -80,6 +82,24 @@ class TestAnalyze:
         assert doc["spanning_trees"] == 125
         k2 = doc["theorems"]["k2"]
         assert k2["consistent"] is True
+
+    def test_components_are_found_once(self, tmp_path, capsys, monkeypatch):
+        # edge_connectivity, pack_trees and count_spanning_trees all read
+        # the components of the one graph analyze loaded
+        runs = []
+        original = Graph.components.func
+
+        def counted(g):
+            runs.append(g.n)
+            return original(g)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Graph, "components")
+        monkeypatch.setattr(Graph, "components", prop)
+        g = random_regular(GenConfig(10, 80, 1))
+        code, _ = run(capsys, ["analyze", write_graph(tmp_path, g)])
+        assert code == EXIT_OK
+        assert runs == [80]
 
     def test_disconnected_graph(self, tmp_path, capsys):
         g = disjoint_union(cycle_graph(3), cycle_graph(3))

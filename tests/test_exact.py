@@ -521,7 +521,7 @@ class TestDeterminant:
                                if rng.random() < density])
             reduced = g.laplacian_matrix().astype(np.int64)[1:, 1:]
             count = bareiss_det(reduced.tolist())
-            assert (count > 0) == (len(g.components()) == 1)
+            assert (count > 0) == (len(g.components) == 1)
             if count:
                 assert det_exact(reduced) == count
             else:

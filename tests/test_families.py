@@ -13,6 +13,7 @@ from oracles import edge_connectivity_bruteforce
 from treepack import exact
 from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots, sturm_chain
 from treepack.families import (
+    FAMILY_MAX_DEGREE,
     GD,
     HD,
     _largest_root_vs,
@@ -93,17 +94,14 @@ class TestQuotientMatrices:
         for row in quotient_rows(HD, d):
             assert sum(row) == d
 
+    # the family workload's degrees, and the degree cap
     def test_a9_is_the_equitable_quotient(self):
-        g = build_Gd(5)
-        part = equitable_partition(GD, 5)
-        assert equitable_quotient(g, part) is not None
-        assert equitable_quotient(g, part) == GD.quotient_rows(5)
+        for d in [*range(4, 13), FAMILY_MAX_DEGREE]:
+            assert quotient_rows(GD, d) == a9_rows(d), d
 
     def test_a25_is_the_equitable_quotient(self):
-        h = build_Hd(7)
-        part = equitable_partition(HD, 7)
-        assert equitable_quotient(h, part) is not None
-        assert equitable_quotient(h, part) == HD.quotient_rows(7)
+        for d in [*range(6, 17), FAMILY_MAX_DEGREE]:
+            assert quotient_rows(HD, d) == a25_rows(d), d
 
     @pytest.mark.parametrize("d", [4, 6, 9])
     def test_a9_charpoly_factorization(self, d):
@@ -148,6 +146,53 @@ class TestPolynomials:
         # (x - 2)(x^2 - 2): largest root 2, the other roots +-sqrt(2) < 3/2
         p = IntPoly([-2, 1]) * IntPoly([-2, 0, 1])
         assert _largest_root_vs(sturm_chain(p), bound) == sign
+
+
+# The paper's quotient matrices A9 and A25, written out by hand as reference
+# data: the verifier factors the quotient it computes from the built graph,
+# and TestQuotientMatrices checks that quotient against these rows.
+
+
+def a9_rows(d: int) -> list[list[int]]:
+    # order: interiors 0..2, then a1,b1,a2,b2,a3,b3 at indices 3..8
+    ai = [3, 5, 7]
+    bi = [4, 6, 8]
+    rows = [[0] * 9 for _ in range(9)]
+    for i in range(3):
+        rows[i][i] = d - 2
+        rows[i][ai[i]] = 1
+        rows[i][bi[i]] = 1
+        rows[ai[i]][i] = d - 1
+        rows[bi[i]][i] = d - 1
+    # connectors a1-a2, b2-b3, a3-b1
+    rows[ai[0]][ai[1]] = rows[ai[1]][ai[0]] = 1
+    rows[bi[1]][bi[2]] = rows[bi[2]][bi[1]] = 1
+    rows[ai[2]][bi[0]] = rows[bi[0]][ai[2]] = 1
+    return rows
+
+
+def a25_rows(d: int) -> list[list[int]]:
+    # order: interiors 0..4, then a,b,c,d per copy at 5+4i .. 8+4i
+    def a(i): return 5 + 4 * (i % 5)
+    def b(i): return 6 + 4 * (i % 5)
+    def c(i): return 7 + 4 * (i % 5)
+    def dd(i): return 8 + 4 * (i % 5)
+
+    rows = [[0] * 25 for _ in range(25)]
+    for i in range(5):
+        rows[i][i] = d - 4
+        for col in (a(i), b(i), c(i), dd(i)):
+            rows[i][col] = 1
+            rows[col][i] = d - 3
+        rows[a(i)][b(i)] = rows[b(i)][a(i)] = 1      # a-b inside the copy
+        rows[a(i)][dd(i)] = rows[dd(i)][a(i)] = 1    # a-d inside the copy
+        rows[b(i)][c(i)] = rows[c(i)][b(i)] = 1      # b-c inside the copy
+        rows[c(i)][dd(i)] = rows[dd(i)][c(i)] = 1    # c-d inside the copy
+        rows[b(i)][a(i + 1)] = 1                     # connector b_i a_{i+1}
+        rows[a(i + 1)][b(i)] = 1
+        rows[c(i)][dd(i + 2)] = 1                    # connector c_i d_{i+2}
+        rows[dd(i + 2)][c(i)] = 1
+    return rows
 
 
 # The paper's appendix identities, as reference data: its printed formulas
@@ -271,14 +316,13 @@ class TestVerifierCatchesWrongClaims:
         report = verify_family(dataclasses.replace(GD, sigma=2), 4)
         assert failures(report) == ["sigma"]
 
-    def test_changed_transcription_entry_is_a_transcription_bug(self):
-        def rows(d):
-            changed = GD.quotient_rows(d)
-            changed[3][4] += 1
-            return changed
-
-        with pytest.raises(ValueError, match="transcription bug"):
-            verify_family(dataclasses.replace(GD, quotient_rows=rows), 5)
+    def test_wrong_partition_fails_only_charpoly(self):
+        # Gd with labelled=1 puts b_i among the interiors: not equitable.
+        # Hd with labelled=5 splits one interior vertex off each copy: the
+        # quotient is equitable but 30x30, not the claimed degree 25.
+        for spec, d in [(dataclasses.replace(GD, labelled=1), 5),
+                        (dataclasses.replace(HD, labelled=5), 7)]:
+            assert failures(verify_family(spec, d)) == ["charpoly_factorization"]
 
     def test_wrong_simple_eigenvalues_fail_spectrum_and_charpoly(self):
         report = verify_family(dataclasses.replace(GD, other_simple=(1,)), 4)

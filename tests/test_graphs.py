@@ -66,9 +66,9 @@ def test_add_edges_rejects_duplicate():
 
 def test_components():
     g = disjoint_union(complete_graph(3), path_graph(2))
-    comps = g.components()
-    assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3, 4]]
-    assert cycle_graph(6).components() == [frozenset(range(6))]
+    assert g.components == (frozenset({0, 1, 2}), frozenset({3, 4}))
+    assert g.components is g.components    # computed once per graph
+    assert cycle_graph(6).components == (frozenset(range(6)),)
 
 
 class TestVertexPartition:

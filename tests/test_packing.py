@@ -223,7 +223,7 @@ def test_sigma_monotone_under_edge_changes(g):
 @settings(max_examples=60, deadline=None)
 @given(graphs(min_n=2, max_n=8))
 def test_kundu_bound(g):
-    if len(g.components()) != 1:
+    if len(g.components) != 1:
         return
     assert sigma(g).sigma >= edge_connectivity(g).value // 2
 
@@ -888,7 +888,7 @@ def _regular_reference_corpus():
 @pytest.mark.parametrize("d,n,seed", list(_regular_reference_corpus()))
 def test_pack_trees_matches_reference_on_random_regular(d, n, seed):
     g = random_regular(GenConfig(d, n, seed))
-    assert len(g.components()) == 1
+    assert len(g.components) == 1
     for k in range(1, d // 2 + 2):
         assert _pack_outcome(g, k) == reference_pack(g, k)
 
