@@ -139,33 +139,23 @@ def _cmd_analyze(args) -> int:
     degree = g.degree_if_regular()
     packing = sigma(g)
     cert = verify_certificate(g, packing)
+    spectrum = adjacency_spectrum(g) if g.n else ()
+    count = count_spanning_trees(g) if g.n else None
 
     report: dict = {
         "input": args.graph,
         "n": g.n,
         "m": g.m,
         "degree": degree if degree is not None else "irregular",
+        "lambda2": _sig15(spectrum[1]) if g.n >= 2 else None,
+        "spectrum": [[_sig15(v), mult] for v, mult in multiplicities(spectrum)],
+        "sigma": packing.sigma,
+        "certificate_digest": _certificate_digest(packing),
+        "certificate_valid": cert.ok,
+        "kappa_prime": packing.cut.value if packing.cut else None,
+        "spanning_trees": count.exact if count else None,
+        "spanning_tree_routes_agree": count.agree if count else None,
     }
-    if g.n >= 1:
-        spectrum = adjacency_spectrum(g)
-        report["lambda2"] = _sig15(spectrum[1]) if g.n >= 2 else None
-        report["spectrum"] = [[_sig15(v), mult] for v, mult in multiplicities(spectrum)]
-    else:
-        report["lambda2"] = None
-        report["spectrum"] = []
-
-    report["sigma"] = packing.sigma
-    report["certificate_digest"] = _certificate_digest(packing)
-    report["certificate_valid"] = cert.ok
-    report["kappa_prime"] = packing.cut.value if packing.cut else None
-    if g.n >= 1:
-        count = count_spanning_trees(g)
-        report["spanning_trees"] = count.exact
-        report["spanning_tree_routes_agree"] = count.agree
-    else:
-        report["spanning_trees"] = None
-        report["spanning_tree_routes_agree"] = None
-
     consistent = True
     if degree is None or g.n < 2:
         report["theorems"] = "not applicable: graph is not regular with n >= 2"

@@ -7,12 +7,15 @@ no allow-list reason covers is library-only code: delete it with its tests,
 or give it a caller.
 
 No check in the package is an `assert` statement either: `python -O`
-strips those.
+strips those.  The package `__init__` imports nothing, so a module and the
+test oracles load alone, and the README tour imports each name from its
+module and runs.
 """
 
 import ast
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -120,9 +123,14 @@ def test_every_function_is_reached_or_allowed(tmp_path, capsys):
     assert not reached_anyway, f"ALLOWED names reached functions: {reached_anyway}"
 
 
+def _tour() -> str:
+    """The README's python blocks, joined."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return "".join(re.findall(r"```python\n(.*?)```", readme, re.S))
+
+
 def test_every_allowance_holds():
-    tour = "".join(re.findall(r"```python\n(.*?)```",
-                              (ROOT / "README.md").read_text(encoding="utf-8"), re.S))
+    tour = _tour()
     traced = {f"{module}.{name}"
               for module, names in _layer_functions().values() for name in names or ()}
     wrong = []
@@ -144,3 +152,27 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_readme_tour_runs():
+    exec(compile(_tour(), "README.md", "exec"), {})
+
+
+def _treepack_modules_after(code: str, *path: Path) -> list[str]:
+    """The treepack modules a fresh interpreter holds after running code."""
+    probe = "import sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'treepack'))"
+    run = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))})
+    return run.stdout.split()
+
+
+def test_a_module_loads_only_what_it_imports():
+    assert _treepack_modules_after("import treepack.exact, treepack.graphs", PACKAGE.parent) == [
+        "treepack", "treepack.exact", "treepack.graphs"]
+
+
+def test_oracles_load_none_of_the_algorithms_they_check():
+    loaded = _treepack_modules_after("import oracles", PACKAGE.parent, ROOT / "tests")
+    assert "treepack.exact" in loaded
+    assert not {"treepack.packing", "treepack.connectivity", "treepack.spectra"} & set(loaded)
