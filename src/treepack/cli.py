@@ -36,9 +36,9 @@ EXIT_FINDING = 3
 # analyze refuses larger graphs before any compute.  Its time grows about
 # like n**4 (the exact determinant needs O(n) primes, each an O(n**3)
 # elimination, and it is most of the run): on a 2-vCPU x86 host with one
-# BLAS thread, over four runs, a random 10-regular graph took 4.2-5.3 s at
-# n = 650 and 5.5-6.2 s at n = 700 (in a copy with the cap raised), and a
-# random 20-regular graph 5.4-6.3 s at n = 650.  Denser graphs take longer.
+# BLAS thread, over four runs, a random 10-regular graph took 1.5-1.6 s at
+# n = 650 and 1.9 s at n = 700 (in a copy with the cap raised), and a
+# random 20-regular graph 2.0-2.2 s at n = 650.  Denser graphs take longer.
 ANALYZE_MAX_VERTICES = 650
 # It also refuses graphs whose packing work m * floor(m / (n - 1)), edges
 # times the most trees sigma can pack, is above this.  On the same host,

@@ -14,11 +14,11 @@ The workhorses are:
     product per step, no pivots;
   - ``det_exact`` — a blocked unpivoted L D L^T mod p of a symmetric
     matrix whose leading principal minors are nonzero, such as the
-    reduced Laplacian of a connected graph, with one batched matrix
-    product (BLAS dgemm) per panel of columns for the trailing update.
-    Each pivot row is copied from its pivot column, and rows are never
-    swapped: a prime that divides a leading minor is replaced by the next
-    one.  Blocking only regroups the products: each entry still takes one
+    reduced Laplacian of a connected graph, on the contiguous pivot rows
+    D L^T of its upper triangle, with batched matrix products (BLAS dgemm)
+    for the trailing update after each panel.  Rows are never swapped: a
+    prime that divides a leading minor is replaced by the next one.
+    Blocking only regroups the products: each entry still takes one
     product of two residues per earlier pivot, so the float64 bound, and
     with it ``DET_MAX_DIM``, are those of a column-by-column elimination;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
@@ -191,8 +191,8 @@ DET_MAX_DIM = (2**53 - _PRIME_CEILING) // _PRIME_CEILING**2
 # Laplacian of a 10-regular graph up to n ~ 95, and larger inputs go in
 # batches, so the array stays 16 * n * n floats.
 _DET_BATCH = 16
-# Columns per panel of the blocked elimination.
-_DET_PANEL = 32
+# Pivot rows per panel and per trailing row block: 48-64 ran fastest at n = 320-650.
+_DET_PANEL = 64
 _det_primes: list[int] = []    # descending from _PRIME_CEILING, filled on first use
 
 
@@ -314,40 +314,40 @@ def char_poly_exact(m: Sequence[Sequence[int]] | np.ndarray) -> IntPoly:
 def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[list[int] | int]:
     """det(ints) mod each prime, as [residue] with the residue in [0, p),
     by one blocked unpivoted L D L^T over a (primes, n, n) float64 array;
-    ints is symmetric.  A prime whose pivot at column j is 0, the first
-    such column, divides the leading minor D_(j+1): the column j is
-    reported in its place.
+    ints is symmetric, and only its upper triangle is read.  A prime whose
+    pivot at column j is 0, the first such column, divides the leading
+    minor D_(j+1): the column j is reported in its place.
 
-    Columns go in panels of _DET_PANEL.  Inside a panel, column k first
-    takes the products L @ (D L^T) it missed from the panel's earlier
-    pivots and is reduced; as (D L^T) it is copied into pivot row k, and
-    scaled by the pivot's inverse it stays below the pivot as L.  After
-    the panel, the trailing block takes all of those products in one
-    batched matrix product.  Each entry still receives one product of two
-    reduced residues per earlier pivot, as in a column-by-column
-    elimination, so the float64 bound is the same.  A zero pivot's inverse
-    is taken as 0, so every entry stays a residue, and each prime's
-    residue is the product of its pivots, taken once at the end.
+    The pivot rows U = D L^T go in panels of _DET_PANEL; L is not stored.
+    Inside a panel, row k takes the products it missed from the panel's
+    earlier pivots j, with L[k, j] = U[j, k] / d_j formed and reduced for
+    it, in one batched vector-matrix product, and is reduced in place.
+    After the panel, its rows scaled by their pivots' inverses are L^T,
+    and the upper triangle of the trailing block takes L U by blocks of
+    _DET_PANEL rows.  Each entry still takes one product of two reduced
+    residues per earlier pivot, so the float64 bound is that of a
+    column-by-column elimination.  A zero pivot's inverse is 0, so every
+    entry stays a residue; each prime's residue is its diagonal's product.
     """
     n = len(ints)
     p_col = np.array(primes, dtype=np.float64)[:, None]
     work = _residues(ints, primes)
-    pivots = []                 # per column, the pivot under each prime
+    inv = np.empty((len(primes), n))    # per column, the pivot's inverse under each prime
     for k0 in range(0, n, _DET_PANEL):
         k1 = min(k0 + _DET_PANEL, n)
         for k in range(k0, k1):
-            work[:, k:, k] -= (work[:, k:, k0:k] @ work[:, k0:k, k, None])[:, :, 0]
-            col = work[:, k:, k] = _sym_mod(work[:, k:, k], p_col)
-            work[:, k, k + 1:] = col[:, 1:]
-            pivot = col[:, 0].tolist()
-            pivots.append(pivot)
-            if k + 1 < n:
-                inv = np.array([pow(int(x), -1, p) if x else 0
-                                for x, p in zip(pivot, primes)], dtype=np.float64)
-                work[:, k + 1:, k] = _sym_mod(work[:, k + 1:, k] * inv[:, None], p_col)
+            row = work[:, k, k:]
+            coeffs = _sym_mod(work[:, k0:k, k] * inv[:, k0:k], p_col)
+            row -= (coeffs[:, None] @ work[:, k0:k, k:])[:, 0]
+            row[:] = _sym_mod(row, p_col)
+            pivot = row[:, 0].astype(np.int64).tolist()
+            inv[:, k] = [pow(x, -1, p) if x else 0 for x, p in zip(pivot, primes)]
         if k1 < n:
-            work[:, k1:, k1:] -= work[:, k1:, k0:k1] @ work[:, k0:k1, k1:]
-    per_prime = np.array(pivots, dtype=np.int64).reshape(n, len(primes)).T.tolist()
+            u, trailing = work[:, k0:k1, k1:], work[:, k1:, k1:]
+            lt = _sym_mod(u * inv[:, k0:k1, None], p_col[:, :, None]).transpose(0, 2, 1)
+            for r in range(0, n - k1, _DET_PANEL):
+                trailing[:, r:r + _DET_PANEL, r:] -= lt[:, r:r + _DET_PANEL] @ u[:, :, r:]
+    per_prime = np.diagonal(work, axis1=1, axis2=2).astype(np.int64).tolist()
     return [column.index(0) if 0 in column else [prod(column) % p]
             for column, p in zip(per_prime, primes)]
 

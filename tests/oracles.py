@@ -417,8 +417,9 @@ def _joins_all(n: int, edges) -> bool:
 def det_mod_primes_unblocked(ints: np.ndarray, primes: list[int]) -> list[list[int] | int]:
     """det(ints) mod each prime as [residue], by column-by-column float64
     elimination without pivoting over a (primes, n, n) array:
-    `exact._det_mod_primes` without panels, and with each pivot row
-    computed by elimination rather than copied from its column.
+    `exact._det_mod_primes` without panels, and eliminating below each
+    pivot (its column and the whole trailing block) rather than only the
+    pivot rows of the upper triangle.
 
     Row and column k are reduced mod p only when they become the pivots,
     and the whole trailing block takes the rank-1 update of every pivot.

@@ -542,9 +542,10 @@ class TestDeterminant:
             det_exact(reduced)
         assert time.perf_counter() - start < 2
 
-    def test_symmetric_pass_skips_the_row_reduction(self, monkeypatch):
-        # per column: the column and the factors below the pivot; the
-        # pivot row is copied from the column, never reduced on its own
+    def test_reductions_per_pivot_row(self, monkeypatch):
+        # per pivot row: its coefficients L[k, j], then the row in place;
+        # per panel with rows after it: its rows scaled into L^T.  No
+        # column is reduced: 2n + b - 1 reductions for b panels
         calls = []
         sym_mod = exact._sym_mod
         monkeypatch.setattr(exact, "_sym_mod", lambda x, p: calls.append(1) or sym_mod(x, p))
@@ -556,16 +557,18 @@ class TestDeterminant:
             return len(calls), result
 
         two_k4 = disjoint_union(complete_graph(4), complete_graph(4))
-        for g in (petersen_graph(), two_k4, random_regular(GenConfig(10, 80, 0))):
+        for g in (petersen_graph(), two_k4, random_regular(GenConfig(10, 80, 0)),
+                  random_regular(GenConfig(6, 2 * exact._DET_PANEL + 6, 0))):
             ints = g.laplacian_matrix().astype(np.int64)[1:, 1:]
-            assert reductions(ints)[0] == 2 * len(ints) - 1
+            panels = -(-len(ints) // exact._DET_PANEL)
+            assert reductions(ints)[0] == 2 * len(ints) + panels - 1
         # two disjoint K4: the last pivot is 0 under every prime, and the
         # kernel reports that column, 6, for each
         assert reductions(two_k4.laplacian_matrix().astype(np.int64)[1:, 1:])[1] == [6] * 16
         # a zero pivot under one prime changes nothing for the others
         p = primes[0]
         count, result = reductions(np.array([[p, 1], [1, 1]], dtype=np.int64))
-        assert count == 3 and result[0] == 0 and result[1:] == [[(p - 1) % q] for q in primes[1:]]
+        assert count == 4 and result[0] == 0 and result[1:] == [[(p - 1) % q] for q in primes[1:]]
 
     def test_laplacian_minors_match_bareiss(self):
         for g in (petersen_graph(), build_Hd(8), random_regular(GenConfig(10, 60, 3))):
@@ -667,10 +670,10 @@ class TestBlockedElimination:
     zero pivots fall at columns b - 1, b and b + 1."""
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 70), panel=st.sampled_from([1, 2, 3, 5, 8, PANEL]),
+    @given(n=st.integers(1, 2 * PANEL + 8), panel=st.sampled_from([1, 2, 3, 5, 8, PANEL]),
            seed=st.integers(0, 2**32 - 1), n_primes=st.integers(1, 16),
            which=st.integers(0, 15), zero_pivot=st.sampled_from([None, -1, 0, 1]),
-           zero_column=st.none() | st.integers(0, 69), big=st.booleans())
+           zero_column=st.none() | st.integers(0, 2 * PANEL + 7), big=st.booleans())
     @example(n=1, **case_defaults)
     @example(n=PANEL - 7, **case_defaults)                      # n < b
     @example(n=2 * PANEL + 5, **case_defaults)                  # n not a multiple of b
@@ -698,6 +701,25 @@ class TestBlockedElimination:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exact, "_DET_PANEL", panel)
             assert exact._det_mod_primes(ints, primes) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2 * PANEL + 5), seed=st.integers(0, 2**32 - 1),
+           n_primes=st.integers(1, 16), which=st.integers(0, 15),
+           zero_pivot=st.none() | st.integers(0, 2 * PANEL + 4), big=st.booleans())
+    @example(n=2 * PANEL + 5, seed=5, n_primes=16, which=3, zero_pivot=PANEL, big=False)
+    def test_only_the_upper_triangle_is_read(self, n, seed, n_primes, which, zero_pivot, big):
+        # the trailing update skips the lower triangle, so nothing may read it
+        which %= n_primes
+        if zero_pivot is not None and zero_pivot >= n:
+            zero_pivot = None
+        ints, primes = elimination_case(n, seed, n_primes, which, zero_pivot, None, big)
+        mixed = ints.copy()
+        rng = random.Random(seed + 1)
+        spread = 10**30 if big else 2**40
+        for i in range(n):
+            for j in range(i):
+                mixed[i, j] = rng.randint(-spread, spread)
+        assert exact._det_mod_primes(mixed, primes) == exact._det_mod_primes(ints, primes)
 
     def test_every_benchmark_style_laplacian(self):
         primes = [_det_prime(i) for i in range(16)]
