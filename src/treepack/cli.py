@@ -23,9 +23,10 @@ from .exact import DEFAULT_PRECISION
 from .families import FAMILIES, FamilyReport, build_family, check_family_degree, verify_family
 from .graphs import Graph, VertexPartition, parse_edge_list, partition, to_edge_list
 from .packing import TreePackingResult, count_spanning_trees, sigma, verify_certificate
-from .randgen import TheoremReport, check_sweep_args, theorem_check, theorem_threshold
+from .randgen import TheoremReport, check_sweep_args, theorem_check
 from .spectra import (
     adjacency_spectrum, check_interlacing, equitable_quotient, multiplicities, quotient_matrix,
+    theorem_threshold,
 )
 
 EXIT_OK = 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,7 +24,7 @@ def _certified_floor(g: Graph) -> int:
     for a d-regular g, which forces kappa' = d; else 0.  See
     `edge_connectivity`."""
     d = g.degree_if_regular()
-    return d if d and certify_lambda2_below(g, d * d - d + 2, d + 1) else 0
+    return d if d and certify_lambda2_below(g, d - Fraction(2 * (d - 1), d + 1)) else 0
 
 
 def edge_connectivity(g: Graph) -> CutResult:
@@ -35,11 +36,9 @@ def edge_connectivity(g: Graph) -> CutResult:
     two-block quotient of that cut then interlaces to
     lambda2 >= d - t(1/s + 1/(n - s)) >= d - 2t/(d + 1) (the kappa' form of
     Cioaba, Linear Algebra Appl. 2010).  So lambda2 < q_d = d - 2(d-1)/(d+1)
-    proves kappa' = d.  `spectra.certify_lambda2_below(g, d^2 - d + 2, d + 1)`
-    proves that with a shifted float Cholesky of the integer matrix
-    M = n((d^2 - d + 2) I - (d + 1) A) + (2d - 1) J, which is positive
-    definite exactly when lambda2 < q_d.  Otherwise (g not regular, or no
-    factor) the bound is 0.
+    proves kappa' = d, and `spectra.certify_lambda2_below(g, q_d)` proves
+    that with one shifted float Cholesky.  Otherwise (g not regular, or
+    the certificate refuses) the bound is 0 and every phase runs.
 
     The phase loop stops once the best phase weight is at or below the
     bound.  Phase 1 of a d-regular graph ends at the last vertex's degree

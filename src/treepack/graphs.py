@@ -120,10 +120,6 @@ def make_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def complete_graph(n: int) -> Graph:
-    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
 def petersen_graph() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

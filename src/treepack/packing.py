@@ -55,7 +55,7 @@ import numpy as np
 from .connectivity import CutResult, edge_connectivity
 from .exact import det_exact
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition, singleton_partition
-from .spectra import laplacian_spectrum
+from .spectra import eig_symmetric
 
 _FLOAT_EXACT = 2 ** 53   # beyond this, rounded float products are meaningless
 
@@ -374,7 +374,8 @@ def count_spanning_trees(g: Graph) -> TreeCount:
     exact = det_exact(g.laplacian_matrix()[1:, 1:].astype(np.int64)) if connected else 0
     if exact >= _FLOAT_EXACT:
         return TreeCount(exact, None)
-    product = prod(laplacian_spectrum(g)[1:]) / g.n
+    # every Laplacian eigenvalue but the least (mu_1 = 0), ascending
+    product = prod(eig_symmetric(g.laplacian_matrix())[-2::-1]) / g.n
     if not isfinite(product):
         return TreeCount(exact, None)
     return TreeCount(exact, round(product) == exact)

@@ -21,11 +21,10 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .graphs import Edge, Graph, VertexPartition, make_graph
 from .packing import pack_trees, sigma as packing_sigma, verify_pack_result
-from .spectra import certify_lambda2_below, lambda2
+from .spectra import adjacency_spectrum, certify_lambda2_below, theorem_threshold
 
 _MASK64 = (1 << 64) - 1
 # random_regular gives up after this many pairing attempts
@@ -168,12 +167,6 @@ class TheoremReport:
         return not self.counterexamples
 
 
-def theorem_threshold(d: int, k: int) -> Fraction:
-    """theta_k = d - (2k-1)/(d+1): a d-regular graph with lambda2 below it
-    packs k edge-disjoint spanning trees (for d >= 2k)."""
-    return d - Fraction(2 * k - 1, d + 1)
-
-
 def check_sweep_args(d: int, n: int, k: int, trials: int) -> None:
     """Raise ValueError unless theorem_check(d, n, k, trials, ...) can run:
     k >= 2, trials >= 1, n <= SWEEP_MAX_VERTICES and a d-regular graph on
@@ -195,27 +188,26 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
     and no eigenvalue is computed.  Arguments that `check_sweep_args`
     rejects are rejected before any graph is drawn.
 
-    The premise lambda2 < theta_k = (d(d+1) - 2k + 1)/(d+1) is proved by
-    `spectra.certify_lambda2_below` with a = d(d+1) - 2k + 1, b = d + 1.
-    Only a trial that certificate refuses compares the float lambda2
-    exactly with the rational threshold, so only those trials, and the
-    lambda2 recorded in a counterexample of a certified trial, take a
-    dense eigensolve: a refused trial's counterexample records the
-    premise's lambda2.  A certified trial's float lambda2 lies below
-    theta_k as well (see the certificate's margin), so every tally is the
-    one the float comparison alone gives.
+    The premise lambda2 < theta_k is proved by
+    `spectra.certify_lambda2_below(g, theta_k)`.  Only a trial that
+    certificate refuses compares the float lambda2 exactly with theta_k,
+    so only those trials, and the lambda2 recorded in a counterexample of
+    a certified trial, take a dense eigensolve: a refused trial's
+    counterexample records the premise's lambda2.  A certified trial's
+    float lambda2 lies below theta_k as well, so every tally is the one
+    the float comparison alone gives.
     """
     check_sweep_args(d, n, k, trials)
     degree_ok = d >= 2 * k
     threshold = theorem_threshold(d, k)
-    a, b = d * (d + 1) - 2 * k + 1, d + 1
     state = seed & _MASK64
     both = premise_only = conclusion_only = neither = 0
     bad: list[Counterexample] = []
     for _ in range(trials):
         state, trial_seed = splitmix64(state)
         g = random_regular(GenConfig(d=d, n=n, seed=trial_seed))
-        lam = None if not degree_ok or certify_lambda2_below(g, a, b) else lambda2(g)
+        lam = (None if not degree_ok or certify_lambda2_below(g, threshold)
+               else adjacency_spectrum(g)[1])
         premise = degree_ok and (lam is None or lam < threshold)
         packed = pack_trees(g, k)
         check = verify_pack_result(g, packed)
@@ -226,7 +218,8 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
         elif premise:
             premise_only += 1
             bad.append(Counterexample(
-                graph=g, d=d, n=n, k=k, lambda2=lambda2(g) if lam is None else lam,
+                graph=g, d=d, n=n, k=k,
+                lambda2=adjacency_spectrum(g)[1] if lam is None else lam,
                 sigma=packing_sigma(g).sigma, seed=trial_seed,
                 witness=packed.witness,
             ))

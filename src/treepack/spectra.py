@@ -1,5 +1,6 @@
-"""Dense symmetric eigensolving, a certified bound on lambda2, quotient
-matrices, and interlacing checks."""
+"""Dense symmetric eigensolving, the theorem threshold theta_k and a
+certified bound on lambda2 below a rational threshold, quotient matrices,
+and interlacing checks."""
 
 from __future__ import annotations
 
@@ -47,44 +48,42 @@ def adjacency_spectrum(g: Graph) -> tuple[float, ...]:
     return eig_symmetric(g.adjacency_matrix())
 
 
-def lambda2(g: Graph) -> float:
-    """Second-largest adjacency eigenvalue."""
-    if g.n == 1:
-        raise ValueError("lambda2 undefined for a single vertex")
-    return adjacency_spectrum(g)[1]
+def theorem_threshold(d: int, k: int) -> Fraction:
+    """theta_k = d - (2k-1)/(d+1): a d-regular graph with lambda2 below it
+    packs k edge-disjoint spanning trees (for d >= 2k)."""
+    return d - Fraction(2 * k - 1, d + 1)
 
 
-def certify_lambda2_below(g: Graph, a: int, b: int) -> bool:
-    """True when a float Cholesky proves lambda2 < a/b for a d-regular g
-    with a/b <= d; False when it does not, and for an irregular g or
-    a/b > d, where the bound holds for every d-regular g and proves
-    nothing.  At a/b = d it proves that g is connected (K2 at q_1 = 1).
+def certify_lambda2_below(g: Graph, q: Fraction | int) -> bool:
+    """True when a float Cholesky proves lambda2 < q for a d-regular g
+    with q <= d; False when it does not, and for an irregular g or
+    q > d, where the bound holds for every d-regular g and proves
+    nothing.  At q = d it proves that g is connected (K2 at q_1 = 1).
 
-    The integer matrix M = n(aI - bA) + (bd - a + 1)J has eigenvalue n on
-    the all-ones vector and nb(a/b - lambda_i) on its complement, so M is
-    positive definite exactly when lambda2 < a/b.  M depends on a and b,
-    not only on a/b.  Its entries are exact in float64.  The proof holds
-    only when ``np.linalg.cholesky`` succeeds on M - sigma I, with sigma
-    the least power of two at or above 2^8 (n + 1) 2^-53 tr(M) and the
-    shifted diagonal checked to be exact.  A Cholesky that runs to
+    With q = a/b in lowest terms, the integer matrix
+    M = n(aI - bA) + (bd - a + 1)J has eigenvalue n on the all-ones vector
+    and nb(q - lambda_i) on its complement, so M is positive definite
+    exactly when lambda2 < q.  Its entries are exact in float64.  The
+    proof holds only when ``np.linalg.cholesky`` succeeds on M - sigma I,
+    with sigma the least power of two at or above 2^8 (n + 1) 2^-53 tr(M)
+    and the shifted diagonal checked to be exact.  A Cholesky that runs to
     completion on a symmetric B returns R with R^T R = B + E and
     ||E||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr(B) (Demmel; Higham,
     Accuracy and Stability of Numerical Algorithms, Thm 10.3).  That is
     about (n + 1) 2^-53 tr(M), and sigma is at least 2^8 times it, so
     M = R^T R + sigma I - E is positive definite.
 
-    A certified M has lambda_min(M) >= sigma - ||E|| > 0, so a/b - lambda2
+    A certified M has lambda_min(M) >= sigma - ||E|| > 0, so q - lambda2
     is at least about 2^8 (n + 1) 2^-53 tr(M) / (nb): 5e-10 for a
     10-regular graph with n = 44 at theta_2 = 10 - 3/11, and 7e-6 at
     n = 5000, far above the error of a dense float eigensolve (about
     1e-13 there).  The float lambda2 of a certified graph therefore lies
-    below a/b too.
+    below q too.
 
     The call holds three n x n float64 arrays at once (M, numpy's working
     copy and the factor): 600 MB at n = 5000.
     """
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    a, b = q.as_integer_ratio()     # lowest terms, b >= 1
     d = g.degree_if_regular()
     if not d or a > b * d:
         return False
@@ -105,13 +104,6 @@ def certify_lambda2_below(g: Graph, a: int, b: int) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def laplacian_spectrum(g: Graph) -> tuple[float, ...]:
-    """Laplacian eigenvalues sorted ascending (mu_1 = 0 for any graph)."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    return tuple(reversed(eig_symmetric(g.laplacian_matrix())))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Small graph constructors the tests build their inputs with.
 
-The package's own constructors are `make_graph`, `complete_graph` and
-`petersen_graph`; these are built on `make_graph`, so its edge checks
-apply to them as well.
+The package's own constructors are `make_graph` and `petersen_graph`;
+these are built on `make_graph`, so its edge checks apply to them as
+well.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from treepack.graphs import Graph, make_graph
+
+
+def complete_graph(n: int) -> Graph:
+    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_minus_matching(n: int, k: int) -> Graph:

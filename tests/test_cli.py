@@ -11,15 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from builders import add_edges, cycle_graph, disjoint_union
+from builders import add_edges, complete_graph, cycle_graph, disjoint_union
 
 from treepack import cli, packing, randgen
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from treepack.connectivity import edge_connectivity
-from treepack.families import FAMILY_MAX_DEGREE, build_Gd, build_Hd
+from treepack.families import FAMILY_MAX_DEGREE, GD, HD, build_family
 from treepack.graphs import (
     Graph,
-    complete_graph,
     crossing_edges,
     make_graph,
     parse_edge_list,
@@ -34,8 +33,8 @@ from treepack.randgen import (
     GenConfig,
     TheoremReport,
     random_regular,
-    theorem_threshold,
 )
+from treepack.spectra import theorem_threshold
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -213,7 +212,7 @@ class TestAnalyze:
 
     def test_one_min_cut_per_graph(self, tmp_path, capsys, monkeypatch):
         calls = _count_edge_connectivity(monkeypatch)
-        code, out = run(capsys, ["analyze", write_graph(tmp_path, build_Gd(4))])
+        code, out = run(capsys, ["analyze", write_graph(tmp_path, build_family(GD, 4))])
         assert code == EXIT_OK and json.loads(out)["kappa_prime"] == 2
         assert calls == [15]
 
@@ -231,8 +230,8 @@ class TestAnalyze:
 ANALYZE_CASES = {
     "K5": lambda: complete_graph(5),
     "Petersen": petersen_graph,
-    "G4": lambda: build_Gd(4),
-    "H6": lambda: build_Hd(6),
+    "G4": lambda: build_family(GD, 4),
+    "H6": lambda: build_family(HD, 6),
     "C3+C3": lambda: disjoint_union(cycle_graph(3), cycle_graph(3)),
     "rr10-80-s1": lambda: random_regular(GenConfig(10, 80, 1)),
     "rr10-80-s2": lambda: random_regular(GenConfig(10, 80, 2)),
@@ -487,7 +486,7 @@ class TestHunt:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_hit_at_proved_k_is_a_bug(self, tmp_path, capsys, monkeypatch, k):
-        g = build_Gd(4)   # sigma 1: neither two nor three trees fit
+        g = build_family(GD, 4)   # sigma 1: neither two nor three trees fit
         hit = Counterexample(graph=g, d=4, n=g.n, k=k, lambda2=3.5, sigma=1, seed=7,
                              witness=pack_trees(g, k).witness)
 
@@ -561,7 +560,7 @@ class TestHunt:
 
 
 QUOTIENT_CASES = {
-    "G4-natural": (build_Gd(4), [range(0, 5), range(5, 10), range(10, 15)]),
+    "G4-natural": (build_family(GD, 4), [range(0, 5), range(5, 10), range(10, 15)]),
     "Petersen-3-7": (petersen_graph(), [range(0, 3), range(3, 10)]),
     "Petersen-1-2-3-4": (petersen_graph(), [[0], [1, 2], [3, 4, 5], range(6, 10)]),
 }
@@ -655,7 +654,7 @@ class TestQuotient:
         ("", 0),
     ])
     def test_uncovered_vertex_is_named(self, tmp_path, capsys, text, missing):
-        g_path = write_graph(tmp_path, build_Gd(4))
+        g_path = write_graph(tmp_path, build_family(GD, 4))
         part = tmp_path / "blocks.txt"
         part.write_text(text)
         code = main(["quotient", g_path, str(part)])

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from builders import add_edges, cycle_graph, disjoint_union, path_graph
+from builders import add_edges, complete_graph, cycle_graph, disjoint_union, path_graph
 from oracles import edge_connectivity_bruteforce, leading_minors, reference_edge_connectivity
 from test_packing import _determinism_corpus
 
 import treepack.connectivity as connectivity
 from treepack.connectivity import _certified_floor, edge_connectivity
 from treepack.exact import det_exact
-from treepack.families import build_Gd, build_Hd
-from treepack.graphs import complete_graph, crossing_edges, make_graph, partition, petersen_graph
-from treepack.randgen import GenConfig, random_regular, splitmix64, theorem_threshold
-from treepack.spectra import certify_lambda2_below
+from treepack.families import GD, HD, build_family
+from treepack.graphs import crossing_edges, make_graph, partition, petersen_graph
+from treepack.randgen import GenConfig, random_regular, splitmix64
+from treepack.spectra import certify_lambda2_below, theorem_threshold
 
 
 @st.composite
@@ -69,7 +69,7 @@ def test_bruteforce_guard():
 
 
 def test_gd_family_member_has_cut_two():
-    g = build_Gd(4)   # 15 vertices: inside the brute-force guard
+    g = build_family(GD, 4)   # 15 vertices: inside the brute-force guard
     assert edge_connectivity_bruteforce(g) == 2
     assert edge_connectivity(g).value == 2
 
@@ -145,8 +145,8 @@ PINNED_CUTS = {
 @functools.cache
 def _cut_corpus():
     corpus = dict(_determinism_corpus())
-    corpus.update({f"G{d}": build_Gd(d) for d in range(4, 13)})
-    corpus.update({f"H{d}": build_Hd(d) for d in range(6, 17)})
+    corpus.update({f"G{d}": build_family(GD, d) for d in range(4, 13)})
+    corpus.update({f"H{d}": build_family(HD, d) for d in range(6, 17)})
     corpus.update({f"rr10-200-s{s}": random_regular(GenConfig(10, 200, s)) for s in (1, 2)})
     return corpus
 
@@ -222,12 +222,13 @@ def test_matches_reference_on_random_regular_graphs(g):
     _same_cut_as_reference(g)
 
 
-@pytest.mark.parametrize("build,d", [
-    *((build_Gd, d) for d in range(4, 31)),
-    *((build_Hd, d) for d in range(6, 31)),
-])
-def test_matches_reference_on_families(build, d):
-    _same_cut_as_reference(build(d))
+_FAMILY_CASES = [*((GD, d) for d in range(4, 31)), *((HD, d) for d in range(6, 31))]
+
+
+@pytest.mark.parametrize("spec,d", _FAMILY_CASES,
+                         ids=[f"build_{spec.name}-{d}" for spec, d in _FAMILY_CASES])
+def test_matches_reference_on_families(spec, d):
+    _same_cut_as_reference(build_family(spec, d))
 
 
 # The largest contracted weights the tests reach.  On K200 a live weight
@@ -243,9 +244,13 @@ def test_matches_reference_on_large_weights(g):
 
 
 # ---------------------------------------------------------------------------
-# The early exit: a d-regular graph whose M = n((d^2-d+2)I - (d+1)A) + (2d-1)J
-# passes a shifted float Cholesky has lambda2 < q_d = d - 2(d-1)/(d+1), so
-# kappa' = d, and Stoer-Wagner stops after its first phase.
+# The early exit: a d-regular graph whose M at q_d = d - 2(d-1)/(d+1)
+# passes a shifted float Cholesky has lambda2 < q_d, so kappa' = d, and
+# Stoer-Wagner stops after its first phase.
+
+def _q(d):
+    return d - Fraction(2 * (d - 1), d + 1)
+
 
 def _certificate_matrix(g, a, b):
     """M = n(aI - bA) + (bd - a + 1)J as Python integers, from the
@@ -257,8 +262,9 @@ def _certificate_matrix(g, a, b):
             for u in range(n)]
 
 
-def _kappa_matrix(g, d):
-    return _certificate_matrix(g, d * d - d + 2, d + 1)
+def _matrix_at(g, q):
+    """The M that `certify_lambda2_below(g, q)` factors: a/b = q in lowest terms."""
+    return _certificate_matrix(g, q.numerator, q.denominator)
 
 
 def _is_positive_definite(m):
@@ -266,7 +272,7 @@ def _is_positive_definite(m):
 
 
 def _positive_definite(g):
-    return _is_positive_definite(_kappa_matrix(g, g.degree_if_regular()))
+    return _is_positive_definite(_matrix_at(g, _q(g.degree_if_regular())))
 
 
 def _lambda2(g):
@@ -328,27 +334,31 @@ def test_certificate_is_sound_and_complete_off_the_boundary(g):
     if floor:
         assert positive_definite
         assert reference_edge_connectivity(g)[0] == d
-    if positive_definite and _lambda2(g) < (d * d - d + 2) / (d + 1) - 1e-6:
+    if positive_definite and _lambda2(g) < _q(d) - 1e-6:
         assert floor == d
 
 
-@pytest.mark.parametrize("g", [petersen_graph(), _prism(6), random_regular(GenConfig(10, 80, 1))],
+# q_3 = 3 - 4/4 is 2/1 in lowest terms; q_10 = 92/11 is already reduced
+@pytest.mark.parametrize("g,a,b", [(petersen_graph(), 2, 1), (_prism(6), 2, 1),
+                                   (random_regular(GenConfig(10, 80, 1)), 92, 11)],
                          ids=["Petersen", "C6xK2", "rr10-80-s1"])
-def test_cholesky_factors_m_less_the_least_safe_shift(g, monkeypatch):
-    # the factored matrix is M with sigma off its diagonal, sigma the least
-    # power of two at or above 2^8 (n+1) 2^-53 tr(M), all entries exact
+def test_cholesky_factors_m_less_the_least_safe_shift(g, a, b, monkeypatch):
+    # the factored matrix is M at q_d in lowest terms with sigma off its
+    # diagonal, sigma the least power of two at or above 2^8 (n+1) 2^-53 tr(M),
+    # all entries exact
+    assert Fraction(a, b) == _q(g.degree_if_regular())
     seen = []
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: seen.append(a.copy()))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda x: seen.append(x.copy()))
     _certified_floor(g)
-    (a,) = seen
-    m = np.array(_kappa_matrix(g, g.degree_if_regular()), dtype=object)
+    (factored,) = seen
+    m = np.array(_certificate_matrix(g, a, b), dtype=object)
     bound = Fraction(2**8 * (g.n + 1) * int(np.trace(m)), 2**53)
     sigma = Fraction(1)
     while sigma < bound:
         sigma *= 2
     while sigma / 2 >= bound:
         sigma /= 2
-    shift = m - np.frompyfunc(Fraction, 1, 1)(a)
+    shift = m - np.frompyfunc(Fraction, 1, 1)(factored)
     assert (shift == sigma * np.eye(g.n, dtype=int)).all()
 
 
@@ -358,8 +368,8 @@ def test_cholesky_factors_m_less_the_least_safe_shift(g, monkeypatch):
     _prism(6),
     _two_k4_minus_edge(),
     make_graph(4, [(0, 2), (1, 3)]),
-    *(build_Gd(d) for d in range(4, 13)),
-    *(build_Hd(d) for d in range(6, 17)),
+    *(build_family(GD, d) for d in range(4, 13)),
+    *(build_family(HD, d) for d in range(6, 17)),
 ], ids=["C6xK2", "2(K4-e)", "2K2",
         *(f"G{d}" for d in range(4, 13)), *(f"H{d}" for d in range(6, 17))])
 def test_no_certificate(g):
@@ -373,7 +383,7 @@ def test_no_certificate_at_lambda2_equal_to_q():
     # of lambda2 with q_3 can decide it (eigvalsh gave 2.000000000000001)
     g = _prism(6)
     assert abs(_lambda2(g) - 2) < 1e-12
-    minors = leading_minors(_kappa_matrix(g, 3))
+    minors = leading_minors(_matrix_at(g, _q(3)))
     assert len(minors) == 11 and minors[-1] == 0 and min(minors[:-1]) > 0
 
 
@@ -410,66 +420,58 @@ def test_certificate(g, check_oracle, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The same certificate at any a/b <= d: theorem_check asks it at
-# theta_k = (d(d+1) - 2k + 1)/(d+1), edge_connectivity at q_d.
+# The same certificate at any q <= d: theorem_check asks it at theta_k,
+# edge_connectivity at q_d.
 
 def _thresholds(d):
-    """(a, b) of theta_k for every k with 2k <= d, then of q_d."""
-    out = [(d * (d + 1) - 2 * k + 1, d + 1) for k in range(1, d // 2 + 1)]
-    assert [Fraction(a, b) for a, b in out] == [theorem_threshold(d, k)
-                                               for k in range(1, d // 2 + 1)]
-    return [*out, (d * d - d + 2, d + 1)]
+    """theta_k for every k with 2k <= d, then q_d."""
+    return [*(theorem_threshold(d, k) for k in range(1, d // 2 + 1)), _q(d)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_regular_graphs())
 def test_certificate_at_any_threshold_is_sound_and_complete_off_the_boundary(g):
     lam2 = _lambda2(g)
-    for a, b in _thresholds(g.degree_if_regular()):
-        certified = certify_lambda2_below(g, a, b)
-        positive_definite = _is_positive_definite(_certificate_matrix(g, a, b))
+    for q in _thresholds(g.degree_if_regular()):
+        certified = certify_lambda2_below(g, q)
+        positive_definite = _is_positive_definite(_matrix_at(g, q))
         if certified:
             assert positive_definite
             # the float verdict a certified trial no longer computes
-            assert lam2 < Fraction(a, b)
-        if positive_definite and lam2 < a / b - 1e-6:
+            assert lam2 < q
+        if positive_definite and lam2 < q - 1e-6:
             assert certified
 
 
-@pytest.mark.parametrize("g, a, b", [
-    *((build_Gd(d), d * (d + 1) - 3, d + 1) for d in range(4, 13)),
-    *((build_Hd(d), d * (d + 1) - 5, d + 1) for d in range(6, 17)),
-    (_prism(6), 8, 4),
+@pytest.mark.parametrize("g, q", [
+    *((build_family(GD, d), theorem_threshold(d, 2)) for d in range(4, 13)),
+    *((build_family(HD, d), theorem_threshold(d, 3)) for d in range(6, 17)),
+    (_prism(6), _q(3)),
 ], ids=[*(f"G{d}-theta2" for d in range(4, 13)), *(f"H{d}-theta3" for d in range(6, 17)),
         "C6xK2-q3"])
-def test_no_certificate_where_m_is_not_positive_definite(g, a, b):
+def test_no_certificate_where_m_is_not_positive_definite(g, q):
     # Gd's lambda2 lies above theta_2 and Hd's above theta_3; the prism's
     # lambda2 is q_3 = 2 exactly
-    assert not certify_lambda2_below(g, a, b)
-    assert not _is_positive_definite(_certificate_matrix(g, a, b))
+    assert not certify_lambda2_below(g, q)
+    assert not _is_positive_definite(_matrix_at(g, q))
 
 
 def test_no_certificate_for_an_irregular_graph():
     g = path_graph(4)     # lambda2 = 0.618... < 1
     assert g.degree_if_regular() is None
-    assert not certify_lambda2_below(g, 1, 1)
+    assert not certify_lambda2_below(g, 1)
 
 
 def test_no_certificate_above_the_degree():
-    # lambda2(K4) = -1 lies below 7/2, but a/b > d proves nothing
-    assert not certify_lambda2_below(complete_graph(4), 7, 2)
+    # lambda2(K4) = -1 lies below 7/2, but q > d proves nothing
+    assert not certify_lambda2_below(complete_graph(4), Fraction(7, 2))
 
 
 def test_bound_at_the_degree_proves_connectivity():
-    # at a/b = d, M = n(dI - A) + J is positive definite exactly when the
+    # at q = d, M = n(dI - A) + J is positive definite exactly when the
     # graph is connected
-    assert certify_lambda2_below(complete_graph(4), 3, 1)
-    assert certify_lambda2_below(complete_graph(2), 2, 2)
+    assert certify_lambda2_below(complete_graph(4), 3)
+    assert certify_lambda2_below(complete_graph(2), Fraction(1))
     two_k4 = disjoint_union(complete_graph(4), complete_graph(4))
-    assert not certify_lambda2_below(two_k4, 3, 1)
+    assert not certify_lambda2_below(two_k4, 3)
     assert not _is_positive_definite(_certificate_matrix(two_k4, 3, 1))
-
-
-def test_b_must_be_positive():
-    with pytest.raises(ValueError, match="b must be a positive integer"):
-        certify_lambda2_below(complete_graph(4), -1, -1)

@@ -34,17 +34,17 @@ from treepack.exact import (
 from treepack.families import (
     GD,
     HD,
-    build_Hd,
+    build_family,
     claimed_charpoly,
     p3_poly,
     p10_poly,
     verify_family,
 )
-from treepack.graphs import complete_graph, make_graph, petersen_graph
+from treepack.graphs import make_graph, petersen_graph
 from treepack.randgen import GenConfig, random_regular
 from treepack.spectra import QuotientMatrix
 
-from builders import disjoint_union
+from builders import complete_graph, disjoint_union
 from oracles import (
     adjacency_int,
     bisect_top_reference,
@@ -571,7 +571,7 @@ class TestDeterminant:
         assert count == 4 and result[0] == 0 and result[1:] == [[(p - 1) % q] for q in primes[1:]]
 
     def test_laplacian_minors_match_bareiss(self):
-        for g in (petersen_graph(), build_Hd(8), random_regular(GenConfig(10, 60, 3))):
+        for g in (petersen_graph(), build_family(HD, 8), random_regular(GenConfig(10, 60, 3))):
             lap = g.laplacian_matrix().astype(np.int64).tolist()
             reduced = [row[1:] for row in lap[1:]]
             assert det_exact(reduced) == bareiss_det(reduced)

@@ -18,8 +18,6 @@ from treepack.families import (
     HD,
     _largest_root_vs,
     build_family,
-    build_Gd,
-    build_Hd,
     claimed_charpoly,
     equitable_partition,
     gd_interval,
@@ -46,32 +44,32 @@ def failures(report):
 
 class TestBuilders:
     def test_gd_sizes(self):
-        g = build_Gd(4)
+        g = build_family(GD, 4)
         assert g.n == 15 and g.m == 30   # 3 * (C(5,2) - 1) + 3
-        assert build_Gd(5).n == 18
+        assert build_family(GD, 5).n == 18
         assert g.degree_if_regular() == 4
 
     def test_hd_sizes(self):
-        h = build_Hd(6)
+        h = build_family(HD, 6)
         assert h.n == 35
         assert h.degree_if_regular() == 6
-        assert build_Hd(10).n == 55
+        assert build_family(HD, 10).n == 55
 
     def test_gd_rejects_small_d(self):
         with pytest.raises(ValueError):
-            build_Gd(3)
+            build_family(GD, 3)
 
     def test_hd_rejects_small_d(self):
         with pytest.raises(ValueError):
-            build_Hd(5)
+            build_family(HD, 5)
 
     def test_copy_crossing_counts(self):
-        assert crossing_edges(build_Gd(4), natural_partition(GD, 4)) == 3
-        assert crossing_edges(build_Hd(6), natural_partition(HD, 6)) == 10
+        assert crossing_edges(build_family(GD, 4), natural_partition(GD, 4)) == 3
+        assert crossing_edges(build_family(HD, 6), natural_partition(HD, 6)) == 10
 
     def test_gd_pairwise_single_connector(self):
         # merging copies i and j hides their one connector and leaves two
-        g = build_Gd(5)
+        g = build_family(GD, 5)
         blocks = natural_partition(GD, 5).blocks
         for i in range(3):
             for j in range(i + 1, 3):
@@ -287,7 +285,7 @@ class TestFamilyReports:
 
     def test_gd_kappa_agrees_with_bruteforce(self):
         # 15 vertices: small enough for the exhaustive cut oracle
-        assert edge_connectivity_bruteforce(build_Gd(4)) == verify_Gd(4).kappa_prime
+        assert edge_connectivity_bruteforce(build_family(GD, 4)) == verify_Gd(4).kappa_prime
 
     @pytest.mark.parametrize("spec, d", [(GD, 4), (HD, 6)])
     def test_certificate_polynomial_is_isolated_once(self, monkeypatch, spec, d):
@@ -327,3 +325,24 @@ class TestVerifierCatchesWrongClaims:
     def test_wrong_simple_eigenvalues_fail_spectrum_and_charpoly(self):
         report = verify_family(dataclasses.replace(GD, other_simple=(1,)), 4)
         assert failures(report) == ["spectrum_multiset", "charpoly_factorization"]
+
+
+class TestVerifierCatchesWrongConstructions:
+    """build_family builds whatever the spec's connectors say; a member that
+    is not the family is reported by verify_family's checks, not refused."""
+
+    WRONG_GRAPH = ["regularity", "copy_crossing_edges", "edge_connectivity",
+                   "lambda2_matches_p3_root", "spectrum_multiset", "charpoly_factorization"]
+
+    def test_dropped_connector_fails_regularity(self):
+        report = verify_family(dataclasses.replace(GD, connectors=GD.connectors[:-1]), 4)
+        assert failures(report) == self.WRONG_GRAPH
+
+    def test_connector_repeating_a_pair_fails_copy_crossing_edges(self):
+        # copies 1 and 2 joined twice and copies 0 and 2 not at all: three
+        # connectors, as claimed, but not one per pair
+        connectors = (*GD.connectors[:-1], ((2, 0), (1, 1)))
+        report = verify_family(dataclasses.replace(GD, connectors=connectors), 4)
+        assert failures(report) == self.WRONG_GRAPH
+        (crossing,) = [c for c in report.checks if c.name == "copy_crossing_edges"]
+        assert crossing.computed == "total=3"

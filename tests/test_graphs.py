@@ -3,12 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import add_edges, complete_minus_matching, cycle_graph, disjoint_union, path_graph
+from builders import (
+    add_edges,
+    complete_graph,
+    complete_minus_matching,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+)
 
 from treepack.graphs import (
     Graph,
     VertexPartition,
-    complete_graph,
     crossing_edges,
     make_graph,
     parse_edge_list,

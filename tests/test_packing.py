@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from builders import (
     add_edges,
     complete_bipartite,
+    complete_graph,
     complete_minus_matching,
     cycle_graph,
     disjoint_union,
@@ -31,9 +32,8 @@ from treepack.cli import _certificate_digest
 from treepack.connectivity import edge_connectivity
 from treepack.exact import _det_mod_primes as det_mod_primes
 from treepack.exact import det_exact
-from treepack.families import build_Gd, build_Hd
+from treepack.families import GD, HD, build_family
 from treepack.graphs import (
-    complete_graph,
     crossing_edges,
     make_graph,
     petersen_graph,
@@ -50,7 +50,7 @@ from treepack.packing import (
     verify_pack_result,
 )
 from treepack.randgen import GenConfig, random_regular, splitmix64
-from treepack.spectra import laplacian_spectrum
+from treepack.spectra import eig_symmetric
 
 
 @st.composite
@@ -258,10 +258,10 @@ class TestCountSpanningTrees:
     def test_count_past_float_range_skips_the_eigensolve(self, monkeypatch):
         # a 10-regular graph on 80 vertices has far more than 2^53 spanning
         # trees, where no float product can round to the count
-        def no_eigensolve(g):
+        def no_eigensolve(m):
             raise AssertionError("Laplacian eigensolve ran for a count >= 2^53")
 
-        monkeypatch.setattr(packing, "laplacian_spectrum", no_eigensolve)
+        monkeypatch.setattr(packing, "eig_symmetric", no_eigensolve)
         c = count_spanning_trees(random_regular(GenConfig(10, 80, 1)))
         assert c.exact >= 2 ** 53
         assert c.agree is None
@@ -289,7 +289,7 @@ class TestCountSpanningTrees:
             raise AssertionError("det_exact ran on a disconnected graph")
 
         monkeypatch.setattr(packing, "det_exact", no_determinant)
-        product = math.prod(laplacian_spectrum(g)[1:]) / g.n
+        product = math.prod(eig_symmetric(g.laplacian_matrix())[-2::-1]) / g.n
         c = count_spanning_trees(g)
         assert c.exact == 0
         assert c.agree == (round(product) == 0 if math.isfinite(product) else None)
@@ -297,7 +297,8 @@ class TestCountSpanningTrees:
     @pytest.mark.parametrize("noise", [1e-14, -1e-14])
     @pytest.mark.parametrize("big", [1e200, math.inf, math.nan])
     def test_non_finite_product_leaves_agree_open(self, monkeypatch, noise, big):
-        monkeypatch.setattr(packing, "laplacian_spectrum", lambda g: (0.0, noise, big, big))
+        # eig_symmetric is descending; the product skips the least, 0.0
+        monkeypatch.setattr(packing, "eig_symmetric", lambda m: (big, big, noise, 0.0))
         c = count_spanning_trees(disjoint_union(complete_graph(2), complete_graph(2)))
         assert c.exact == 0
         assert c.agree is None
@@ -457,8 +458,8 @@ def _determinism_corpus():
         "K4,5": complete_bipartite(4, 5),
         "K8-3K2": complete_minus_matching(8, 3),
         "K5+K5": disjoint_union(complete_graph(5), complete_graph(5)),
-        "G5": build_Gd(5),
-        "H7": build_Hd(7),
+        "G5": build_family(GD, 5),
+        "H7": build_family(HD, 7),
     }
     for d, n, seeds in ((6, 30, (1, 2, 3)), (10, 44, (1, 2, 3)), (10, 80, (1, 2))):
         for seed in seeds:
@@ -970,7 +971,7 @@ def test_pack_trees_matches_reference_on_large_graphs(g):
 def _chain_corpus():
     """Hd at d = 6 with k = 3, the 32 analyze-pool graphs with k = 5, and the
     sweep-mix graphs with k = 2 and 3."""
-    yield build_Hd(6), 3
+    yield build_family(HD, 6), 3
     state = 1
     for _ in range(32):
         state, seed = splitmix64(state)

@@ -7,20 +7,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from builders import complete_graph
 
 import treepack
 from treepack import randgen
-from treepack.families import build_Gd
-from treepack.graphs import complete_graph, crossing_edges
+from treepack.families import GD, build_family
+from treepack.graphs import crossing_edges
 from treepack.packing import CertificateCheck, pack_trees
 from treepack.randgen import (
     GenConfig,
     random_regular,
     splitmix64,
     theorem_check,
-    theorem_threshold,
 )
-from treepack.spectra import adjacency_spectrum
+from treepack.spectra import adjacency_spectrum, theorem_threshold
 
 # SHA-256 of repr(sorted(g.edges)) for random_regular(GenConfig(d, n, seed)):
 # the sweep mix over four seeds, the analyze size, a near-half density and
@@ -186,7 +186,7 @@ class TestTheoremCheck:
         def no_spectral_work(*args):
             raise AssertionError("the premise was computed although d < 2k")
 
-        monkeypatch.setattr(randgen, "lambda2", no_spectral_work)
+        monkeypatch.setattr(randgen, "adjacency_spectrum", no_spectral_work)
         monkeypatch.setattr(randgen, "certify_lambda2_below", no_spectral_work)
         r = theorem_check(d=d, n=6, k=3, trials=3, seed=0)
         assert getattr(r, tally) == 3 and r.clean
@@ -212,17 +212,17 @@ class TestTheoremCheck:
         assert Fraction(lam2) < theorem_threshold(6, 3)
         monkeypatch.setattr(randgen, "random_regular", lambda cfg: complete_graph(7))
         # K7 certifies, so the certificate is made to refuse to reach the float
-        monkeypatch.setattr(randgen, "certify_lambda2_below", lambda g, a, b: False)
-        monkeypatch.setattr(randgen, "lambda2", lambda g: lam2)
+        monkeypatch.setattr(randgen, "certify_lambda2_below", lambda g, q: False)
+        monkeypatch.setattr(randgen, "adjacency_spectrum", lambda g: (6.0, lam2))
         r = theorem_check(d=6, n=7, k=3, trials=1, seed=0)
         assert r.premise_and_conclusion == 1
 
     def test_counterexample_carries_the_failed_pack_witness(self, monkeypatch):
         # G4 is 4-regular with sigma 1; with the premise forced true every
         # trial is a counterexample for k = 2
-        g4 = build_Gd(4)
+        g4 = build_family(GD, 4)
         monkeypatch.setattr(randgen, "random_regular", lambda cfg: g4)
-        monkeypatch.setattr(randgen, "lambda2", lambda g: 0.0)
+        monkeypatch.setattr(randgen, "adjacency_spectrum", lambda g: (4.0, 0.0))
         r = theorem_check(d=4, n=15, k=2, trials=2, seed=0)
         assert r.premise_only == 2 and len(r.counterexamples) == 2
         for c in r.counterexamples:
@@ -233,14 +233,14 @@ class TestTheoremCheck:
         # the premise's lambda2 is the one the counterexample records
         eigensolves = []
 
-        def counted_lambda2(g):
+        def counted_spectrum(g):
             eigensolves.append(g)
-            return 0.0
+            return 4.0, 0.0
 
-        g4 = build_Gd(4)
+        g4 = build_family(GD, 4)
         monkeypatch.setattr(randgen, "random_regular", lambda cfg: g4)
-        monkeypatch.setattr(randgen, "certify_lambda2_below", lambda g, a, b: False)
-        monkeypatch.setattr(randgen, "lambda2", counted_lambda2)
+        monkeypatch.setattr(randgen, "certify_lambda2_below", lambda g, q: False)
+        monkeypatch.setattr(randgen, "adjacency_spectrum", counted_spectrum)
         r = theorem_check(d=4, n=15, k=2, trials=1, seed=0)
         (c,) = r.counterexamples
         assert c.lambda2 == 0.0
@@ -250,28 +250,41 @@ class TestTheoremCheck:
         def no_eigensolve(g):
             raise AssertionError("a certified trial computed lambda2")
 
-        monkeypatch.setattr(randgen, "lambda2", no_eigensolve)
+        monkeypatch.setattr(randgen, "adjacency_spectrum", no_eigensolve)
         r = theorem_check(d=6, n=14, k=2, trials=25, seed=5)
         assert r.premise_and_conclusion == 25
+
+    def test_reducible_threshold_certifies_in_lowest_terms(self, monkeypatch):
+        # theta_2 = 8 - 3/9 = 23/3 at d = 8, a point of the sweep benchmark's
+        # mix: the certificate factors the M of 23/3 and proves every trial
+        assert theorem_threshold(8, 2) == Fraction(23, 3)
+
+        def no_eigensolve(g):
+            raise AssertionError("a certified trial computed lambda2")
+
+        monkeypatch.setattr(randgen, "adjacency_spectrum", no_eigensolve)
+        r = theorem_check(d=8, n=32, k=2, trials=40, seed=0)
+        assert r.premise_and_conclusion == 40
 
     def test_refused_trials_take_the_float_comparison(self, monkeypatch):
         # at theta_2 = 3.4 the first two 4-regular graphs are refused and
         # the third certified; the tallies are those of the float
         # comparison alone
         verdicts, eigensolves = [], []
-        certify, float_lambda2 = randgen.certify_lambda2_below, randgen.lambda2
+        certify, spectrum = randgen.certify_lambda2_below, randgen.adjacency_spectrum
 
-        def recorded_certify(g, a, b):
-            assert (a, b) == (4 * 5 - 3, 5)     # theta_2 = 4 - 3/5 at d = 4
-            verdicts.append(certify(g, a, b))
+        def recorded_certify(g, q):
+            assert q == Fraction(17, 5)     # theta_2 = 4 - 3/5 at d = 4
+            verdicts.append(certify(g, q))
             return verdicts[-1]
 
-        def recorded_lambda2(g):
-            eigensolves.append(float_lambda2(g))
-            return eigensolves[-1]
+        def recorded_spectrum(g):
+            eigenvalues = spectrum(g)
+            eigensolves.append(eigenvalues[1])
+            return eigenvalues
 
         monkeypatch.setattr(randgen, "certify_lambda2_below", recorded_certify)
-        monkeypatch.setattr(randgen, "lambda2", recorded_lambda2)
+        monkeypatch.setattr(randgen, "adjacency_spectrum", recorded_spectrum)
         r = theorem_check(d=4, n=200, k=2, trials=3, seed=0)
         assert verdicts == [False, False, True]
         assert len(eigensolves) == 2 and min(eigensolves) >= theorem_threshold(4, 2)
@@ -281,7 +294,7 @@ class TestTheoremCheck:
     def test_hit_on_a_certified_graph_records_its_lambda2(self, monkeypatch):
         # a packing forced to fail makes the one certified trial a hit
         g = random_regular(GenConfig(d=6, n=14, seed=splitmix64(0)[1]))
-        assert randgen.certify_lambda2_below(g, 6 * 7 - 3, 7)
+        assert randgen.certify_lambda2_below(g, theorem_threshold(6, 2))
         monkeypatch.setattr(randgen, "pack_trees", lambda g, k: pack_trees(g, g.m))
         r = theorem_check(d=6, n=14, k=2, trials=1, seed=0)
         (c,) = r.counterexamples

@@ -28,7 +28,7 @@ PACKAGE = Path(treepack.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 
 TRACER = "tracer-bound: perfbench/tracer.py wraps it by name"
-TOUR = "README tour: the library tour calls or imports it"
+TOUR = "README tour: the library tour calls it"
 DUNDER = "Python protocol dunder"
 
 # module.qualname -> why it stays although no subcommand calls it
@@ -39,9 +39,6 @@ ALLOWED = {
     "exact.sturm_isolate_largest_root": TRACER,
     "families.verify_Gd": TRACER,
     "families.verify_Hd": TRACER,
-    "families.build_Gd": TOUR,
-    "families.build_Hd": TOUR,
-    "graphs.complete_graph": TOUR,
     "graphs.petersen_graph": TOUR,
 }
 
@@ -138,7 +135,8 @@ def test_every_allowance_holds():
         name = qualname.rsplit(".", 1)[1]
         holds = {
             TRACER: qualname in traced,
-            TOUR: re.search(rf"\b{name}\b", tour),
+            # a call, not an import or a mention: the tour runs what it names
+            TOUR: re.search(rf"\b{name}\(", tour),
             DUNDER: name.startswith("__") and name.endswith("__"),
         }[reason]
         if not holds:
@@ -170,6 +168,12 @@ def _treepack_modules_after(code: str, *path: Path) -> list[str]:
 def test_a_module_loads_only_what_it_imports():
     assert _treepack_modules_after("import treepack.exact, treepack.graphs", PACKAGE.parent) == [
         "treepack", "treepack.exact", "treepack.graphs"]
+
+
+def test_families_load_no_random_generator():
+    # theta_k lives in spectra, so the families need nothing from randgen
+    loaded = _treepack_modules_after("import treepack.families", PACKAGE.parent)
+    assert "treepack.families" in loaded and "treepack.randgen" not in loaded
 
 
 def test_oracles_load_none_of_the_algorithms_they_check():

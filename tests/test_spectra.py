@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from builders import complete_bipartite, cycle_graph
+from builders import complete_bipartite, complete_graph, cycle_graph
 from oracles import exact_adjacency_roots
 
 from treepack.exact import char_poly_exact
-from treepack.graphs import complete_graph, make_graph, partition, petersen_graph
+from treepack.graphs import make_graph, partition, petersen_graph
 from treepack.spectra import (
     QuotientMatrix,
     adjacency_spectrum,
     check_interlacing,
     eig_symmetric,
     equitable_quotient,
-    lambda2,
-    laplacian_spectrum,
     multiplicities,
     quotient_matrix,
 )
@@ -87,17 +85,11 @@ def test_known_spectra():
     assert [(round(v), m) for v, m in mults] == [(3, 1), (1, 5), (-2, 4)]
 
 
-def test_lambda2_requires_two_vertices():
-    with pytest.raises(ValueError):
-        lambda2(make_graph(1, []))
-    assert lambda2(complete_graph(5)) == pytest.approx(-1.0)
-
-
 def test_laplacian_regular_duality():
     # d-regular: the ascending Laplacian spectrum is d minus the
     # descending adjacency spectrum, index by index
     g = petersen_graph()
-    mus = laplacian_spectrum(g)
+    mus = eig_symmetric(g.laplacian_matrix())[::-1]
     lams = adjacency_spectrum(g)
     assert mus[0] == pytest.approx(0.0, abs=1e-12)
     for mu, lam in zip(mus, lams):
