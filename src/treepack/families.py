@@ -43,12 +43,13 @@ from .spectra import adjacency_spectrum, equitable_quotient, theorem_threshold
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
 # build_family refuses larger degrees, so construct and verify-family fail
-# at once.  On a 2-vCPU x86 host one verify_family call took 0.17-0.19 s on
-# Gd and 0.31-0.49 s on Hd at d = 100, and 0.45-0.53 s and 0.84-1.33 s at
-# d = 160 with the cap raised (three to six runs each, after import); in a
-# cProfile of Hd at d = 100 the Stoer-Wagner cut inside sigma takes 43% and
-# pack_trees 29%.  construct Hd took 1.5 s at d = 400 and 13.8 s with
-# 886 MB peak RSS at d = 1000.
+# at once.  On a 2-vCPU x86 host one verify_family call took 0.06-0.09 s on
+# Gd and 0.17-0.24 s on Hd at d = 100 (most runs near 0.07 s and 0.18 s),
+# and 0.19-0.37 s and 0.55-0.63 s at d = 160 with the cap raised (three to
+# five runs each, after import); in a cProfile of Hd at d = 100 the
+# Stoer-Wagner cut inside sigma takes 53% and its one pack_trees call 15%.
+# construct Hd took 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at
+# d = 1000.
 FAMILY_MAX_DEGREE = 100
 
 
@@ -225,7 +226,13 @@ def verify_family(spec: FamilySpec, d: int,
                   precision: Fraction = DEFAULT_PRECISION) -> FamilyReport:
     """Re-check every claim about the family member of degree d: counts,
     sigma, connectivity, the exact interval of lambda2, the spectrum
-    multiset, and the quotient identity."""
+    multiset, and the quotient identity.
+
+    sigma is handed the copy partition, the paper's witness that sigma+1
+    trees do not pack: when it violates the count at sigma+1 it ends the
+    climb in place of a failing pack.  It does not depend on the spec's
+    sigma claim, and `verify_certificate` re-checks the trees and that
+    witness as it would the packer's."""
     g = build_family(spec, d)
     p = spec.poly(d)
     n = spec.copies * (d + 1)
@@ -236,14 +243,15 @@ def verify_family(spec: FamilySpec, d: int,
                              str(g.degree_if_regular()), str(d)))
 
     # one edge between each pair of copies
-    copy_of = natural_partition(spec, d).block_of
+    copies = natural_partition(spec, d)
+    copy_of = copies.block_of
     found_pairs = sorted(tuple(sorted((copy_of[u], copy_of[v]))) for u, v in g.edges
                          if copy_of[u] != copy_of[v])
     checks.append(NamedCheck("copy_crossing_edges",
                              found_pairs == list(combinations(range(spec.copies), 2)),
                              f"total={len(found_pairs)}", spec.crossing_claim))
 
-    packing = tree_packing_sigma(g)
+    packing = tree_packing_sigma(g, copies)
     cut = packing.cut
     cert = verify_certificate(g, packing)
     checks.append(NamedCheck("sigma", packing.sigma == spec.sigma,

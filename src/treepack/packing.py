@@ -309,7 +309,7 @@ class TreePackingResult:
     cut: CutResult | None = None
 
 
-def sigma(g: Graph) -> TreePackingResult:
+def sigma(g: Graph, witness: VertexPartition | None = None) -> TreePackingResult:
     """Spanning-tree packing number with certificates for both directions.
 
     kappa' comes from `edge_connectivity`: Stoer-Wagner, cut short after
@@ -326,23 +326,39 @@ def sigma(g: Graph) -> TreePackingResult:
     k = 1 and a disconnected graph: sigma is 0 with that pack's witness.
     At a larger k only a packer bug gets there, and the result lacks its
     sigma trees, which ``verify_certificate`` rejects.
+
+    `witness` is a partition the caller expects to violate the count at
+    sigma+1 (a family's copies, a failed pack's witness).  Before each pack
+    at k+1, if its crossing count is at most (k+1)(t-1) - 1 the climb
+    stops: sigma is k, and that partition is the witness instead of the
+    one a failing pack at k+1 would find.  Before the first pack only a
+    disconnected graph's partition can violate (at k+1 = 1; above 1 it
+    would contradict Kundu's bound), and sigma is then 0 with no trees.
+    A partition that does not violate changes nothing.  One of another
+    vertex count is refused with ValueError before any work.
     """
+    if witness is not None and witness.n != g.n:
+        raise ValueError("witness partition does not match graph")
     if g.n <= 1:
         return TreePackingResult(0, (), None)
     cut = edge_connectivity(g)
     kmax = g.m // (g.n - 1)
+    crossing = None if witness is None else crossing_edges(g, witness)
     # the first pack is at k + 1.  floor(kappa'/2) <= m/n never exceeds
     # kmax, and kmax = 0 (m < n-1, so kappa' = 0) packs nothing and leaves
     # the edge count as the only certificate
     k = max(cut.value // 2, 1) - 1
-    trees, witness = (), None
+    trees, found = (), None
     while k < kmax:
+        if witness is not None and crossing <= (k + 1) * (witness.t - 1) - 1:
+            found = witness
+            break
         res = pack_trees(g, k + 1)
         if not res.success:
-            witness = res.witness
+            found = res.witness
             break
         k, trees = k + 1, res.trees
-    return TreePackingResult(k, trees, witness, cut)
+    return TreePackingResult(k, trees, found, cut)
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,9 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
     a certified trial, take a dense eigensolve: a refused trial's
     counterexample records the premise's lambda2.  A certified trial's
     float lambda2 lies below theta_k as well, so every tally is the one
-    the float comparison alone gives.
+    the float comparison alone gives.  A counterexample's sigma is climbed
+    with its failed pack's witness: when sigma = k - 1 that witness ends
+    the climb in place of a second pack at k.
     """
     check_sweep_args(d, n, k, trials)
     degree_ok = d >= 2 * k
@@ -220,7 +222,7 @@ def theorem_check(d: int, n: int, k: int, trials: int, seed: int) -> TheoremRepo
             bad.append(Counterexample(
                 graph=g, d=d, n=n, k=k,
                 lambda2=adjacency_spectrum(g)[1] if lam is None else lam,
-                sigma=packing_sigma(g).sigma, seed=trial_seed,
+                sigma=packing_sigma(g, packed.witness).sigma, seed=trial_seed,
                 witness=packed.witness,
             ))
         elif packed.success:

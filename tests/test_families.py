@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from oracles import edge_connectivity_bruteforce
 
-from treepack import exact
+from treepack import exact, families, packing
 from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots, sturm_chain
 from treepack.families import (
     FAMILY_MAX_DEGREE,
@@ -30,6 +30,7 @@ from treepack.families import (
     verify_family,
 )
 from treepack.graphs import crossing_edges, partition
+from treepack.packing import pack_trees, sigma
 from treepack.spectra import equitable_quotient
 
 
@@ -304,6 +305,38 @@ class TestFamilyReports:
                     monkeypatch.setattr(mod, fname, counted)
         assert verify_family(spec, d).all_passed
         assert calls == Counter(isolate_real_roots=1)
+
+
+@pytest.mark.parametrize("spec, d", [(GD, d) for d in range(4, 13)] + [(HD, d) for d in range(6, 17)])
+def test_copy_partition_ends_the_sigma_climb(monkeypatch, spec, d):
+    # verify_family packs once, at sigma: the copy partition is the witness
+    # the failing pack at sigma+1 would find, block for block
+    results = []
+
+    def recorded(g, witness=None):
+        results.append(sigma(g, witness))
+        return results[-1]
+
+    packs = []
+
+    def counted(g, k):
+        packs.append(k)
+        return pack_trees(g, k)
+
+    monkeypatch.setattr(families, "tree_packing_sigma", recorded)
+    monkeypatch.setattr(packing, "pack_trees", counted)
+    report = verify_family(spec, d)
+    monkeypatch.undo()
+    assert report.all_passed
+    assert packs == [spec.sigma]
+    (got,) = results
+    plain = sigma(report.graph)
+
+    def blocks(p):
+        return [sorted(b) for b in p.blocks]
+
+    assert (got.sigma, got.trees, blocks(got.witness_partition)) == \
+        (plain.sigma, plain.trees, blocks(plain.witness_partition))
 
 
 class TestVerifierCatchesWrongClaims:

@@ -32,7 +32,7 @@ from treepack.cli import _certificate_digest
 from treepack.connectivity import edge_connectivity
 from treepack.exact import _det_mod_primes as det_mod_primes
 from treepack.exact import det_exact
-from treepack.families import GD, HD, build_family
+from treepack.families import GD, HD, build_family, natural_partition
 from treepack.graphs import (
     crossing_edges,
     make_graph,
@@ -599,7 +599,8 @@ def test_pack_trees_is_pinned_on_long_chains():
 # ---------------------------------------------------------------------------
 # sigma starts at Kundu's bound max(floor(kappa'/2), 1) and climbs: one pack
 # when the bound is the edge bound, else one success at the bound and the
-# failure above it.
+# failure above it.  Handed the copy partition of G5 or H7 ("/copies"), it
+# stops after the success: the copies violate the count at sigma+1.
 
 
 def _k5_bridge_k8():
@@ -609,14 +610,21 @@ def _k5_bridge_k8():
     return make_graph(13, edges + [(4, 5)])
 
 
+_COPIES = {"G5": (GD, 5), "H7": (HD, 7)}
+
+
 @pytest.mark.parametrize("name,start,packs", [
     ("rr10-80-s1", 5, 1),   # kappa' 10: the start is sigma and the edge bound
     ("H7", 2, 2),           # kappa' 4: k = 2 = sigma packs, k = 3 fails
     ("G5", 1, 2),           # kappa' 2: k = 1 = sigma packs, k = 2 fails
     ("K5-K8", 1, 2),        # kappa' 1: floor(kappa'/2) = 0 is raised to 1
+    ("G5/copies", 1, 1),    # 3 copies, 3 crossing edges: no 2 trees
+    ("H7/copies", 2, 1),    # 5 copies, 10 crossing edges: no 3 trees
 ])
 def test_sigma_pack_count(monkeypatch, name, start, packs):
+    name, _, copies = name.partition("/")
     g = _k5_bridge_k8() if name == "K5-K8" else _determinism_corpus()[name]
+    witness = natural_partition(*_COPIES[name]) if copies else None
     calls = []
 
     def counted(g, k):
@@ -624,9 +632,35 @@ def test_sigma_pack_count(monkeypatch, name, start, packs):
         return pack_trees(g, k)
 
     monkeypatch.setattr(packing, "pack_trees", counted)
-    sigma(g)
+    res = sigma(g, witness)
     assert calls[0] == start
     assert len(calls) == packs
+    if copies:
+        assert res.witness_partition == witness
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+def test_sigma_with_a_partition_that_certifies_or_not_is_unchanged(name):
+    # the graph's own sigma+1 witness stops the climb where the failing pack
+    # would, with the same partition; the singletons violate only above the
+    # edge bound, which the climb never passes, so they change nothing
+    g = _determinism_corpus()[name]
+    plain = sigma(g)
+    if plain.witness_partition is not None:
+        assert sigma(g, plain.witness_partition) == plain
+    assert sigma(g, singleton_partition(g.n)) == plain
+
+
+@pytest.mark.parametrize("g", [complete_graph(1), complete_graph(5),
+                               disjoint_union(complete_graph(5), complete_graph(5))],
+                         ids=["K1", "K5", "K5+K5"])
+def test_sigma_refuses_a_partition_of_another_vertex_count(monkeypatch, g):
+    def no_pack(g, k):
+        raise AssertionError("sigma packed before refusing the partition")
+
+    monkeypatch.setattr(packing, "pack_trees", no_pack)
+    with pytest.raises(ValueError, match="does not match"):
+        sigma(g, singleton_partition(g.n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from builders import complete_graph
 
 import treepack
-from treepack import randgen
+from treepack import packing, randgen
 from treepack.families import GD, build_family
 from treepack.graphs import crossing_edges
 from treepack.packing import CertificateCheck, pack_trees
@@ -219,12 +219,23 @@ class TestTheoremCheck:
 
     def test_counterexample_carries_the_failed_pack_witness(self, monkeypatch):
         # G4 is 4-regular with sigma 1; with the premise forced true every
-        # trial is a counterexample for k = 2
+        # trial is a counterexample for k = 2.  Its sigma climbs with the
+        # failed pack's witness, so each hit packs at k = 2 and then k = 1
+        # only: the witness ends the climb in place of a second pack at 2
         g4 = build_family(GD, 4)
         monkeypatch.setattr(randgen, "random_regular", lambda cfg: g4)
         monkeypatch.setattr(randgen, "adjacency_spectrum", lambda g: (4.0, 0.0))
+        packs = []
+
+        def counted(g, k):
+            packs.append(k)
+            return pack_trees(g, k)
+
+        monkeypatch.setattr(randgen, "pack_trees", counted)
+        monkeypatch.setattr(packing, "pack_trees", counted)
         r = theorem_check(d=4, n=15, k=2, trials=2, seed=0)
         assert r.premise_only == 2 and len(r.counterexamples) == 2
+        assert packs == [2, 1, 2, 1]
         for c in r.counterexamples:
             assert c.sigma == 1
             assert crossing_edges(g4, c.witness) <= 2 * (c.witness.t - 1) - 1
