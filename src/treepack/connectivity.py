@@ -19,37 +19,51 @@ class CutResult:
     side: frozenset[int]
 
 
-def _certified_floor(g: Graph) -> int:
-    """d when `certify_lambda2_below` proves lambda2 < q_d = d - 2(d-1)/(d+1)
-    for a d-regular g, which forces kappa' = d; else 0.  See
-    `edge_connectivity`."""
+def certified_floor(g: Graph, c: int | None = None) -> int:
+    """c when kappa' >= c is proved for a d-regular g, for 1 <= c <= d
+    (c defaults to d); else 0, and always 0 for an irregular g.
+
+    A side of s <= d vertices sends at least s(d + 1 - s) >= d edges out,
+    so each side of a cut with t < d edges has at least d + 1 vertices.
+    With n < 2(d + 1) no such cut exists and kappa' = d without further
+    work.  Otherwise the cut's two-block quotient interlaces to
+    lambda2 >= d - tn/(s(n - s)) >= d - tn/((d + 1)(n - d - 1)) (Haemers,
+    Linear Algebra Appl. 1995; its n-free form d - 2t/(d + 1) is Cioaba's
+    kappa' bound, Linear Algebra Appl. 2010).  So lambda2 below
+    q_c = d - (c - 1)n/((d + 1)(n - d - 1)) rules out every cut of at most
+    c - 1 edges, and `spectra.certify_lambda2_below(g, q_c)` proves that
+    with one shifted float Cholesky.
+    """
     d = g.degree_if_regular()
-    return d if d and certify_lambda2_below(g, d - Fraction(2 * (d - 1), d + 1)) else 0
+    if not d:
+        return 0
+    c = d if c is None else c
+    n = g.n
+    if n < 2 * (d + 1):
+        return c
+    return c if certify_lambda2_below(g, d - Fraction((c - 1) * n, (d + 1) * (n - d - 1))) else 0
 
 
 def edge_connectivity(g: Graph) -> CutResult:
     """Exact global minimum edge cut via Stoer-Wagner with unit weights.
 
-    A d-regular g first gets a proven lower bound on kappa'.  A side of
-    s <= d vertices sends at least s(d + 1 - s) >= d edges out, so each
-    side of a cut with t < d edges has at least d + 1 vertices.  The
-    two-block quotient of that cut then interlaces to
-    lambda2 >= d - t(1/s + 1/(n - s)) >= d - 2t/(d + 1) (the kappa' form of
-    Cioaba, Linear Algebra Appl. 2010).  So lambda2 < q_d = d - 2(d-1)/(d+1)
-    proves kappa' = d, and `spectra.certify_lambda2_below(g, q_d)` proves
-    that with one shifted float Cholesky.  Otherwise (g not regular, or
-    the certificate refuses) the bound is 0 and every phase runs.
+    A d-regular g first asks `certified_floor` for kappa' = d: one
+    shifted float Cholesky at q_d = d - (d - 1)n/((d + 1)(n - d - 1)), or
+    none when n < 2(d + 1).  Otherwise (g not regular, or the certificate
+    refuses) the bound is 0 and every phase runs.
 
     The phase loop stops once the best phase weight is at or below the
     bound.  Phase 1 of a d-regular graph ends at the last vertex's degree
     d, so a certified graph stops after one phase with the (value, side)
     the full run returns: only a strictly smaller phase replaces the best.
     Random 10-regular graphs certify (every graph of the `analyze`
-    benchmark pool, n = 80), and so do Petersen, K_n and C5-C7.
-    Gd and Hd never do, as kappa' < d.  Random 3- and 4-regular graphs
-    rarely do, as q_3 = 2 and q_4 = 2.8 lie below their typical lambda2
-    near 2 sqrt(d - 1): over 40 seeds at each n = 20, 50, 100, 200, no
-    3-regular graph did and 15 4-regular ones did, all at n = 20.
+    benchmark pool, n = 80), and so do Petersen, C6, C7 and the prisms
+    C5 x K2 and C6 x K2; K_n and C5 need no certificate, as n < 2(d + 1).
+    Gd and Hd never do, as kappa' < d.  Random cubic graphs rarely do, as
+    q_3 tends to 2.5 from below, under their typical lambda2 near
+    2 sqrt 2: over seeds 0-39 at each n = 20, 50, 100, 200, 4, 0, 0 and 0
+    certified, against 38, 33, 28 and 12 4-regular and all 5-, 6- and
+    10-regular ones.
 
     The contracted graph is one n x n int64 weight matrix ``w`` with rows
     and columns in vertex order, so each maximum-adjacency step is two
@@ -79,7 +93,7 @@ def edge_connectivity(g: Graph) -> CutResult:
         return CutResult(0, min(comps, key=min))
 
     n = g.n
-    floor = _certified_floor(g)    # its n x n arrays are freed before w
+    floor = certified_floor(g)    # its n x n arrays are freed before w
     # No int64 overflow: a live off-diagonal entry is a contracted weight
     # in 0..m.  A contraction adds row t into row s and drops t, so over
     # the live rows the magnitude in each dead column never grows past the

@@ -43,13 +43,12 @@ from .spectra import adjacency_spectrum, equitable_quotient, theorem_threshold
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
 # build_family refuses larger degrees, so construct and verify-family fail
-# at once.  On a 2-vCPU x86 host one verify_family call took 0.06-0.09 s on
-# Gd and 0.17-0.24 s on Hd at d = 100 (most runs near 0.07 s and 0.18 s),
-# and 0.19-0.37 s and 0.55-0.63 s at d = 160 with the cap raised (three to
-# five runs each, after import); in a cProfile of Hd at d = 100 the
-# Stoer-Wagner cut inside sigma takes 53% and its one pack_trees call 15%.
-# construct Hd took 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at
-# d = 1000.
+# at once.  On a 2-vCPU x86 host one verify_family call took 0.06-0.07 s on
+# Gd and 0.14-0.15 s on Hd at d = 100, and 0.18-0.24 s and 0.32-0.45 s at
+# d = 160 with the cap raised (three to five runs each, after import); in
+# a cProfile of Hd at d = 100 its one pack_trees call takes 33%, building
+# the graph 24% and the Cholesky that proves kappa' 4%.  construct Hd took
+# 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at d = 1000.
 FAMILY_MAX_DEGREE = 100
 
 
@@ -232,7 +231,11 @@ def verify_family(spec: FamilySpec, d: int,
     trees do not pack: when it violates the count at sigma+1 it ends the
     climb in place of a failing pack.  It does not depend on the spec's
     sigma claim, and `verify_certificate` re-checks the trees and that
-    witness as it would the packer's."""
+    witness as it would the packer's.  The same partition gives kappa':
+    a copy's boundary edges are a cut, and one Cholesky proves no smaller
+    cut exists, so no Stoer-Wagner runs (see `packing.sigma`).  That
+    does not read the spec's kappa' claim either; a member the certificate
+    refuses gets the full Stoer-Wagner."""
     g = build_family(spec, d)
     p = spec.poly(d)
     n = spec.copies * (d + 1)

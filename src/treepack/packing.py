@@ -52,7 +52,7 @@ from math import isfinite, prod
 
 import numpy as np
 
-from .connectivity import CutResult, edge_connectivity
+from .connectivity import CutResult, certified_floor, edge_connectivity
 from .exact import det_exact
 from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition, singleton_partition
 from .spectra import eig_symmetric
@@ -313,12 +313,12 @@ def sigma(g: Graph, witness: VertexPartition | None = None) -> TreePackingResult
     """Spanning-tree packing number with certificates for both directions.
 
     kappa' comes from `edge_connectivity`: Stoer-Wagner, cut short after
-    its first phase when a Cholesky certificate proves
-    lambda2 < d - 2(d-1)/(d+1) for a d-regular g, which forces kappa' = d.
-    The search starts at k = max(floor(kappa'/2), 1): Nash-Williams/Tutte,
-    in the form Kundu uses ("Bounds on the number of disjoint spanning
-    trees", JCTB 1974), gives sigma >= floor(kappa'/2).  While packs
-    succeed it climbs, up to floor(m / (n-1)), the trivial edge bound.
+    its first phase when `connectivity.certified_floor` proves kappa' = d
+    for a d-regular g.  The search starts at k = max(floor(kappa'/2), 1):
+    Nash-Williams/Tutte, in the form Kundu uses ("Bounds on the number of
+    disjoint spanning trees", JCTB 1974), gives sigma >= floor(kappa'/2).
+    While packs succeed it climbs, up to floor(m / (n-1)), the trivial
+    edge bound.
     Every pack is a fresh pack_trees(g, k) and the packer is exact, so the
     trees come from pack_trees(g, sigma) and the witness from
     pack_trees(g, sigma+1).  The witness is None when sigma+1 exceeds the
@@ -336,14 +336,33 @@ def sigma(g: Graph, witness: VertexPartition | None = None) -> TreePackingResult
     would contradict Kundu's bound), and sigma is then 0 with no trees.
     A partition that does not violate changes nothing.  One of another
     vertex count is refused with ValueError before any work.
+
+    The partition can also give kappa' without Stoer-Wagner.  One pass
+    over the edges finds the crossing edges, and their ends give each
+    block's boundary count.  Let c be the least boundary count, at the
+    first block that has it.  If g is d-regular, 1 <= c < d and
+    `certified_floor(g, c)` proves kappa' >= c with one Cholesky, the cut
+    is c with that block as its side.  Otherwise `edge_connectivity` runs
+    as without a partition.  On Gd and Hd the copy partition proves
+    kappa' = 2 and 4 this way, so `verify_family` runs no Stoer-Wagner.
     """
     if witness is not None and witness.n != g.n:
         raise ValueError("witness partition does not match graph")
     if g.n <= 1:
         return TreePackingResult(0, (), None)
-    cut = edge_connectivity(g)
+    cut = None
+    if witness is not None:
+        # each block's boundary count, from both ends of every crossing edge
+        ends = np.array(witness.block_of)[g.edge_index]
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        crossing = len(ends)
+        boundary = np.bincount(ends.ravel(), minlength=witness.t)
+        c = int(boundary.min())
+        if 0 < c < (g.degree_if_regular() or 0) and certified_floor(g, c):
+            cut = CutResult(c, witness.blocks[int(boundary.argmin())])
+    if cut is None:
+        cut = edge_connectivity(g)
     kmax = g.m // (g.n - 1)
-    crossing = None if witness is None else crossing_edges(g, witness)
     # the first pack is at k + 1.  floor(kappa'/2) <= m/n never exceeds
     # kmax, and kmax = 0 (m < n-1, so kappa' = 0) packs nothing and leaves
     # the edge count as the only certificate

@@ -13,10 +13,10 @@ import pytest
 
 from builders import add_edges, complete_graph, cycle_graph, disjoint_union
 
-from treepack import cli, packing, randgen
+from treepack import cli, connectivity, packing, randgen
 from treepack.cli import EXIT_CHECK_FAILED, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
 from treepack.connectivity import edge_connectivity
-from treepack.families import FAMILY_MAX_DEGREE, GD, HD, build_family
+from treepack.families import FAMILIES, FAMILY_MAX_DEGREE, GD, HD, build_family
 from treepack.graphs import (
     Graph,
     crossing_edges,
@@ -368,10 +368,23 @@ class TestVerifyFamily:
         assert json.loads(out)["all_passed"] is True
 
     def test_one_min_cut_per_degree(self, capsys, monkeypatch):
+        # the copy partition's cut, with kappa' proved by the certificate,
+        # is each member's one min cut: no Stoer-Wagner runs
         calls = _count_edge_connectivity(monkeypatch)
         code, _ = run(capsys, ["verify-family", "Hd", "--d-min", "6", "--d-max", "7"])
         assert code == EXIT_OK
-        assert calls == [35, 40]
+        assert calls == []
+
+    @pytest.mark.parametrize("family, d_min, d_max", [("Gd", 4, 12), ("Hd", 6, 16)])
+    def test_refused_certificate_falls_back_to_stoer_wagner(self, capsys, monkeypatch,
+                                                            family, d_min, d_max):
+        argv = ["verify-family", family, "--d-min", str(d_min), "--d-max", str(d_max)]
+        certified = run(capsys, argv)
+        monkeypatch.setattr(connectivity, "certify_lambda2_below", lambda g, q: False)
+        calls = _count_edge_connectivity(monkeypatch)
+        assert run(capsys, argv) == certified
+        copies = FAMILIES[family].copies
+        assert calls == [copies * (d + 1) for d in range(d_min, d_max + 1)]
 
     def test_degree_cap_refuses_before_the_first_member(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_family", None)

@@ -11,7 +11,7 @@ from oracles import edge_connectivity_bruteforce, leading_minors, reference_edge
 from test_packing import _determinism_corpus
 
 import treepack.connectivity as connectivity
-from treepack.connectivity import _certified_floor, edge_connectivity
+from treepack.connectivity import certified_floor, edge_connectivity
 from treepack.exact import det_exact
 from treepack.families import GD, HD, build_family
 from treepack.graphs import crossing_edges, make_graph, partition, petersen_graph
@@ -244,12 +244,16 @@ def test_matches_reference_on_large_weights(g):
 
 
 # ---------------------------------------------------------------------------
-# The early exit: a d-regular graph whose M at q_d = d - 2(d-1)/(d+1)
-# passes a shifted float Cholesky has lambda2 < q_d, so kappa' = d, and
-# Stoer-Wagner stops after its first phase.
+# The early exit: a d-regular graph whose M at
+# q_d = d - (d-1)n/((d+1)(n-d-1)) passes a shifted float Cholesky has
+# lambda2 < q_d, so kappa' = d, and Stoer-Wagner stops after its first
+# phase.  At any 1 <= c <= d, lambda2 < q_c proves kappa' >= c.
 
-def _q(d):
-    return d - Fraction(2 * (d - 1), d + 1)
+def _q(g, c=None):
+    """q_c of a d-regular g with n >= 2(d+1); c defaults to d."""
+    d, n = g.degree_if_regular(), g.n
+    c = d if c is None else c
+    return d - Fraction((c - 1) * n, (d + 1) * (n - d - 1))
 
 
 def _certificate_matrix(g, a, b):
@@ -272,7 +276,7 @@ def _is_positive_definite(m):
 
 
 def _positive_definite(g):
-    return _is_positive_definite(_matrix_at(g, _q(g.degree_if_regular())))
+    return _is_positive_definite(_matrix_at(g, _q(g)))
 
 
 def _lambda2(g):
@@ -328,28 +332,33 @@ def small_regular_graphs(draw):
 @given(small_regular_graphs())
 def test_certificate_is_sound_and_complete_off_the_boundary(g):
     d = g.degree_if_regular()
-    floor = _certified_floor(g)
+    floor = certified_floor(g)
     assert floor in (0, d)
+    if g.n < 2 * (d + 1):
+        # no cut below d exists, and no certificate is asked
+        assert floor == d == reference_edge_connectivity(g)[0]
+        return
     positive_definite = _positive_definite(g)
     if floor:
         assert positive_definite
         assert reference_edge_connectivity(g)[0] == d
-    if positive_definite and _lambda2(g) < _q(d) - 1e-6:
+    if positive_definite and _lambda2(g) < _q(g) - 1e-6:
         assert floor == d
 
 
-# q_3 = 3 - 4/4 is 2/1 in lowest terms; q_10 = 92/11 is already reduced
-@pytest.mark.parametrize("g,a,b", [(petersen_graph(), 2, 1), (_prism(6), 2, 1),
-                                   (random_regular(GenConfig(10, 80, 1)), 92, 11)],
+# q_3 = 3 - 2*10/(4*6) = 13/6 on Petersen and 3 - 2*12/(4*8) = 9/4 on the
+# prism; q_10 = 10 - 9*80/(11*69) = 2290/253 in lowest terms
+@pytest.mark.parametrize("g,a,b", [(petersen_graph(), 13, 6), (_prism(6), 9, 4),
+                                   (random_regular(GenConfig(10, 80, 1)), 2290, 253)],
                          ids=["Petersen", "C6xK2", "rr10-80-s1"])
 def test_cholesky_factors_m_less_the_least_safe_shift(g, a, b, monkeypatch):
     # the factored matrix is M at q_d in lowest terms with sigma off its
     # diagonal, sigma the least power of two at or above 2^8 (n+1) 2^-53 tr(M),
     # all entries exact
-    assert Fraction(a, b) == _q(g.degree_if_regular())
+    assert Fraction(a, b) == _q(g)
     seen = []
     monkeypatch.setattr(np.linalg, "cholesky", lambda x: seen.append(x.copy()))
-    _certified_floor(g)
+    certified_floor(g)
     (factored,) = seen
     m = np.array(_certificate_matrix(g, a, b), dtype=object)
     bound = Fraction(2**8 * (g.n + 1) * int(np.trace(m)), 2**53)
@@ -365,25 +374,25 @@ def test_cholesky_factors_m_less_the_least_safe_shift(g, a, b, monkeypatch):
 # 2K2 has lambda2 = q_1 = 1 exactly, and an unshifted float Cholesky
 # factors its singular M without complaint (numpy 2.4's does).
 @pytest.mark.parametrize("g", [
-    _prism(6),
     _two_k4_minus_edge(),
     make_graph(4, [(0, 2), (1, 3)]),
     *(build_family(GD, d) for d in range(4, 13)),
     *(build_family(HD, d) for d in range(6, 17)),
-], ids=["C6xK2", "2(K4-e)", "2K2",
+], ids=["2(K4-e)", "2K2",
         *(f"G{d}" for d in range(4, 13)), *(f"H{d}" for d in range(6, 17))])
 def test_no_certificate(g):
-    assert _certified_floor(g) == 0
+    assert certified_floor(g) == 0
     assert not _positive_definite(g)
 
 
 def test_no_certificate_at_lambda2_equal_to_q():
-    # lambda2 = q_3 = 2 exactly, twice, so M is positive semidefinite with
-    # a 2-dimensional kernel (D_11 is already 0), and no float comparison
-    # of lambda2 with q_3 can decide it (eigvalsh gave 2.000000000000001)
+    # lambda2 = 2 exactly, twice, so at q = 2 (the n-free
+    # d - 2(d-1)/(d+1) at d = 3) M is positive semidefinite with a
+    # 2-dimensional kernel (D_11 is already 0), and no float comparison of
+    # lambda2 with 2 can decide it (eigvalsh gave 2.000000000000001)
     g = _prism(6)
     assert abs(_lambda2(g) - 2) < 1e-12
-    minors = leading_minors(_matrix_at(g, _q(3)))
+    minors = leading_minors(_matrix_at(g, Fraction(2)))
     assert len(minors) == 11 and minors[-1] == 0 and min(minors[:-1]) > 0
 
 
@@ -396,9 +405,13 @@ def test_no_certificate_below_degree():
 
 def _certified_corpus():
     yield pytest.param(petersen_graph(), True, id="Petersen")
-    yield from (pytest.param(complete_graph(n), True, id=f"K{n}") for n in range(2, 9))
-    yield from (pytest.param(cycle_graph(n), True, id=f"C{n}") for n in range(5, 8))
+    # K_n and C5 have n < 2(d+1): no cut below d exists, and no M is built
+    yield from (pytest.param(complete_graph(n), False, id=f"K{n}") for n in range(2, 9))
+    yield pytest.param(cycle_graph(5), False, id="C5")
+    yield from (pytest.param(cycle_graph(n), True, id=f"C{n}") for n in range(6, 8))
     yield pytest.param(_prism(5), True, id="C5xK2")
+    # lambda2 = 2 < q_3 = 9/4
+    yield pytest.param(_prism(6), True, id="C6xK2")
     for seed in (1, 7):
         # Bareiss on Python integers takes 0.2 s at n = 80, so the oracle
         # checks the first four graphs of each pool
@@ -409,30 +422,35 @@ def _certified_corpus():
 @pytest.mark.parametrize("g,check_oracle", list(_certified_corpus()))
 def test_certificate(g, check_oracle, monkeypatch):
     d = g.degree_if_regular()
-    assert _certified_floor(g) == d
+    if g.n < 2 * (d + 1):
+        monkeypatch.setattr(connectivity, "certify_lambda2_below", None)
+    assert certified_floor(g) == d
     if check_oracle:
         assert _positive_definite(g)
     # one phase returns the (value, side) of every phase
     r = edge_connectivity(g)
-    monkeypatch.setattr(connectivity, "_certified_floor", lambda g: 0)
+    monkeypatch.setattr(connectivity, "certified_floor", lambda g: 0)
     assert r.value == d
     assert r == edge_connectivity(g)
 
 
 # ---------------------------------------------------------------------------
 # The same certificate at any q <= d: theorem_check asks it at theta_k,
-# edge_connectivity at q_d.
+# edge_connectivity at q_d and sigma at q_c.
 
-def _thresholds(d):
-    """theta_k for every k with 2k <= d, then q_d."""
-    return [*(theorem_threshold(d, k) for k in range(1, d // 2 + 1)), _q(d)]
+def _thresholds(g):
+    """theta_k for every k with 2k <= d, then q_c for every 1 <= c <= d
+    when n >= 2(d+1)."""
+    d = g.degree_if_regular()
+    cuts = [_q(g, c) for c in range(1, d + 1)] if g.n >= 2 * (d + 1) else []
+    return [*(theorem_threshold(d, k) for k in range(1, d // 2 + 1)), *cuts]
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_regular_graphs())
 def test_certificate_at_any_threshold_is_sound_and_complete_off_the_boundary(g):
     lam2 = _lambda2(g)
-    for q in _thresholds(g.degree_if_regular()):
+    for q in _thresholds(g):
         certified = certify_lambda2_below(g, q)
         positive_definite = _is_positive_definite(_matrix_at(g, q))
         if certified:
@@ -446,12 +464,12 @@ def test_certificate_at_any_threshold_is_sound_and_complete_off_the_boundary(g):
 @pytest.mark.parametrize("g, q", [
     *((build_family(GD, d), theorem_threshold(d, 2)) for d in range(4, 13)),
     *((build_family(HD, d), theorem_threshold(d, 3)) for d in range(6, 17)),
-    (_prism(6), _q(3)),
+    (_prism(6), Fraction(2)),
 ], ids=[*(f"G{d}-theta2" for d in range(4, 13)), *(f"H{d}-theta3" for d in range(6, 17)),
         "C6xK2-q3"])
 def test_no_certificate_where_m_is_not_positive_definite(g, q):
     # Gd's lambda2 lies above theta_2 and Hd's above theta_3; the prism's
-    # lambda2 is q_3 = 2 exactly
+    # lambda2 is 2 exactly, the n-free q_3 = 3 - 2*2/4
     assert not certify_lambda2_below(g, q)
     assert not _is_positive_definite(_matrix_at(g, q))
 
@@ -475,3 +493,54 @@ def test_bound_at_the_degree_proves_connectivity():
     two_k4 = disjoint_union(complete_graph(4), complete_graph(4))
     assert not certify_lambda2_below(two_k4, 3)
     assert not _is_positive_definite(_certificate_matrix(two_k4, 3, 1))
+
+
+# ---------------------------------------------------------------------------
+# kappa' >= c at every 1 <= c <= d, from one certificate at q_c.
+
+@st.composite
+def joined_regular_graphs(draw):
+    """Two random d-regular blocks with up to d/2 matching edges in each
+    traded for twice as many edges across: d-regular, with a cut of at
+    most d edges that is often the minimum."""
+    d = draw(st.integers(min_value=3, max_value=8))
+    sizes = [draw(st.integers(min_value=d + 1, max_value=24).filter(lambda n: n * d % 2 == 0))
+             for _ in range(2)]
+    blocks = [random_regular(GenConfig(d, n, draw(st.integers(0, 2**32)))) for n in sizes]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    wanted = draw(st.integers(min_value=1, max_value=d // 2))
+    matchings = []
+    for g, off in zip(blocks, (0, sizes[0])):
+        picked, used = [], set()
+        for u, v in rng.sample(sorted(g.edges), g.m):
+            if len(picked) < wanted and not {u, v} & used:
+                picked.append((u + off, v + off))
+                used |= {u, v}
+        matchings.append(picked)
+    j = min(map(len, matchings))
+    dropped = {e for picked in matchings for e in picked[:j]}
+    edges = [*blocks[0].edges, *((u + sizes[0], v + sizes[0]) for u, v in blocks[1].edges)]
+    across = [pair for (a, b), (x, y) in zip(*matchings) for pair in ((a, x), (b, y))][:2 * j]
+    return make_graph(sum(sizes), [e for e in edges if e not in dropped] + across)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_regular_graphs(), joined_regular_graphs()))
+def test_floor_at_every_c_is_sound(g):
+    d = g.degree_if_regular()
+    kappa = reference_edge_connectivity(g)[0]
+    for c in range(1, d + 1):
+        floor = certified_floor(g, c)
+        assert floor in (0, c)
+        if floor:
+            assert kappa >= c
+
+
+@pytest.mark.parametrize("spec,d", _FAMILY_CASES,
+                         ids=[f"{spec.name}{d}" for spec, d in _FAMILY_CASES])
+def test_floor_reaches_the_family_kappa_exactly(spec, d):
+    # Gd: q_2 = d - 3/(2(d+1)) lies above its lambda2, q_3 = theta_2 below;
+    # Hd: q_4 = d - 15/(4(d+1)) above, q_5 = theta_3 at or below
+    g = build_family(spec, d)
+    assert certified_floor(g, spec.kappa_prime) == spec.kappa_prime
+    assert certified_floor(g, spec.kappa_prime + 1) == 0

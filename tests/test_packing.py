@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -29,13 +30,14 @@ from oracles import (
 
 from treepack import exact, packing
 from treepack.cli import _certificate_digest
-from treepack.connectivity import edge_connectivity
+from treepack.connectivity import CutResult, edge_connectivity
 from treepack.exact import _det_mod_primes as det_mod_primes
 from treepack.exact import det_exact
 from treepack.families import GD, HD, build_family, natural_partition
 from treepack.graphs import (
     crossing_edges,
     make_graph,
+    partition,
     petersen_graph,
     singleton_partition,
 )
@@ -643,12 +645,58 @@ def test_sigma_pack_count(monkeypatch, name, start, packs):
 def test_sigma_with_a_partition_that_certifies_or_not_is_unchanged(name):
     # the graph's own sigma+1 witness stops the climb where the failing pack
     # would, with the same partition; the singletons violate only above the
-    # edge bound, which the climb never passes, so they change nothing
+    # edge bound, which the climb never passes, so they change nothing.  On
+    # G5 and H7 that witness is the copy partition, whose first copy proves
+    # kappa' with the certificate and becomes the cut side.
     g = _determinism_corpus()[name]
     plain = sigma(g)
     if plain.witness_partition is not None:
-        assert sigma(g, plain.witness_partition) == plain
+        handed = sigma(g, plain.witness_partition)
+        if name in _COPIES:
+            assert plain.witness_partition == natural_partition(*_COPIES[name])
+            assert handed.cut == CutResult(plain.cut.value, plain.witness_partition.blocks[0])
+            handed = dataclasses.replace(handed, cut=plain.cut)
+        assert handed == plain
     assert sigma(g, singleton_partition(g.n)) == plain
+
+
+def _count_edge_connectivity(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return edge_connectivity(g)
+
+    monkeypatch.setattr(packing, "edge_connectivity", counted)
+    return calls
+
+
+def test_sigma_falls_back_to_stoer_wagner_when_the_least_boundary_is_above_kappa(monkeypatch):
+    # no block of Hd has 5 boundary edges: a union of k copies has
+    # k(5 - k), 4 or 6, and a block that splits a copy has at least d - 1;
+    # at d = 6 every boundary count is even.  Copies {0, 1} and {2, 3, 4}
+    # have 6 each, and q_6 does not certify kappa' >= 6.
+    for d in (7, 8):
+        g = build_family(HD, d)
+        copies = natural_partition(HD, d).blocks
+        halves = partition(g.n, [copies[0] | copies[1], copies[2] | copies[3] | copies[4]])
+        calls = _count_edge_connectivity(monkeypatch)
+        res = sigma(g, halves)
+        assert calls == [g.n]
+        assert res.cut == edge_connectivity(g)
+        assert res.cut.value == 4 and res.sigma == 2
+
+
+@pytest.mark.parametrize("g, blocks", [
+    (build_family(GD, 5), [range(18)]),
+    (disjoint_union(complete_graph(4), complete_graph(4)), [[0, 1, 2, 3], [4, 5], [6, 7]]),
+], ids=["G5-one-block", "2K4-no-boundary"])
+def test_sigma_takes_no_cut_from_a_block_without_boundary_edges(monkeypatch, g, blocks):
+    p = partition(g.n, blocks)
+    calls = _count_edge_connectivity(monkeypatch)
+    res = sigma(g, p)
+    assert calls == [g.n]
+    assert res.cut == edge_connectivity(g)
 
 
 @pytest.mark.parametrize("g", [complete_graph(1), complete_graph(5),
