@@ -38,6 +38,12 @@ The workhorses are:
   once it holds one, a secant search on the sign of the chain's first
   member alone finds the cell of bisection's final grid that holds the
   root, so the interval is the one bisection gives;
+* root cells beside Sturm isolation: ``root_cells`` takes float proposals
+  for the roots (a family's quotient eigenvalues), puts each in a cell of
+  bisection's grid and checks it by two exact signs.  When the cells show
+  deg p sign changes, every root is simple and isolated, and the same
+  secant search returns bisection's intervals without a chain; otherwise
+  it gives None and ``isolate_real_roots`` runs;
 * ``descartes_positivity_check`` — exact sign report for p, p', ..., p^(deg)
   at a rational point.
 """
@@ -47,8 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, prod
-from typing import Sequence
+from math import gcd, isfinite, isqrt, prod
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -478,15 +484,6 @@ def _variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, bo
     return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
 
-def roots_above(chain: Sequence[Sequence[int]], x: Fraction) -> tuple[int, bool]:
-    """Distinct real roots of the chain's first member above x, and whether
-    x is one.  The count is the variation count at x minus the one at
-    +infinity, where every member takes the sign of its leading coefficient."""
-    count, on_root = _variations(chain, x.numerator, x.denominator)
-    leads = [cs[-1] > 0 for cs in chain]
-    return count - sum(s != t for s, t in zip(leads, leads[1:])), on_root
-
-
 def cauchy_bound(p: IntPoly) -> Fraction:
     """B with every real root of p in (-B, B): 1 + max |a_i| / |lead|."""
     if p.is_zero() or p.degree == 0:
@@ -506,7 +503,11 @@ def count_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
     if not lo < hi:
         raise ValueError("need lo < hi")
     chain = sturm_chain(p)
-    return roots_above(chain, Fraction(lo))[0] - roots_above(chain, Fraction(hi))[0]
+    # the variation count at x is the number of roots above x plus the
+    # count at +infinity, which cancels in the difference
+    lo, hi = Fraction(lo), Fraction(hi)
+    return (_variations(chain, lo.numerator, lo.denominator)[0]
+            - _variations(chain, hi.numerator, hi.denominator)[0])
 
 
 @dataclass(frozen=True)
@@ -559,6 +560,12 @@ def _bisect_top(chain: Sequence[Sequence[int]], lo: int, hi: int, den: int,
     return _find_cell(chain[0], lo, hi, den, prec)
 
 
+def _level(span: int, bound: int) -> int:
+    """The least s >= 0 with span <= bound * 2**s (span >= 0, bound > 0)."""
+    s = max(0, span.bit_length() - bound.bit_length())
+    return s + (span > bound << s)
+
+
 def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
                prec: Fraction) -> RootInterval:
     """The cell of bisection's final grid on (lo/den, hi/den] that holds the
@@ -582,9 +589,7 @@ def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
     still runs through the two probes before it, which lie near r, rather
     than through a far point.
     """
-    span, bound = (hi - lo) * prec.denominator, prec.numerator * den
-    s = max(0, span.bit_length() - bound.bit_length())
-    s += span > bound << s
+    s = _level((hi - lo) * prec.denominator, prec.numerator * den)
     base, step, scale = lo << s, hi - lo, den << s
     a, b = 0, 1 << s
     f_top = _value(f, base + b * step, scale)
@@ -691,6 +696,66 @@ def isolate_real_roots(
                _variations(chain, top, den)[0])
     found.sort(key=lambda item: item[0].lo)
     return found
+
+
+# Root cells are 2**-ROOT_CELL_BITS (1.2e-10) wide at most: far wider than
+# the error of the quotient eigensolve that proposes the roots of P3 and
+# P10 (at most 7.1e-14 for d <= 100), far narrower than their least root gap
+# (4.3e-6, P10 at d = 100).
+ROOT_CELL_BITS = 33
+
+
+def root_cells(
+    p: IntPoly, proposals: Iterable[float], precision: Fraction = DEFAULT_PRECISION
+) -> list[tuple[RootInterval, int]] | None:
+    """``isolate_real_roots(p, precision)`` when the float proposals put
+    every root of p in a grid cell of its own, else None.
+
+    The grid is the dyadic one that bisection splits (-B, B] by, with
+    B = cauchy_bound(p.primitive()), at the least level K whose cells are
+    at most 2**-ROOT_CELL_BITS wide, or at bisection's final level if that
+    is coarser.  Each proposal names the cell that holds it, and two exact
+    signs of p at the cell's ends check it.  When deg p distinct cells
+    change sign, p has deg p distinct real roots, one inside each, so every
+    root is simple.  Such a root r is no grid point up to level K, and its
+    level-K cell holds no other root, so bisection isolates r in a cell of
+    some level up to K and narrows it to the final cell that holds r, or
+    to [r, r] when r is a finer grid point: its answer depends on r, B and
+    the precision alone (see _bisect_top), and ``_find_cell`` gives it from
+    the level-K cell.
+
+    A sign 0 at a cell end (a root on the grid, whose interval depends on
+    bisection's path), a proposal that is not finite, and fewer than deg p
+    sign changes (a root without a proposal, two roots in one cell) give
+    None.  A cell outside (-B, B] holds no root, so it changes no sign.
+    """
+    f = p.primitive().coeffs
+    if len(f) < 2:
+        return None
+    bound = cauchy_bound(IntPoly(f))
+    top, den, prec = bound.numerator, bound.denominator, Fraction(precision)
+    level = min(_level(top << (ROOT_CELL_BITS + 1), den),
+                _level(2 * top * prec.denominator, prec.numerator * den))
+    scale = den << level
+    cells = set()
+    for x in proposals:
+        if not isfinite(x):
+            return None
+        # the cell j is (x_j, x_(j+1)], with x_j = (2j - 2**level) top / scale
+        a, b = float(x).as_integer_ratio()
+        cells.add(((a * den + top * b) << level) // (2 * top * b))
+    signs = {}
+    for j in {e for j in cells for e in (j, j + 1)}:
+        value = _value(f, (2 * j - (1 << level)) * top, scale)
+        if not value:
+            return None
+        signs[j] = value > 0
+    changing = sorted(j for j in cells if signs[j] != signs[j + 1])
+    if len(changing) < len(f) - 1:
+        return None
+    return [(_find_cell(f, (2 * j - (1 << level)) * top, (2 * j + 2 - (1 << level)) * top,
+                        scale, prec), 1)
+            for j in changing]
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,21 @@ certificate polynomial, the simple eigenvalues and the expected sigma and
 kappa'.  One builder, one pair of partition functions and one verifier,
 `verify_family`, serve both; only the interval evidence differs and is
 the spec's own function.  The quotient matrix whose characteristic
-polynomial is factored is the equitable quotient of the built graph.
+polynomial is factored is the equitable quotient of the built graph, and
+its float eigenvalues propose the roots of the certificate polynomial,
+which exact signs then prove (`exact.root_cells`): no Sturm chain is built
+unless the proposals fail.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .exact import (
     DEFAULT_PRECISION,
@@ -33,8 +39,7 @@ from .exact import (
     char_poly_exact,
     descartes_positivity_check,
     isolate_real_roots,
-    roots_above,
-    sturm_chain,
+    root_cells,
 )
 from .graphs import Edge, Graph, VertexPartition, make_graph, partition
 from .packing import sigma as tree_packing_sigma, verify_certificate
@@ -43,12 +48,13 @@ from .spectra import adjacency_spectrum, equitable_quotient, theorem_threshold
 SPECTRUM_TOL = 1e-7
 ROOT_MATCH_TOL = 1e-8
 # build_family refuses larger degrees, so construct and verify-family fail
-# at once.  On a 2-vCPU x86 host one verify_family call took 0.06-0.07 s on
-# Gd and 0.14-0.15 s on Hd at d = 100, and 0.18-0.24 s and 0.32-0.45 s at
-# d = 160 with the cap raised (three to five runs each, after import); in
-# a cProfile of Hd at d = 100 its one pack_trees call takes 33%, building
-# the graph 24% and the Cholesky that proves kappa' 4%.  construct Hd took
-# 1.5 s at d = 400 and 13.8 s with 886 MB peak RSS at d = 1000.
+# at once.  On a 2-vCPU x86 host whose speed drifts by about 1.6x, one
+# verify_family call took 0.04-0.07 s on Gd and 0.09-0.15 s on Hd at
+# d = 100, and 0.12-0.19 s and 0.24-0.43 s at d = 160 with the cap raised
+# (three sets of five runs, after import); in a cProfile of Hd at d = 100
+# its one pack_trees call takes 34%, building the graph 24%, the Cholesky
+# that proves kappa' 4% and the root cells 0.5%.  construct Hd took 1.5 s
+# at d = 400 and 13.8 s with 886 MB peak RSS at d = 1000.
 FAMILY_MAX_DEGREE = 100
 
 
@@ -117,8 +123,9 @@ class FamilySpec:
     kappa_prime: int
     kappa_check: str
     kappa_claim: str
-    # (d, certificate polynomial, its Sturm chain, its top root interval)
-    interval_evidence: Callable[[int, IntPoly, list[list[int]], RootInterval],
+    # (d, certificate polynomial, its real roots as isolate_real_roots
+    # gives them)
+    interval_evidence: Callable[[int, IntPoly, list[tuple[RootInterval, int]]],
                                 list[NamedCheck]]
 
 
@@ -202,14 +209,28 @@ class FamilyReport:
         return all(c.passed for c in self.checks)
 
 
-def _largest_root_vs(chain: list[list[int]], bound: Fraction) -> int:
-    """Sign of (largest real root of the chain's polynomial) - bound, decided
-    by an exact Sturm count above bound: 1, 0 or -1 (-1 also when it has no
-    real root)."""
-    above, on_root = roots_above(chain, bound)
-    if above:
+def _largest_root_vs(p: IntPoly, roots: list[tuple[RootInterval, int]],
+                     bound: Fraction) -> int | None:
+    """Sign of (largest real root r of p) - bound: 1, 0 or -1, decided from
+    p's root cells; None when p has a repeated real root.
+
+    roots is p's root list from root_cells or isolate_real_roots.  When
+    every root is simple the intervals are disjoint cells of one grid, so
+    the last, (lo, hi] or [r, r], holds r and no other root.  A bound
+    outside it is decided by its position.  One inside it takes the sign of
+    p there: above r that is the sign of p's leading coefficient, and
+    between lo and the simple root r the opposite one."""
+    if any(mult > 1 for _, mult in roots):
+        return None
+    lo, hi = roots[-1][0].lo, roots[-1][0].hi
+    if lo == hi:
+        return (lo > bound) - (lo < bound)
+    if bound <= lo:
         return 1
-    return 0 if on_root else -1
+    if bound > hi:
+        return -1
+    side = p.evaluate_at(bound) * p.leading()
+    return (side < 0) - (side > 0)
 
 
 def _spectrum_check(computed: tuple[float, ...],
@@ -235,7 +256,14 @@ def verify_family(spec: FamilySpec, d: int,
     a copy's boundary edges are a cut, and one Cholesky proves no smaller
     cut exists, so no Stoer-Wagner runs (see `packing.sigma`).  That
     does not read the spec's kappa' claim either; a member the certificate
-    refuses gets the full Stoer-Wagner."""
+    refuses gets the full Stoer-Wagner.
+
+    The roots of the certificate polynomial P are eigenvalues of the
+    equitable quotient, so the quotient's float eigenvalues propose them
+    and `root_cells` proves each in its cell by exact signs; the intervals
+    are those of `isolate_real_roots`, which runs only when the proposals
+    do not account for every root (or the partition is not equitable).
+    The interval evidence compares each bound with the top root's cell."""
     g = build_family(spec, d)
     p = spec.poly(d)
     n = spec.copies * (d + 1)
@@ -245,14 +273,19 @@ def verify_family(spec: FamilySpec, d: int,
     checks.append(NamedCheck("regularity", g.degree_if_regular() == d,
                              str(g.degree_if_regular()), str(d)))
 
-    # one edge between each pair of copies
+    # one edge between each pair of copies; a failure names the pairs
     copies = natural_partition(spec, d)
     copy_of = copies.block_of
     found_pairs = sorted(tuple(sorted((copy_of[u], copy_of[v]))) for u, v in g.edges
                          if copy_of[u] != copy_of[v])
-    checks.append(NamedCheck("copy_crossing_edges",
-                             found_pairs == list(combinations(range(spec.copies), 2)),
-                             f"total={len(found_pairs)}", spec.crossing_claim))
+    pairs = list(combinations(range(spec.copies), 2))
+    crossing = f"total={len(found_pairs)}"
+    if found_pairs != pairs:
+        found = Counter(found_pairs)
+        crossing += (f", repeated {[pair for pair, k in found.items() if k > 1]}"
+                     f", missing {[pair for pair in pairs if pair not in found]}")
+    checks.append(NamedCheck("copy_crossing_edges", found_pairs == pairs,
+                             crossing, spec.crossing_claim))
 
     packing = tree_packing_sigma(g, copies)
     cut = packing.cut
@@ -264,16 +297,26 @@ def verify_family(spec: FamilySpec, d: int,
     checks.append(NamedCheck(spec.kappa_check, cut.value == spec.kappa_prime,
                              str(cut.value), spec.kappa_claim))
 
+    blocks = equitable_partition(spec, d)
+    rows = equitable_quotient(g, blocks)
+    roots = None
+    if rows is not None:
+        # S^(1/2) Q S^(-1/2), S the block sizes, is symmetric and has the
+        # quotient's eigenvalues
+        half = np.sqrt([len(b) for b in blocks.blocks])
+        sym = np.array(rows, dtype=float) * half[:, None] / half[None, :]
+        roots = root_cells(p, np.linalg.eigvalsh(sym), precision)
+    if roots is None:
+        roots = isolate_real_roots(p, precision)
     spectrum = adjacency_spectrum(g)
     lam2 = spectrum[1]
-    roots = isolate_real_roots(p, precision)
     iso = roots[-1][0]
     root = iso.as_float()
     checks.append(NamedCheck(
         f"lambda2_matches_{spec.poly_name}_root", abs(lam2 - root) <= ROOT_MATCH_TOL,
         f"{lam2!r}", f"{root!r}", margin=abs(lam2 - root)))
 
-    checks += spec.interval_evidence(d, p, sturm_chain(p), iso)
+    checks += spec.interval_evidence(d, p, roots)
 
     expected = expected_spectrum(spec, d, roots)
     spec_ok, worst = _spectrum_check(spectrum, expected)
@@ -281,7 +324,6 @@ def verify_family(spec: FamilySpec, d: int,
         "spectrum_multiset", spec_ok,
         f"max deviation {worst:.3e}", f"within {SPECTRUM_TOL}", margin=worst))
 
-    rows = equitable_quotient(g, equitable_partition(spec, d))
     identity = rows is not None and char_poly_exact(rows) == claimed_charpoly(spec, d)
     checks.append(NamedCheck(
         "charpoly_factorization", identity,
@@ -302,7 +344,8 @@ def expected_spectrum(spec: FamilySpec, d: int,
                       roots: list[tuple[RootInterval, int]]) -> tuple[tuple[float, int], ...]:
     """The claimed adjacency spectrum as (value, multiplicity) pairs: the
     simple eigenvalues, each root of P twice, and -1 for the rest.  `roots`
-    is `isolate_real_roots` of the certificate polynomial spec.poly(d)."""
+    is the root list of the certificate polynomial spec.poly(d), as
+    `isolate_real_roots` gives it."""
     simple = (d,) + spec.other_simple
     minus_one = spec.copies * (d + 1) - 2 * spec.poly(d).degree - len(simple)
     expected = [(float(s), 1) for s in simple] + [(-1.0, minus_one)]
@@ -310,16 +353,17 @@ def expected_spectrum(spec: FamilySpec, d: int,
     return tuple(sorted(expected, reverse=True))
 
 
-def _gd_interval_evidence(d: int, p3: IntPoly, chain: list[list[int]],
-                          iso: RootInterval) -> list[NamedCheck]:
+def _gd_interval_evidence(d: int, p3: IntPoly,
+                          roots: list[tuple[RootInterval, int]]) -> list[NamedCheck]:
     """Closed-form endpoint values of P3, theta_d strictly inside the open
     interval, and the failure of the two-tree premise."""
     lo, hi = gd_interval(d)
+    iso = roots[-1][0]
     val_lo = p3.evaluate_at(lo)
     closed_lo = Fraction(-3 * (9 + d * (-2 + d + d * d)), (2 + d) ** 3)
     val_hi = p3.evaluate_at(hi)
     closed_hi = Fraction(6 * d * d - 81, (3 + d) ** 3)
-    inside = _largest_root_vs(chain, lo) > 0 and _largest_root_vs(chain, hi) < 0
+    inside = _largest_root_vs(p3, roots, lo) == 1 and _largest_root_vs(p3, roots, hi) == -1
     # sigma(Gd) = 1 < 2, so the spectral premise for packing two trees
     # must fail: theta_d must already exceed theta_2 = d - 3/(d+1)
     premise_bound = theorem_threshold(d, 2)
@@ -332,21 +376,22 @@ def _gd_interval_evidence(d: int, p3: IntPoly, chain: list[list[int]],
                    f"largest root isolated in ({iso.lo}, {iso.hi}]",
                    f"strictly inside ({lo}, {hi})"),
         NamedCheck("two_tree_premise_fails",
-                   _largest_root_vs(chain, premise_bound) > 0,
+                   _largest_root_vs(p3, roots, premise_bound) == 1,
                    f"theta > {premise_bound}", "required since sigma = 1"),
     ]
 
 
-def _hd_interval_evidence(d: int, p10: IntPoly, chain: list[list[int]],
-                          iso: RootInterval) -> list[NamedCheck]:
+def _hd_interval_evidence(d: int, p10: IntPoly,
+                          roots: list[tuple[RootInterval, int]]) -> list[NamedCheck]:
     """The Descartes certificate at the upper endpoint, gamma_d inside the
     half-open interval, and the failure of the three-tree premise."""
     lo, hi = hd_interval(d)
+    iso = roots[-1][0]
     descartes = descartes_positivity_check(p10, hi)
     # the largest root is at least lo: half of the interval claim, and the
     # whole of the three-tree premise check
-    at_least_lo = _largest_root_vs(chain, lo) >= 0
-    inside = at_least_lo and _largest_root_vs(chain, hi) < 0
+    at_least_lo = _largest_root_vs(p10, roots, lo) in (0, 1)
+    inside = at_least_lo and _largest_root_vs(p10, roots, hi) == -1
     return [
         NamedCheck("descartes_all_derivatives_positive", descartes.all_positive,
                    f"{sum(v > 0 for v in descartes.values)}/11 positive", "11/11 positive"),

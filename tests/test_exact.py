@@ -26,6 +26,7 @@ from treepack.exact import (
     descartes_positivity_check,
     det_exact,
     isolate_real_roots,
+    root_cells,
     sturm_chain,
     sturm_isolate_largest_root,
     _det_prime,
@@ -1131,6 +1132,94 @@ class TestCellSearch:
         # the top end, then at most 3 probes per halving
         assert all(evals <= 3 * steps + 1 for steps, evals in calls)
         assert sum(evals for _, evals in calls) <= 123
+
+
+@st.composite
+def distinct_linear_products(draw):
+    """Products of distinct linear factors b x - a, so every root is real
+    and simple, with some roots closer together than a root cell and
+    some on dyadic points; and proposals for them: each root's float, moved
+    by up to a few cells or far, left out or doubled, and a few stray
+    floats."""
+    big = 10 ** draw(st.integers(0, 12))
+    roots = draw(st.sets(st.one_of(
+        st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 8, 1024])),
+        st.builds(Fraction, st.integers(-30 * big, 30 * big), st.just(big)),
+    ), min_size=1, max_size=6))
+    p = IntPoly([draw(st.sampled_from([-2, -1, 1, 3]))])
+    for r in roots:
+        p = p * IntPoly([-r.numerator, r.denominator])
+    proposals = []
+    for r in sorted(roots):
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            shift = draw(st.sampled_from([0, 0, 0, 1e-15, -1e-15, 1e-10, -1e-10, 1e-3]))
+            proposals.append(float(r) * (1 + shift) + shift)
+    proposals += draw(st.lists(st.floats(-40, 40), max_size=3))
+    return p, draw(st.permutations(proposals))
+
+
+class TestRootCells:
+    """Proposed cells, checked by signs, give isolate_real_roots' intervals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(distinct_linear_products(),
+           st.sampled_from([Fraction(1, 10 ** 12), Fraction(1, 10 ** 30),
+                            Fraction(1, 3), Fraction(2), Fraction(1, 2 ** 40)]))
+    # x(x - 1): both roots are grid points, so a cell end signs 0
+    @example((IntPoly([0, -1, 1]), [0.0, 1.0]), Fraction(1, 10 ** 12))
+    # roots 1/3 and 1/3 + 1e-12 share a cell
+    @example((IntPoly([-1, 3]) * IntPoly([-(10 ** 12 + 3), 3 * 10 ** 12]),
+              [1 / 3, 1 / 3 + 1e-12]), Fraction(1, 10 ** 30))
+    def test_accepted_cells_are_the_isolation(self, case, prec):
+        p, proposals = case
+        found = root_cells(p, proposals, prec)
+        if found is not None:
+            assert found == isolate_real_roots(p, prec)
+
+    @pytest.mark.parametrize("spec", [GD, HD], ids=["Gd", "Hd"])
+    def test_families_are_proved_from_their_roots(self, spec):
+        for d in range(spec.d_min, 31):
+            for prec in (exact.DEFAULT_PRECISION, Fraction(1, 10 ** 30)):
+                p = spec.poly(d)
+                expected = isolate_real_roots(p, prec)
+                proposals = [iv.as_float() for iv, _ in expected] + [float(d), -1.0]
+                assert root_cells(p, proposals, prec) == expected
+
+    @pytest.mark.parametrize("proposals", [
+        [10 / 3, 4 / 3],                        # no proposal for -5/3
+        [10 / 3, 4 / 3, 4 / 3],                 # -5/3 missing, 4/3 doubled
+        [10 / 3, 4 / 3, -5 / 3 + 1e-3],         # -5/3 moved far out of its cell
+        [10 / 3, 4 / 3, float("nan")],
+        [10 / 3, 4 / 3, float("inf"), -5 / 3],
+    ], ids=["missing", "doubled", "moved", "nan", "inf"])
+    def test_refused(self, proposals):
+        # (3x - 10)(3x - 4)(3x + 5): no root on the grid, so only the
+        # proposals decide
+        p = IntPoly([-10, 3]) * IntPoly([-4, 3]) * IntPoly([5, 3])
+        prec = Fraction(1, 10 ** 12)
+        assert root_cells(p, [10 / 3, 4 / 3, -5 / 3], prec) == isolate_real_roots(p, prec)
+        assert root_cells(p, proposals, prec) is None
+
+    def test_refuses_a_root_on_the_grid_and_a_constant(self):
+        # 0 is the midpoint of (-B, B], so its cell ends there
+        assert root_cells(IntPoly([0, 1]), [0.0]) is None
+        assert root_cells(IntPoly([0, -1, 1]), [0.0, 1.0]) is None
+        assert root_cells(IntPoly([5]), [1.0]) is None
+
+    def test_cells_are_about_two_to_the_minus_33_wide(self, monkeypatch):
+        # each sign-changing cell is handed to _find_cell; the first probe is
+        # its top end
+        p = p10_poly(100)
+        expected = isolate_real_roots(p, Fraction(1, 10 ** 30))
+        handed = []
+        find_cell = exact._find_cell
+        monkeypatch.setattr(exact, "_find_cell",
+                            lambda f, lo, hi, den, prec: handed.append(Fraction(hi - lo, den))
+                            or find_cell(f, lo, hi, den, prec))
+        assert root_cells(p, [iv.as_float() for iv, _ in expected], Fraction(1, 10 ** 30)) \
+            == expected
+        assert len(handed) == 10
+        assert all(Fraction(1, 2 ** 34) < w <= Fraction(1, 2 ** 33) for w in handed)
 
 
 def test_descartes_positivity():

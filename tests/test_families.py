@@ -3,6 +3,7 @@ exact polynomial identities of the paper's appendix that pin lambda2 inside
 its interval."""
 
 import dataclasses
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +12,17 @@ import pytest
 from oracles import edge_connectivity_bruteforce
 
 from treepack import exact, families, packing
-from treepack.exact import IntPoly, char_poly_exact, isolate_real_roots, sturm_chain
+from treepack.cli import main
+from treepack.exact import (
+    IntPoly,
+    cauchy_bound,
+    char_poly_exact,
+    count_real_roots,
+    isolate_real_roots,
+    root_cells,
+)
 from treepack.families import (
+    FAMILIES,
     FAMILY_MAX_DEGREE,
     GD,
     HD,
@@ -41,6 +51,32 @@ def quotient_rows(spec, d):
 
 def failures(report):
     return [c.name for c in report.checks if not c.passed]
+
+
+def count_calls(monkeypatch, *names):
+    """A Counter that the exact functions `names` add to on every call,
+    wherever the package holds them."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "treepack" or name.startswith("treepack.")]
+    for fname in names:
+        original = getattr(exact, fname)
+
+        def counted(*args, _fname=fname, _fn=original, **kwargs):
+            calls[_fname] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if vars(mod).get(fname) is original:
+                monkeypatch.setattr(mod, fname, counted)
+    return calls
+
+
+def largest_root_vs_by_sturm(p, bound):
+    """Sign of (largest real root of p) - bound by a Sturm count."""
+    if count_real_roots(p, bound, max(cauchy_bound(p), bound + 1)):
+        return 1
+    return 0 if p.evaluate_at(bound) == 0 else -1
 
 
 class TestBuilders:
@@ -142,9 +178,39 @@ class TestPolynomials:
     @pytest.mark.parametrize("bound, sign", [(Fraction(3, 2), 1), (Fraction(2), 0),
                                              (Fraction(3), -1)])
     def test_largest_root_vs_bound(self, bound, sign):
-        # (x - 2)(x^2 - 2): largest root 2, the other roots +-sqrt(2) < 3/2
+        # (x - 2)(x^2 - 2): largest root 2, the other roots +-sqrt(2) < 3/2;
+        # 2 is no grid point, so it lies inside its cell, with 3/2 below
+        # the cell and 3 above it
         p = IntPoly([-2, 1]) * IntPoly([-2, 0, 1])
-        assert _largest_root_vs(sturm_chain(p), bound) == sign
+        roots = root_cells(p, [2.0, 2 ** 0.5, -2 ** 0.5])
+        assert roots == isolate_real_roots(p)
+        assert _largest_root_vs(p, roots, bound) == sign == largest_root_vs_by_sturm(p, bound)
+
+    @pytest.mark.parametrize("p, top", [
+        (IntPoly([-2, 1]) * IntPoly([-2, 0, 1]), Fraction(2)),
+        (IntPoly([-2, 0, 1]), None),       # sqrt(2): the cell is all that is known
+        (IntPoly([0, -1, 1]), Fraction(1)),    # x(x - 1): 1 is a point cell
+    ], ids=["rational", "irrational", "point"])
+    def test_largest_root_vs_bound_at_the_top_cell(self, p, top):
+        roots = isolate_real_roots(p)
+        lo, hi = roots[-1][0].lo, roots[-1][0].hi
+        width = hi - lo or Fraction(1, 2)
+        # the cell's ends, points beside them, and points inside the cell
+        bounds = [lo, hi, lo - width, hi + width, lo + width / 3, hi - width / 3]
+        if top is not None:
+            # just below and just above the root, inside its cell
+            gap = min(top - lo, hi - top) / 2 if lo < hi else width
+            bounds += [top, top - gap, top + gap]
+        signs = [_largest_root_vs(p, roots, b) for b in bounds]
+        assert signs == [largest_root_vs_by_sturm(p, b) for b in bounds]
+        if lo < hi:
+            assert signs[:2] == [1, -1]
+        if top is not None:
+            assert signs[-3:] == [0, 1, -1]
+
+    def test_largest_root_vs_bound_refuses_a_repeated_root(self):
+        p = IntPoly([-1, 1]) ** 2 * IntPoly([1, 1])
+        assert _largest_root_vs(p, isolate_real_roots(p), Fraction(0)) is None
 
 
 # The paper's quotient matrices A9 and A25, written out by hand as reference
@@ -290,21 +356,62 @@ class TestFamilyReports:
 
     @pytest.mark.parametrize("spec, d", [(GD, 4), (HD, 6)])
     def test_certificate_polynomial_is_isolated_once(self, monkeypatch, spec, d):
-        calls = Counter()
-        modules = [m for name, m in sys.modules.items()
-                   if name == "treepack" or name.startswith("treepack.")]
-        for fname in ("isolate_real_roots", "sturm_isolate_largest_root"):
-            original = getattr(exact, fname)
-
-            def counted(*args, _fname=fname, _fn=original, **kwargs):
-                calls[_fname] += 1
-                return _fn(*args, **kwargs)
-
-            for mod in modules:
-                if vars(mod).get(fname) is original:
-                    monkeypatch.setattr(mod, fname, counted)
+        calls = count_calls(monkeypatch, "root_cells", "isolate_real_roots",
+                            "sturm_isolate_largest_root", "sturm_chain")
         assert verify_family(spec, d).all_passed
-        assert calls == Counter(isolate_real_roots=1)
+        assert calls == Counter(root_cells=1)
+
+
+@pytest.mark.parametrize("spec, d", [(GD, d) for d in range(4, 13)] + [(HD, d) for d in range(6, 17)])
+def test_root_cells_prove_every_workload_member(monkeypatch, spec, d):
+    # the degrees of the benchmark's family workload, at both precisions:
+    # no member falls back to Sturm isolation
+    calls = count_calls(monkeypatch, "isolate_real_roots", "sturm_chain")
+    for precision in (exact.DEFAULT_PRECISION, Fraction(1, 10 ** 30)):
+        assert verify_family(spec, d, precision).all_passed
+    assert calls == Counter()
+
+
+def _perturbed(how, p, proposals, precision):
+    """The quotient's eigenvalues with P's top root (each P root is a double
+    eigenvalue) moved by 1e-3, its next root merged into it, or one copy of
+    it made NaN."""
+    top, second = [iv.as_float() for iv, _ in isolate_real_roots(p, precision)[:-3:-1]]
+    out = [float(x) for x in proposals]
+    at_top = [i for i, x in enumerate(out) if abs(x - top) < 1e-9]
+    at_second = [i for i, x in enumerate(out) if abs(x - second) < 1e-9]
+    assert len(at_top) == len(at_second) == 2
+    if how == "moved":
+        for i in at_top:
+            out[i] += 1e-3
+    elif how == "merged":
+        for i in at_second:
+            out[i] = top
+    else:
+        out[at_top[0]] = math.nan
+    return out
+
+
+@pytest.mark.parametrize("how", ["moved", "merged", "nan"])
+@pytest.mark.parametrize("family, d_max", [("Gd", 7), ("Hd", 9)])
+def test_forced_fallback_prints_the_same(monkeypatch, capsys, how, family, d_max):
+    args = ["verify-family", family, "--d-min", str(FAMILIES[family].d_min), "--d-max", str(d_max)]
+    outputs = []
+    for exact_range in ([], ["--exact-range"]):
+        main(args + exact_range)
+        outputs.append(capsys.readouterr().out)
+    refused = []
+
+    def perturbed_cells(p, proposals, precision):
+        cells = root_cells(p, _perturbed(how, p, proposals, precision), precision)
+        refused.append(cells is None)
+        return cells
+
+    monkeypatch.setattr(families, "root_cells", perturbed_cells)
+    for exact_range, plain in zip(([], ["--exact-range"]), outputs):
+        main(args + exact_range)
+        assert capsys.readouterr().out == plain
+    assert refused and all(refused)
 
 
 @pytest.mark.parametrize("spec, d", [(GD, d) for d in range(4, 13)] + [(HD, d) for d in range(6, 17)])
@@ -378,4 +485,10 @@ class TestVerifierCatchesWrongConstructions:
         report = verify_family(dataclasses.replace(GD, connectors=connectors), 4)
         assert failures(report) == self.WRONG_GRAPH
         (crossing,) = [c for c in report.checks if c.name == "copy_crossing_edges"]
-        assert crossing.computed == "total=3"
+        assert crossing.computed == "total=3, repeated [(1, 2)], missing [(0, 2)]"
+
+    def test_passing_member_prints_only_the_total(self):
+        for spec, d, total in [(GD, 4, 3), (HD, 6, 10)]:
+            (crossing,) = [c for c in verify_family(spec, d).checks
+                           if c.name == "copy_crossing_edges"]
+            assert (crossing.passed, crossing.computed) == (True, f"total={total}")
