@@ -34,19 +34,21 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_FINDING = 3
 
-# analyze refuses larger graphs before any compute.  Its time grows about
-# like n**4 (the exact determinant needs O(n) primes, each an O(n**3)
-# elimination, and it is most of the run): on a 2-vCPU x86 host with one
-# BLAS thread, over four runs, a random 10-regular graph took 1.5-1.6 s at
-# n = 650 and 1.9 s at n = 700 (in a copy with the cap raised), and a
-# random 20-regular graph 2.0-2.2 s at n = 650.  Denser graphs take longer.
+# analyze refuses larger graphs before any compute.  On a 2-vCPU AMD EPYC
+# host with one BLAS thread, over four runs, a random 10-regular graph took
+# 0.17 s at n = 650, and in a copy with the cap raised 0.18-0.19 s at
+# n = 700, 0.29-0.31 s at n = 1000 and 0.82-0.86 s at n = 1500; a random
+# 20-regular graph took 0.21-0.22 s at n = 650.  In a profiled run at
+# n = 650 the packer takes about 45% and the exact determinant (p-adic
+# lifting) 35%; the determinant grows about like n**3 and takes two thirds
+# at n = 1500.  Denser graphs take longer.
 ANALYZE_MAX_VERTICES = 650
 # It also refuses graphs whose packing work m * floor(m / (n - 1)), edges
 # times the most trees sigma can pack, is above this.  On the same host,
-# with the cap raised in a copy, analyze took 1.7-2.2 s on K140 (work
-# 681,100), 2.0-2.8 s on K120,120 (864,000) and 3.1-3.3 s on K160
+# with the caps raised in a copy, analyze took 0.46-0.47 s on K140 (work
+# 681,100), 0.42 s on K120,120 (864,000) and 0.68-0.70 s on K160
 # (1,017,600, just over the cap) over two runs, so the cap has room; K158
-# (979,837, the densest graph admitted) took 2.1-2.8 s over four runs.
+# (979,837, the densest graph admitted) took 0.68-0.71 s over four runs.
 ANALYZE_MAX_PACKING_WORK = 1_000_000
 # quotient refuses partitions with more blocks before any compute.  Its time
 # goes to isolating the real roots of the degree-t characteristic

@@ -12,15 +12,25 @@ The workhorses are:
 
   - ``char_poly_exact`` — Faddeev-LeVerrier mod p, one batched matrix
     product per step, no pivots;
-  - ``det_exact`` — a blocked unpivoted L D L^T mod p of a symmetric
-    matrix whose leading principal minors are nonzero, such as the
-    reduced Laplacian of a connected graph, on the contiguous pivot rows
-    D L^T of its upper triangle, with batched matrix products (BLAS dgemm)
-    for the trailing update after each panel.  Rows are never swapped: a
-    prime that divides a leading minor is replaced by the next one.
-    Blocking only regroups the products: each entry still takes one
+  - ``_det_mod_primes`` — a blocked unpivoted L D L^T mod p of a symmetric
+    matrix whose leading principal minors are nonzero, on the contiguous
+    pivot rows D L^T of its upper triangle, with batched matrix products
+    (BLAS dgemm) for the trailing update after each panel.  Rows are never
+    swapped: a prime that divides a leading minor is replaced by the next
+    one.  Blocking only regroups the products: each entry still takes one
     product of two residues per earlier pivot, so the float64 bound, and
     with it ``DET_MAX_DIM``, are those of a column-by-column elimination;
+* ``det_exact`` — for such a matrix, the reduced Laplacian of a connected
+  graph for one, p-adic lifting (Dixon, Numer. Math. 1982; unchecked) by
+  default: one symmetric Schur-complement inverse modulo one prime p,
+  float64 lifting steps of A x = b, rational reconstruction of u.x, whose
+  denominator s divides det, and the cofactor det / s from det mod p,
+  with primes from ``_det_mod_primes`` added only when H / s is past p/2.
+  H is Hadamard's bound on det and every cofactor: prod max(a_ii, 1) for a
+  diagonally dominant A with a nonnegative diagonal, the row-norm product
+  otherwise.  A leading minor that p divides, an entry past the float64
+  bound of the lifting, or an object array takes the multi-modular
+  L D L^T alone, which names a zero leading minor in its ValueError;
 * Sturm chains of primitive integer polynomials (pseudo-remainders with
   their content removed) for exact root counting, interval isolation of
   the largest real root, and full real-root isolation with multiplicities.
@@ -50,6 +60,7 @@ The workhorses are:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -193,12 +204,19 @@ def _int_array(m) -> np.ndarray:
 # are below 2**53 for n <= DET_MAX_DIM.
 _PRIME_CEILING = 1 << 20
 DET_MAX_DIM = (2**53 - _PRIME_CEILING) // _PRIME_CEILING**2
-# Primes per (primes, n, n) work array: one batch covers the reduced
-# Laplacian of a 10-regular graph up to n ~ 95, and larger inputs go in
-# batches, so the array stays 16 * n * n floats.
+# Primes per (primes, n, n) work array, so the array stays 16 * n * n
+# floats: the characteristic polynomial, the fallback of det_exact and its
+# cofactor primes take their primes in batches of this many.  The reduced
+# Laplacian of a random 10-regular graph needs at most one cofactor batch
+# up to n = 650.
 _DET_BATCH = 16
 # Pivot rows per panel and per trailing row block: 48-64 ran fastest at n = 320-650.
 _DET_PANEL = 64
+# The largest block _inverse_mod sweeps one pivot at a time: 24-48 ran
+# fastest at n = 80-650.
+_INVERSE_BASE = 32
+# The seed of the fixed vectors b and u of _det_by_lifting.
+_LIFT_SEED = 2026
 _det_primes: list[int] = []    # descending from _PRIME_CEILING, filled on first use
 
 
@@ -214,31 +232,37 @@ def _det_prime(i: int) -> int:
     return _det_primes[i]
 
 
-def _multimodular(kernel, ints: np.ndarray, bound: int) -> list[int]:
+def _multimodular(kernel, ints: np.ndarray, bound: int,
+                  known: Sequence[list[int]] = ()) -> list[int]:
     """The integers in [-bound, bound] that kernel(ints, primes) gives
     modulo each prime, as one list of residues per prime.
 
     The largest primes below 2**20 are taken, as few as give a product M
     above 2 * bound (at least one), in batches of _DET_BATCH per kernel
     call; the Chinese remainder theorem combines the residues of each
-    value in (-M/2, M/2).
+    value in (-M/2, M/2).  known holds the residues under the first
+    primes, already computed: the kernel runs only on the primes after
+    them, and not at all when they suffice.
 
     For a prime that divides a leading principal minor D_(j+1) of ints,
     the kernel may report the column j in place of the residues.  That
     prime is replaced by the next one.  bound covers every leading minor,
     so once the primes reported at one column multiply past it, that
-    minor is 0, and ValueError names it.
+    minor is 0, and ValueError names it.  A prime the kernel gives None
+    for is replaced and proves nothing.
     """
-    primes: list[int] = []
-    rows: list[list[int]] = []
+    primes = [_det_prime(i) for i in range(len(known))]
+    rows = list(known)
     reported: dict[int, int] = {}    # column -> product of the primes reported there
-    modulus, taken = 1, 0
+    modulus, taken = prod(primes), len(primes)
     while modulus <= 2 * bound or not primes:
         batch = [_det_prime(taken)]
         while len(batch) < _DET_BATCH and modulus * prod(batch) <= 2 * bound:
             batch.append(_det_prime(taken + len(batch)))
         taken += len(batch)
         for p, row in zip(batch, kernel(ints, batch)):
+            if row is None:
+                continue
             if isinstance(row, int):
                 reported[row] = reported.get(row, 1) * p
                 if reported[row] > bound:
@@ -358,24 +382,152 @@ def _det_mod_primes(ints: np.ndarray, primes: list[int]) -> list[list[int] | int
             for column, p in zip(per_prime, primes)]
 
 
+def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
+    """(A^-1, det A) modulo p for a symmetric float64 matrix A of residues
+    of size at most p/2 + 1, the inverse as such residues and det A in
+    [0, p); None when p divides a leading principal minor of A.
+
+    Recursive by Schur complements with no pivoting: with B = A11^-1,
+    X = B A12 and S = A22 - A12^T X, the inverse is [[B + Y X^T, -Y],
+    [-Y^T, S^-1]] for Y = X S^-1, and det A = det A11 det S.  Each product
+    is one BLAS call of residues, reduced at once.  A block of at most
+    _INVERSE_BASE rows is swept in place, one pivot at a time, to -A^-1.
+    det A is the product of the pivots, and every pivot is a ratio of two
+    consecutive leading minors of A, so a pivot of 0 is such a minor."""
+    m = len(a)
+    if m <= _INVERSE_BASE:
+        a, det = a.copy(), 1
+        for k in range(m):
+            v = _sym_mod(a[k], p)    # row k, and column k by symmetry
+            pivot = int(v[k]) % p
+            if not pivot:
+                return None
+            det = det * pivot % p
+            inv = pow(pivot, -1, p)
+            r = _sym_mod(v * inv, p)
+            a -= v[:, None] * r
+            a[k] = a[:, k] = r
+            a[k, k] = -inv
+        return _sym_mod(-a, p), det
+    h = m // 2
+    top = _inverse_mod(a[:h, :h], p)
+    if top is None:
+        return None
+    x = _sym_mod(top[0] @ a[:h, h:], p)
+    bottom = _inverse_mod(_sym_mod(a[h:, h:] - a[:h, h:].T @ x, p), p)
+    if bottom is None:
+        return None
+    y = _sym_mod(x @ bottom[0], p)
+    return (np.block([[_sym_mod(top[0] + y @ x.T, p), -y], [-y.T, bottom[0]]]),
+            top[1] * bottom[1] % p)
+
+
+def _rational(x: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:
+    """(a, b) with a = b x mod modulus, |a| <= num_bound, 0 < b <= den_bound
+    and gcd(a, b) = 1, or None.  While 2 num_bound den_bound < modulus at
+    most one such fraction a/b exists, and the extended Euclidean
+    algorithm on (modulus, x), stopped at the first remainder of at most
+    num_bound, finds it (Wang's rational reconstruction)."""
+    r0, r1, t0, t1 = modulus, x % modulus, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return (r1, t1) if 0 < t1 <= den_bound and gcd(r1, t1) == 1 else None
+
+
+def _det_by_lifting(ints: np.ndarray) -> int | None:
+    """det(ints) for a symmetric integer matrix, by p-adic lifting modulo
+    the prime p = _det_prime(0); None when p divides a leading principal
+    minor, when an entry is past the float64 bound below (an object array
+    holds one past int64), or when the reconstruction fails, and the
+    caller then runs _multimodular alone.
+
+    H bounds |det A| and every cofactor of A.  When A has a nonnegative
+    diagonal and is diagonally dominant it is positive semidefinite
+    (Gershgorin), and so is its adjugate: Hadamard's inequality gives
+    H = prod max(a_ii, 1).  Every reduced Laplacian is such a matrix.  Any
+    other A takes the row-norm bound of det_exact.
+
+    C = A^-1 mod p comes from _inverse_mod.  With b and u fixed vectors of
+    -1, 0 and 1, each step takes x_i = C r_i mod p and r_(i+1) =
+    (r_i - A x_i) / p from r_0 = b, so x = sum x_i p^i solves A x = b
+    modulo p^K.  Every r_i stays within norm, the largest absolute row
+    sum of A, so each step is exact in float64 while n (p//2 + 1) norm
+    < 2**53.  By Cramer's rule u.x = u adj(A) b / det A, a fraction with
+    numerator at most n**2 H and denominator at most H in size, so
+    rational reconstruction of u.x mod p^K gives it once p^K > 2 n**2 H**2.
+    Its denominator s, in lowest terms, divides det A, and t = det A / s
+    lies in [-H/s, H/s].  t mod p is det A mod p over s; _multimodular
+    adds cofactor primes to it while their product is at most 2H/s,
+    skipping those that report a zero pivot: a prime that divides s
+    divides det A, the last leading minor, so it is one of them.  Only the
+    time depends on b and u, through the size of t, never the result."""
+    n, p = len(ints), _det_prime(0)
+    # the largest norm with n (p//2 + 1) norm < 2**53; an entry past it
+    # fails first, before the int64 row sums could overflow
+    limit = (2**53 - 1) // (n * (p // 2 + 1))
+    if max(int(ints.max()), -int(ints.min())) > limit:
+        return None
+    row_sums = np.abs(ints).sum(axis=1)
+    if row_sums.max() > limit:
+        return None
+    diag = np.diagonal(ints)
+    if (diag >= 0).all() and (2 * diag >= row_sums).all():
+        bound = prod(max(x, 1) for x in diag.tolist())
+    else:
+        bound = isqrt(prod(s or 1 for s in _norms_sq(ints)))
+    a = ints.astype(np.float64)
+    inverse = _inverse_mod(_sym_mod(a, p), p)
+    if inverse is None:
+        return None
+    c, det_p = inverse
+    vectors = np.frombuffer(random.Random(_LIFT_SEED).randbytes(2 * n), np.uint8)
+    b, u = vectors.reshape(2, n) % 3 - 1.0
+    r, dot, scale, target = b, 0, 1, 2 * n * n * bound * bound
+    while scale <= target:
+        x = _sym_mod(c @ r, p)
+        dot += int(u @ x) * scale
+        scale *= p
+        r = (r - a @ x) / p
+    fraction = _rational(dot, scale, n * n * bound, bound)
+    if fraction is None:
+        return None
+    s = fraction[1]
+
+    def cofactor(ints: np.ndarray, primes: list[int]) -> list[list[int] | None]:
+        return [None if isinstance(row, int) else [row[0] * pow(s, -1, q) % q]
+                for q, row in zip(primes, _det_mod_primes(ints, primes))]
+
+    return s * _multimodular(cofactor, ints, bound // s, [[det_p * pow(s, -1, p) % p]])[0]
+
+
 def det_exact(m: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact determinant of a symmetric integer matrix whose leading
-    principal minors are nonzero, a positive definite one for example, by
-    multi-modular L D L^T.  Any other input raises ValueError.
+    principal minors are nonzero, a positive definite one for example.
+    Any other input raises ValueError.
 
-    Hadamard's bound gives |D_j| <= isqrt(prod of the squared row norms)
-    for every leading minor D_j, a zero row counted as norm 1.  Primes are
-    taken until their product M exceeds twice that, one blocked float64
-    elimination over a (primes, n, n) array per batch of primes yields det
-    mod every prime, and the Chinese remainder theorem combines them in
-    (-M/2, M/2).  A prime that divides some D_j is replaced; primes that
-    divide one D_j and multiply past the bound prove D_j = 0.
+    It tries _det_by_lifting first: one inverse modulo one prime, p-adic
+    lifting and a few cofactor primes.  That succeeds only when no leading
+    minor is 0 modulo that prime, so none is 0.  Otherwise, and for entries
+    past its float64 bound, multi-modular L D L^T alone: Hadamard's bound
+    gives |D_j| <= isqrt(prod of the squared row norms) for every leading
+    minor D_j, a zero row counted as norm 1.  Primes are taken until their
+    product M exceeds twice that, one blocked float64 elimination over a
+    (primes, n, n) array per batch of primes yields det mod every prime,
+    and the Chinese remainder theorem combines them in (-M/2, M/2).  A
+    prime that divides some D_j is replaced; primes that divide one D_j
+    and multiply past the bound prove D_j = 0.
     """
     ints = _int_array(m)
     if not np.array_equal(ints, ints.T):
         raise ValueError("symmetric matrix required")
     if len(ints) == 0:
         return 1
+    det = _det_by_lifting(ints)
+    if det is not None:
+        return det
     bound = isqrt(prod(s or 1 for s in _norms_sq(ints)))
     return _multimodular(_det_mod_primes, ints, bound)[0]
 
@@ -567,7 +719,7 @@ def _level(span: int, bound: int) -> int:
 
 
 def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
-               prec: Fraction) -> RootInterval:
+               prec: Fraction, f_hi: int | None = None) -> RootInterval:
     """The cell of bisection's final grid on (lo/den, hi/den] that holds the
     one root r of the squarefree f there, or [r, r] when r is an interior
     grid point, by a safeguarded secant search over the grid.
@@ -587,12 +739,13 @@ def _find_cell(f: Sequence[int], lo: int, hi: int, den: int,
     the midpoint, so no halving of bisection takes more than 3 probes.
     Such a safeguard midpoint only narrows the bracket: the next secant
     still runs through the two probes before it, which lie near r, rather
-    than through a far point.
+    than through a far point.  f_hi, when given, is _value(f, hi, den),
+    which the top end's value is 2**(s deg f) times.
     """
     s = _level((hi - lo) * prec.denominator, prec.numerator * den)
     base, step, scale = lo << s, hi - lo, den << s
     a, b = 0, 1 << s
-    f_top = _value(f, base + b * step, scale)
+    f_top = _value(f, base + b * step, scale) if f_hi is None else f_hi << (s * (len(f) - 1))
     # the secant runs through the last two probes that were not safeguard
     # midpoints: last, and prev before it
     last, f_last = b, f_top
@@ -722,7 +875,7 @@ def root_cells(
     some level up to K and narrows it to the final cell that holds r, or
     to [r, r] when r is a finer grid point: its answer depends on r, B and
     the precision alone (see _bisect_top), and ``_find_cell`` gives it from
-    the level-K cell.
+    the level-K cell and the value of p at its top end, already taken.
 
     A sign 0 at a cell end (a root on the grid, whose interval depends on
     bisection's path), a proposal that is not finite, and fewer than deg p
@@ -744,17 +897,16 @@ def root_cells(
         # the cell j is (x_j, x_(j+1)], with x_j = (2j - 2**level) top / scale
         a, b = float(x).as_integer_ratio()
         cells.add(((a * den + top * b) << level) // (2 * top * b))
-    signs = {}
+    values = {}
     for j in {e for j in cells for e in (j, j + 1)}:
-        value = _value(f, (2 * j - (1 << level)) * top, scale)
-        if not value:
+        values[j] = _value(f, (2 * j - (1 << level)) * top, scale)
+        if not values[j]:
             return None
-        signs[j] = value > 0
-    changing = sorted(j for j in cells if signs[j] != signs[j + 1])
+    changing = sorted(j for j in cells if (values[j] > 0) != (values[j + 1] > 0))
     if len(changing) < len(f) - 1:
         return None
     return [(_find_cell(f, (2 * j - (1 << level)) * top, (2 * j + 2 - (1 << level)) * top,
-                        scale, prec), 1)
+                        scale, prec, values[j + 1]), 1)
             for j in changing]
 
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .exact import (
     DEFAULT_PRECISION,
+    ROOT_CELL_BITS,
     IntPoly,
     RootInterval,
     char_poly_exact,
@@ -305,7 +306,12 @@ def verify_family(spec: FamilySpec, d: int,
         # quotient's eigenvalues
         half = np.sqrt([len(b) for b in blocks.blocks])
         sym = np.array(rows, dtype=float) * half[:, None] / half[None, :]
-        roots = root_cells(p, np.linalg.eigvalsh(sym), precision)
+        eigs = np.linalg.eigvalsh(sym)
+        # d, -1 and the other simple eigenvalues are not roots of P: their
+        # cells go unsigned (a root of P among them leaves root_cells short)
+        known = np.array((d, -1) + spec.other_simple, dtype=float)
+        near = (np.abs(eigs[:, None] - known) <= 2.0 ** -ROOT_CELL_BITS).any(axis=1)
+        roots = root_cells(p, eigs[~near], precision)
     if roots is None:
         roots = isolate_real_roots(p, precision)
     spectrum = adjacency_spectrum(g)

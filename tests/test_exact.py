@@ -630,6 +630,139 @@ class TestDeterminant:
             char_poly_exact(rows)
 
 
+@st.composite
+def lifting_matrices(draw):
+    """Symmetric integer matrices up to 12 x 12 with small or large entries;
+    half are made diagonally dominant with a nonnegative diagonal, so that
+    the lifting takes its diagonal bound."""
+    n = draw(st.integers(1, 12))
+    entries = st.integers(-9, 9) | st.integers(-10**6, 10**6)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = sum(abs(x) for j, x in enumerate(rows[i]) if j != i) \
+                + draw(st.integers(0, 3))
+    return rows
+
+
+def complete_reduced(n):
+    return complete_graph(n).laplacian_matrix().astype(np.int64)[1:, 1:]
+
+
+def bridged_cliques(a, b):
+    """The reduced Laplacian of K_a and K_b joined by one edge: its sandpile
+    group is (Z/a)^(a-2) + (Z/b)^(b-2), far from cyclic, and it has
+    a^(a-2) b^(b-2) spanning trees."""
+    edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+    edges += [(a + u, a + v) for u in range(b) for v in range(u + 1, b)] + [(0, a)]
+    return make_graph(a + b, edges).laplacian_matrix().astype(np.int64)[1:, 1:]
+
+
+def det_outcome(rows):
+    """det_exact(rows), or the text of the ValueError it raises."""
+    try:
+        return det_exact(rows)
+    except ValueError as e:
+        return str(e)
+
+
+class TestLifting:
+    """det_exact's default path, _det_by_lifting, against Bareiss, and the
+    inputs it hands to the multi-modular fallback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lifting_matrices())
+    @example([[1]])
+    @example([[-1, 2], [2, -5]])
+    @example([[4, -1, -1], [-1, 4, -1], [-1, -1, 4]])
+    def test_matches_bareiss(self, rows):
+        minors = leading_minors(rows)
+        if not all(minors):
+            return
+        lifted = exact._det_by_lifting(np.array(rows, dtype=np.int64))
+        if lifted is None:
+            # the one input these entries can hand on: the lifting prime
+            # divides a leading minor
+            assert any(m % _det_prime(0) == 0 for m in minors)
+        else:
+            assert lifted == minors[-1]
+        assert det_exact(rows) == minors[-1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 60))
+    @example(2)
+    @example(40)
+    def test_complete_graphs(self, n):
+        # the worst case: s = n, and the cofactor is nearly all of n**(n-2)
+        reduced = complete_reduced(n)
+        assert exact._det_by_lifting(reduced) == n ** (n - 2) \
+            == leading_minors(reduced.tolist())[-1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 16), st.integers(2, 16))
+    @example(2, 2)
+    @example(12, 16)
+    def test_cliques_joined_by_a_bridge(self, a, b):
+        reduced = bridged_cliques(a, b)
+        expected = leading_minors(reduced.tolist())[-1]
+        assert expected == a ** (a - 2) * b ** (b - 2)
+        assert exact._det_by_lifting(reduced) == det_exact(reduced) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_vectors_move_only_the_cofactor(self, monkeypatch, seed):
+        # b and u decide s and so how many cofactor primes run, never det
+        monkeypatch.setattr(exact, "_LIFT_SEED", seed)
+        for reduced in (bridged_cliques(9, 12), complete_reduced(30),
+                        random_regular(GenConfig(3, 60, seed)).laplacian_matrix()
+                        .astype(np.int64)[1:, 1:]):
+            assert exact._det_by_lifting(reduced) == leading_minors(reduced.tolist())[-1]
+
+    p = _det_prime(0)
+    # the largest absolute row sum the lifting takes at n = 2
+    edge = (2**53 - 1) // (2 * (p // 2 + 1))
+
+    @pytest.mark.parametrize("rows", [
+        # the lifting prime divides a leading minor that is not 0
+        [[p, 1], [1, 1]],
+        [[p, 1, 0], [1, 2, 1], [0, 1, 3]],              # diagonally dominant
+        [[1, 1, 0], [1, p + 1, 1], [0, 1, 2]],          # D_2 = p
+        # a leading minor is 0: every prime divides it
+        [[1, 1], [1, 1]],
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],        # the full Laplacian of K3
+        # an entry past the float64 bound of the lifting
+        [[edge, 1], [1, edge]],
+        [[2**40, 1], [1, 2**40]],
+        [[2**40, 2**40], [2**40, 2**40]],
+        [[-2**63, 1], [1, 1]],
+        [[10**30, 1], [1, 10**30]],                      # an object array
+    ])
+    def test_forced_fallback_gives_the_same(self, monkeypatch, rows):
+        assert exact._det_by_lifting(exact._int_array(rows)) is None
+        outcome = det_outcome(rows)
+        minors = leading_minors(rows)
+        assert outcome == (minors[-1] if all(minors)
+                           else f"leading principal minor D_{len(minors)} is 0")
+        monkeypatch.setattr(exact, "_det_by_lifting", lambda ints: None)
+        assert det_outcome(rows) == outcome
+
+    def test_float_bound_is_exact_at_its_edge(self):
+        # row sums of edge, the largest the float64 bound admits at n = 2:
+        # the lifting runs and equals Bareiss
+        rows = [[self.edge - 1, 1], [1, self.edge - 1]]
+        assert exact._det_by_lifting(np.array(rows, dtype=np.int64)) \
+            == (self.edge - 1) ** 2 - 1 == bareiss_det(rows)
+
+    def test_rational_reconstruction(self):
+        m = _det_prime(0) ** 3
+        assert exact._rational(-3 * pow(7, -1, m) % m, m, 10, 10) == (-3, 7)
+        assert exact._rational(0, m, 10, 10) == (0, 1)
+        # a fraction past the bounds is not found
+        assert exact._rational(pow(10**6 + 3, -1, m), m, 10, 10) is None
+
+
 def elimination_case(n, seed, n_primes, which, zero_pivot, zero_column, big):
     """A symmetric n x n integer matrix and its primes for the elimination
     tests.
@@ -1207,19 +1340,47 @@ class TestRootCells:
         assert root_cells(IntPoly([5]), [1.0]) is None
 
     def test_cells_are_about_two_to_the_minus_33_wide(self, monkeypatch):
-        # each sign-changing cell is handed to _find_cell; the first probe is
-        # its top end
+        # each sign-changing cell is handed to _find_cell with the value of
+        # p at its top end, which the cell check has already taken
         p = p10_poly(100)
         expected = isolate_real_roots(p, Fraction(1, 10 ** 30))
         handed = []
         find_cell = exact._find_cell
-        monkeypatch.setattr(exact, "_find_cell",
-                            lambda f, lo, hi, den, prec: handed.append(Fraction(hi - lo, den))
-                            or find_cell(f, lo, hi, den, prec))
+
+        def spy(f, lo, hi, den, prec, f_hi):
+            handed.append(Fraction(hi - lo, den))
+            assert f_hi == exact._value(f, hi, den)
+            return find_cell(f, lo, hi, den, prec, f_hi)
+
+        monkeypatch.setattr(exact, "_find_cell", spy)
         assert root_cells(p, [iv.as_float() for iv, _ in expected], Fraction(1, 10 ** 30)) \
             == expected
         assert len(handed) == 10
         assert all(Fraction(1, 2 ** 34) < w <= Fraction(1, 2 ** 33) for w in handed)
+
+    @pytest.mark.parametrize("poly", [p3_poly, p10_poly])
+    @pytest.mark.parametrize("precision", [exact.DEFAULT_PRECISION, Fraction(1, 10 ** 30)])
+    def test_handed_top_value_keeps_every_probe(self, monkeypatch, poly, precision):
+        # f_hi is scaled to the search's grid, so each cell's search probes
+        # what one that signs the top end itself probes after that end
+        proposals = {d: [iv.as_float() for iv, _ in isolate_real_roots(poly(d), precision)]
+                     for d in (4, 16, 100)}
+        handed = []
+        find_cell, value = exact._find_cell, exact._value
+        monkeypatch.setattr(exact, "_find_cell",
+                            lambda *args: handed.append(args) or find_cell(*args))
+        for d, roots in proposals.items():
+            root_cells(poly(d), roots, precision)
+        monkeypatch.setattr(exact, "_find_cell", find_cell)
+        assert len(handed) == 3 * poly(4).degree
+        for f, lo, hi, den, prec, f_hi in handed:
+            runs = []
+            for top in (None, f_hi):
+                seen = []
+                monkeypatch.setattr(exact, "_value",
+                                    lambda cs, a, b: seen.append((a, b)) or value(cs, a, b))
+                runs.append((find_cell(f, lo, hi, den, prec, top), seen))
+            assert runs[1] == (runs[0][0], runs[0][1][1:])
 
 
 def test_descartes_positivity():

@@ -372,6 +372,19 @@ def test_root_cells_prove_every_workload_member(monkeypatch, spec, d):
     assert calls == Counter()
 
 
+@pytest.mark.parametrize("spec, d", [(GD, 4), (GD, 12), (HD, 6), (HD, 16)])
+def test_only_roots_of_p_are_proposed(monkeypatch, spec, d):
+    # d, -1 and the other simple eigenvalues leave the quotient's
+    # eigenvalues before root_cells signs a cell; each root of P is a
+    # double eigenvalue, so 2 deg P proposals remain
+    handed = []
+    cells = families.root_cells
+    monkeypatch.setattr(families, "root_cells", lambda p, proposals, precision:
+                        handed.append(len(proposals)) or cells(p, proposals, precision))
+    assert verify_family(spec, d).all_passed
+    assert handed == [2 * spec.poly(d).degree]
+
+
 def _perturbed(how, p, proposals, precision):
     """The quotient's eigenvalues with P's top root (each P root is a double
     eigenvalue) moved by 1e-3, its next root merged into it, or one copy of

@@ -317,33 +317,45 @@ def hypercube(d: int):
 
 class TestClosedFormTreeCounts:
     """Counts that need no oracle, on reduced Laplacians that span several
-    panels of the elimination and, for K150, several batches of primes."""
+    blocks of the inverse and panels of the elimination.  Each takes the
+    p-adic lifting; K150's cofactor 150**147 takes several batches of
+    primes."""
 
     @pytest.fixture
     def det_calls(self, monkeypatch):
-        """The matrices count_spanning_trees hands det_exact, and the number
-        of prime batches each took."""
+        """The matrices count_spanning_trees hands det_exact, the number of
+        prime batches each took, and whether the lifting gave the count."""
         calls = []
+        lift = exact._det_by_lifting
 
         def spy_det(m):
-            calls.append([m, 0])
+            calls.append([m, 0, False])
             return det_exact(m)
 
         def spy_batch(ints, primes):
             calls[-1][1] += 1
             return det_mod_primes(ints, primes)
 
+        def spy_lift(ints):
+            det = lift(ints)
+            calls[-1][2] = det is not None
+            return det
+
         monkeypatch.setattr(packing, "det_exact", spy_det)
         monkeypatch.setattr(exact, "_det_mod_primes", spy_batch)
+        monkeypatch.setattr(exact, "_det_by_lifting", spy_lift)
         return calls
 
-    def assert_count(self, g, expected, det_calls):
+    def assert_count(self, g, expected, det_calls, lifted=True):
         assert count_spanning_trees(g).exact == expected
         m = det_calls[-1][0]
         assert isinstance(m, np.ndarray) and m.dtype == np.int64
         assert m.shape == (g.n - 1, g.n - 1)
+        assert det_calls[-1][2] == lifted
 
     def test_cayley_k150_over_several_prime_batches(self, det_calls):
+        # the sandpile group of K150 is (Z/150)**148: s = 150, and the
+        # cofactor primes are nearly as many as without the lifting
         self.assert_count(complete_graph(150), 150 ** 148, det_calls)
         assert det_calls[-1][1] >= 3
 
@@ -361,7 +373,8 @@ class TestClosedFormTreeCounts:
         self.assert_count(cycle_graph(n), n, det_calls)
 
     def test_k1_and_a_disconnected_graph(self, det_calls):
-        self.assert_count(complete_graph(1), 1, det_calls)
+        # the empty reduced Laplacian has determinant 1 without any work
+        self.assert_count(complete_graph(1), 1, det_calls, lifted=False)
         # no spanning tree, and no determinant taken
         assert count_spanning_trees(disjoint_union(cycle_graph(40), complete_graph(30))).exact == 0
         assert len(det_calls) == 1
