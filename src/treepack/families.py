@@ -42,7 +42,7 @@ from .exact import (
     isolate_real_roots,
     root_cells,
 )
-from .graphs import Edge, Graph, VertexPartition, make_graph, partition
+from .graphs import Edge, Graph, VertexPartition, edge_blocks, make_graph, partition
 from .packing import sigma as tree_packing_sigma, verify_certificate
 from .spectra import adjacency_spectrum, equitable_quotient, theorem_threshold
 
@@ -276,9 +276,8 @@ def verify_family(spec: FamilySpec, d: int,
 
     # one edge between each pair of copies; a failure names the pairs
     copies = natural_partition(spec, d)
-    copy_of = copies.block_of
-    found_pairs = sorted(tuple(sorted((copy_of[u], copy_of[v]))) for u, v in g.edges
-                         if copy_of[u] != copy_of[v])
+    ends = np.sort(edge_blocks(g, copies), axis=1)
+    found_pairs = sorted(map(tuple, ends[ends[:, 0] != ends[:, 1]].tolist()))
     pairs = list(combinations(range(spec.copies), 2))
     crossing = f"total={len(found_pairs)}"
     if found_pairs != pairs:

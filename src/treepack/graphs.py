@@ -169,16 +169,18 @@ def singleton_partition(n: int) -> VertexPartition:
     return partition(n, [[v] for v in range(n)])
 
 
-def crossing_edges(g: Graph, p: VertexPartition) -> int:
-    """The number of edges whose ends lie in different blocks of p."""
+def edge_blocks(g: Graph, p: VertexPartition) -> np.ndarray:
+    """The (m, 2) array of the blocks of each edge's ends, row for row
+    with ``g.edge_index``: every count over a partition reads it."""
     if p.n != g.n:
         raise ValueError("partition does not match graph")
-    owner = p.block_of
-    total = 0
-    for u, v in g.edges:
-        if owner[u] != owner[v]:
-            total += 1
-    return total
+    return np.array(p.block_of, dtype=np.intp)[g.edge_index]
+
+
+def crossing_edges(g: Graph, p: VertexPartition) -> int:
+    """The number of edges whose ends lie in different blocks of p."""
+    ends = edge_blocks(g, p)
+    return int(np.count_nonzero(ends[:, 0] != ends[:, 1]))
 
 
 # ---------------------------------------------------------------------------

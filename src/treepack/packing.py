@@ -54,7 +54,8 @@ import numpy as np
 
 from .connectivity import CutResult, certified_floor, edge_connectivity
 from .exact import det_exact
-from .graphs import Edge, Graph, VertexPartition, crossing_edges, partition, singleton_partition
+from .graphs import (Edge, Graph, VertexPartition, crossing_edges, edge_blocks, partition,
+                     singleton_partition)
 from .spectra import eig_symmetric
 
 _FLOAT_EXACT = 2 ** 53   # beyond this, rounded float products are meaningless
@@ -312,13 +313,16 @@ class TreePackingResult:
 def sigma(g: Graph, witness: VertexPartition | None = None) -> TreePackingResult:
     """Spanning-tree packing number with certificates for both directions.
 
-    kappa' comes from `edge_connectivity`: Stoer-Wagner, cut short after
-    its first phase when `connectivity.certified_floor` proves kappa' = d
-    for a d-regular g.  The search starts at k = max(floor(kappa'/2), 1):
-    Nash-Williams/Tutte, in the form Kundu uses ("Bounds on the number of
-    disjoint spanning trees", JCTB 1974), gives sigma >= floor(kappa'/2).
-    While packs succeed it climbs, up to floor(m / (n-1)), the trivial
-    edge bound.
+    sigma is the one place that proves kappa', with one certificate.  A
+    d-regular g has a candidate cut: the single vertex 0, d edges.  One
+    `connectivity.certified_floor(g, c)` call, a shifted float Cholesky
+    at q_c (or none when n < 2(d + 1)), proves that no cut has fewer than
+    the candidate's c edges.  When g is irregular or the certificate
+    refuses, `edge_connectivity` runs Stoer-Wagner.  The search starts
+    at k = max(floor(kappa'/2), 1): Nash-Williams/Tutte, in the form Kundu
+    uses ("Bounds on the number of disjoint spanning trees", JCTB 1974),
+    gives sigma >= floor(kappa'/2).  While packs succeed it climbs, up to
+    floor(m / (n-1)), the trivial edge bound.
     Every pack is a fresh pack_trees(g, k) and the packer is exact, so the
     trees come from pack_trees(g, sigma) and the witness from
     pack_trees(g, sigma+1).  The witness is None when sigma+1 exceeds the
@@ -337,30 +341,27 @@ def sigma(g: Graph, witness: VertexPartition | None = None) -> TreePackingResult
     A partition that does not violate changes nothing.  One of another
     vertex count is refused with ValueError before any work.
 
-    The partition can also give kappa' without Stoer-Wagner.  One pass
-    over the edges finds the crossing edges, and their ends give each
-    block's boundary count.  Let c be the least boundary count, at the
-    first block that has it.  If g is d-regular, 1 <= c < d and
-    `certified_floor(g, c)` proves kappa' >= c with one Cholesky, the cut
-    is c with that block as its side.  Otherwise `edge_connectivity` runs
-    as without a partition.  On Gd and Hd the copy partition proves
-    kappa' = 2 and 4 this way, so `verify_family` runs no Stoer-Wagner.
+    The partition can also give a lighter candidate.  Its block ends
+    (`graphs.edge_blocks`) give each block's boundary count; when the
+    least, c, is at least 1 and below d, its first block is the candidate
+    side, and the certificate is asked at q_c instead of q_d.  On Gd and
+    Hd the copy partition proves kappa' = 2 and 4 this way, so
+    `verify_family` runs no Stoer-Wagner.
     """
-    if witness is not None and witness.n != g.n:
-        raise ValueError("witness partition does not match graph")
+    ends = None if witness is None else edge_blocks(g, witness)   # checks its vertex count
     if g.n <= 1:
         return TreePackingResult(0, (), None)
-    cut = None
+    d = g.degree_if_regular()
+    cut = CutResult(d, frozenset({0})) if d else None
     if witness is not None:
         # each block's boundary count, from both ends of every crossing edge
-        ends = np.array(witness.block_of)[g.edge_index]
         ends = ends[ends[:, 0] != ends[:, 1]]
         crossing = len(ends)
         boundary = np.bincount(ends.ravel(), minlength=witness.t)
         c = int(boundary.min())
-        if 0 < c < (g.degree_if_regular() or 0) and certified_floor(g, c):
+        if 0 < c < (d or 0):
             cut = CutResult(c, witness.blocks[int(boundary.argmin())])
-    if cut is None:
+    if cut is None or not certified_floor(g, cut.value):
         cut = edge_connectivity(g)
     kmax = g.m // (g.n - 1)
     # the first pack is at k + 1.  floor(kappa'/2) <= m/n never exceeds
@@ -443,10 +444,21 @@ def verify_certificate(g: Graph, result: TreePackingResult) -> CertificateCheck:
 
     The trees are checked as a successful pack at k = sigma and the
     witness as a failed pack at sigma+1 (``verify_pack_result``).  When
-    the witness is absent, the trivial edge-count bound must certify.
+    the witness is absent, the trivial edge-count bound must certify.  A
+    cut, when present, is checked the way a witness is, by its crossing
+    count: its side must be a proper nonempty vertex set whose boundary
+    has exactly the cut's value in edges.  That it is a minimum cut rests
+    on the certificate or Stoer-Wagner that found it.
     """
     k = result.sigma
     w = result.witness_partition
+    cut = result.cut
+    if cut is not None:
+        vertices = frozenset(range(g.n))
+        if not cut.side or not cut.side < vertices:
+            return CertificateCheck(False, "cut side is not a proper nonempty vertex set")
+        if crossing_edges(g, partition(g.n, [cut.side, vertices - cut.side])) != cut.value:
+            return CertificateCheck(False, "cut value is not its side's crossing count")
     if g.n <= 1:
         if k != 0 or result.trees or w is not None:
             return CertificateCheck(False, "trivial graph must certify sigma 0 trivially")

@@ -34,7 +34,11 @@ MAX_PAIRING_ATTEMPTS = 10_000
 # at n = 2600, 2.2 s at n = 3900 and 4.6 s at n = 5000, peaking at 632 MB
 # RSS there (the certificate's three n x n float64 arrays), on a 2-vCPU x86
 # host with one BLAS thread.  A trial the certificate refuses also takes a
-# dense eigensolve, 20 s at n = 5000.
+# dense eigensolve, 20 s at n = 5000.  A hit's sigma proves kappa' with the
+# same certificate, at q_d or at its witness's lightest block (see
+# `packing.sigma`), after the trial's arrays are freed; only a refused
+# candidate runs Stoer-Wagner, 52.5 s at n = 4000 with a 200 MB weight
+# matrix at n = 5000.
 SWEEP_MAX_VERTICES = 5000
 
 

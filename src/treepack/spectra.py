@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import IntPoly, char_poly_exact, isolate_real_roots
-from .graphs import Graph, VertexPartition
+from .graphs import Graph, VertexPartition, edge_blocks
 
 INTERLACING_TOL = 1e-9
 GROUPING_TOL = 1e-7
@@ -154,37 +154,22 @@ def quotient_matrix(g: Graph, p: VertexPartition) -> QuotientMatrix:
 
     Each edge is counted once from each end, so the diagonal holds twice
     the internal edge count of its block."""
-    if p.n != g.n:
-        raise ValueError("partition does not match graph")
-    owner = p.block_of
-    counts = [[0] * p.t for _ in range(p.t)]
-    for u, v in g.edges:
-        i, j = owner[u], owner[v]
-        counts[i][j] += 1
-        counts[j][i] += 1
-    sizes = p.sizes()
-    return QuotientMatrix(
-        tuple(tuple(Fraction(c, sizes[i]) for c in row) for i, row in enumerate(counts)))
+    ends = edge_blocks(g, p)
+    counts = np.zeros((p.t, p.t), dtype=np.int64)
+    np.add.at(counts, (ends, ends[:, ::-1]), 1)
+    return QuotientMatrix(tuple(tuple(Fraction(c, size) for c in row)
+                                for row, size in zip(counts.tolist(), p.sizes())))
 
 
 def equitable_quotient(g: Graph, p: VertexPartition) -> list[list[int]] | None:
     """The quotient of an equitable partition as integer rows: row i holds
     the neighbors that every vertex of block i has in each block.  None
     when some two vertices of one block count differently."""
-    if p.n != g.n:
-        raise ValueError("partition does not match graph")
-    owner = p.block_of
-    rows: list[list[int] | None] = [None] * p.t
-    for v in range(g.n):
-        counts = [0] * p.t
-        for w in g.neighbors[v]:
-            counts[owner[w]] += 1
-        b = owner[v]
-        if rows[b] is None:
-            rows[b] = counts
-        elif rows[b] != counts:
-            return None
-    return rows
+    # each vertex's neighbours per block, from both ends of every edge
+    counts = np.zeros((g.n, p.t), dtype=np.int64)
+    np.add.at(counts, (g.edge_index, edge_blocks(g, p)[:, ::-1]), 1)
+    rows = counts[[min(b) for b in p.blocks]]
+    return None if (counts != rows[list(p.block_of)]).any() else rows.tolist()
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from treepack.randgen import (
     random_regular,
 )
 from treepack.spectra import theorem_threshold
+from test_connectivity import _analyze_pool
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,6 +216,15 @@ class TestAnalyze:
         code, out = run(capsys, ["analyze", write_graph(tmp_path, build_family(GD, 4))])
         assert code == EXIT_OK and json.loads(out)["kappa_prime"] == 2
         assert calls == [15]
+
+    def test_certified_pool_runs_no_stoer_wagner(self, tmp_path, capsys, monkeypatch):
+        # every graph of the benchmark's analyze pool certifies kappa' = d,
+        # so sigma proves its single-vertex cut and no Stoer-Wagner runs
+        calls = _count_edge_connectivity(monkeypatch)
+        for name, g in _analyze_pool(1):
+            code, out = run(capsys, ["analyze", write_graph(tmp_path, g)])
+            assert code == EXIT_OK and json.loads(out)["kappa_prime"] == 10, name
+        assert calls == []
 
     @pytest.mark.parametrize("text", ["3 3\n0 1\n0 1\n1 2\n", "3 2\n0 1\n1 0\n"])
     def test_duplicate_edge_rejected(self, tmp_path, capsys, text):
@@ -761,6 +771,30 @@ class TestQuotient:
         assert captured.err == ("error: quotient needs a graph with at least one vertex, "
                                 "the graph has none\n")
         assert captured.out == ""
+
+    def test_block_sizes_with_an_lcm_past_int64(self, tmp_path, capsys):
+        # the 18 primes 2..61 as block sizes: the lcm of the quotient's
+        # denominators, their product, is about 1.2e23, so its char poly
+        # takes char_poly_exact's Python-integer path
+        primes = [p for p in range(2, 62) if all(p % q for q in range(2, p))]
+        g = random_regular(GenConfig(4, sum(primes), 1))
+        starts = [sum(primes[:i]) for i in range(len(primes) + 1)]
+        blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+        assert math.lcm(*primes) > 2 ** 63
+        part = tmp_path / "blocks.txt"
+        part.write_text("".join(" ".join(map(str, b)) + "\n" for b in blocks))
+        code, out = run(capsys, ["quotient", write_graph(tmp_path, g), str(part)])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["t"] == 18
+        assert doc["interlacing"]["ok"] is True
+        owner = {v: i for i, b in enumerate(blocks) for v in b}
+        counts = [[0] * 18 for _ in range(18)]
+        for u, v in g.edges:
+            counts[owner[u]][owner[v]] += 1
+            counts[owner[v]][owner[u]] += 1
+        assert doc["matrix"] == [[str(Fraction(c, p)) for c in row]
+                                 for row, p in zip(counts, primes)]
 
     def test_vertex_cap_admits_the_cap(self, tmp_path, monkeypatch):
         class Reached(Exception):

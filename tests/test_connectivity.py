@@ -11,10 +11,12 @@ from oracles import edge_connectivity_bruteforce, leading_minors, reference_edge
 from test_packing import _determinism_corpus
 
 import treepack.connectivity as connectivity
-from treepack.connectivity import certified_floor, edge_connectivity
+from treepack import packing
+from treepack.connectivity import CutResult, certified_floor, edge_connectivity
 from treepack.exact import det_exact
 from treepack.families import GD, HD, build_family
 from treepack.graphs import crossing_edges, make_graph, partition, petersen_graph
+from treepack.packing import sigma, verify_certificate
 from treepack.randgen import GenConfig, random_regular, splitmix64
 from treepack.spectra import certify_lambda2_below, theorem_threshold
 
@@ -244,10 +246,10 @@ def test_matches_reference_on_large_weights(g):
 
 
 # ---------------------------------------------------------------------------
-# The early exit: a d-regular graph whose M at
+# The certificate: a d-regular graph whose M at
 # q_d = d - (d-1)n/((d+1)(n-d-1)) passes a shifted float Cholesky has
-# lambda2 < q_d, so kappa' = d, and Stoer-Wagner stops after its first
-# phase.  At any 1 <= c <= d, lambda2 < q_c proves kappa' >= c.
+# lambda2 < q_d, so kappa' = d, and sigma's single-vertex cut is a minimum
+# cut.  At any 1 <= c <= d, lambda2 < q_c proves kappa' >= c.
 
 def _q(g, c=None):
     """q_c of a d-regular g with n >= 2(d+1); c defaults to d."""
@@ -332,7 +334,7 @@ def small_regular_graphs(draw):
 @given(small_regular_graphs())
 def test_certificate_is_sound_and_complete_off_the_boundary(g):
     d = g.degree_if_regular()
-    floor = certified_floor(g)
+    floor = certified_floor(g, d)
     assert floor in (0, d)
     if g.n < 2 * (d + 1):
         # no cut below d exists, and no certificate is asked
@@ -358,7 +360,7 @@ def test_cholesky_factors_m_less_the_least_safe_shift(g, a, b, monkeypatch):
     assert Fraction(a, b) == _q(g)
     seen = []
     monkeypatch.setattr(np.linalg, "cholesky", lambda x: seen.append(x.copy()))
-    certified_floor(g)
+    certified_floor(g, g.degree_if_regular())
     (factored,) = seen
     m = np.array(_certificate_matrix(g, a, b), dtype=object)
     bound = Fraction(2**8 * (g.n + 1) * int(np.trace(m)), 2**53)
@@ -381,7 +383,7 @@ def test_cholesky_factors_m_less_the_least_safe_shift(g, a, b, monkeypatch):
 ], ids=["2(K4-e)", "2K2",
         *(f"G{d}" for d in range(4, 13)), *(f"H{d}" for d in range(6, 17))])
 def test_no_certificate(g):
-    assert certified_floor(g) == 0
+    assert certified_floor(g, g.degree_if_regular()) == 0
     assert not _positive_definite(g)
 
 
@@ -424,19 +426,39 @@ def test_certificate(g, check_oracle, monkeypatch):
     d = g.degree_if_regular()
     if g.n < 2 * (d + 1):
         monkeypatch.setattr(connectivity, "certify_lambda2_below", None)
-    assert certified_floor(g) == d
+    assert certified_floor(g, d) == d
     if check_oracle:
         assert _positive_definite(g)
-    # one phase returns the (value, side) of every phase
-    r = edge_connectivity(g)
-    monkeypatch.setattr(connectivity, "certified_floor", lambda g: 0)
-    assert r.value == d
-    assert r == edge_connectivity(g)
+    # sigma proves its single-vertex cut with the certificate alone, and
+    # Stoer-Wagner finds the same value
+    monkeypatch.setattr(packing, "edge_connectivity", None)
+    assert sigma(g).cut == CutResult(d, frozenset({0}))
+    assert edge_connectivity(g).value == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_regular_graphs())
+def test_sigma_kappa_matches_reference(g):
+    result = sigma(g)
+    assert result.cut.value == reference_edge_connectivity(g)[0]
+    assert verify_certificate(g, result).ok
+
+
+@pytest.mark.parametrize("c", [9, 5, 0, -2])
+def test_floor_refuses_a_bound_outside_one_to_d(c):
+    # K5 has n < 2(d + 1), where the floor asks no Cholesky: a c above
+    # kappa'(K5) = 4 or below 1 would come back unproved
+    with pytest.raises(ValueError, match=f"no kappa' bound c = {c} outside 1..4"):
+        certified_floor(complete_graph(5), c)
+
+
+def test_floor_of_an_irregular_graph_is_zero_at_any_c():
+    assert certified_floor(path_graph(4), 9) == 0
 
 
 # ---------------------------------------------------------------------------
 # The same certificate at any q <= d: theorem_check asks it at theta_k,
-# edge_connectivity at q_d and sigma at q_c.
+# and sigma at q_c for its candidate cut of c edges.
 
 def _thresholds(g):
     """theta_k for every k with 2k <= d, then q_c for every 1 <= c <= d

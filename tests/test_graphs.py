@@ -16,6 +16,7 @@ from treepack.graphs import (
     Graph,
     VertexPartition,
     crossing_edges,
+    edge_blocks,
     make_graph,
     parse_edge_list,
     partition,
@@ -114,6 +115,17 @@ def test_crossing_edges_counts():
         assert crossing_edges(g, p) == brute
     with pytest.raises(ValueError, match="partition does not match graph"):
         crossing_edges(g, singleton_partition(g.n + 1))
+
+
+def test_edge_blocks_follow_the_edge_index():
+    g = petersen_graph()
+    p = partition(10, [[0, 2, 4], [1, 3], [5, 6, 7, 8, 9]])
+    ends = edge_blocks(g, p)
+    assert ends.shape == (g.m, 2)
+    assert ends.tolist() == [[p.block_of[u], p.block_of[v]] for u, v in g.edge_index.tolist()]
+    assert edge_blocks(make_graph(3, []), singleton_partition(3)).shape == (0, 2)
+    with pytest.raises(ValueError, match="partition does not match graph"):
+        edge_blocks(g, singleton_partition(g.n - 1))
 
 
 def test_edge_list_round_trip():

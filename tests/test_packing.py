@@ -30,7 +30,7 @@ from oracles import (
 
 from treepack import exact, packing
 from treepack.cli import _certificate_digest
-from treepack.connectivity import CutResult, edge_connectivity
+from treepack.connectivity import CutResult, certified_floor, edge_connectivity
 from treepack.exact import _det_mod_primes as det_mod_primes
 from treepack.exact import det_exact
 from treepack.families import GD, HD, build_family, natural_partition
@@ -429,6 +429,33 @@ class TestVerifyCertificate:
         fake = TreePackingResult(1, (self.good.trees[0],), None)
         check = verify_certificate(self.g, fake)
         assert not check.ok and "missing witness" in check.reason
+
+    def test_rejects_a_moved_cut_side_or_a_changed_value(self):
+        # G5's first copy sends kappa' = 2 edges out; with one vertex moved
+        # out of it, or with the value off by one, the count no longer matches
+        g = build_family(GD, 5)
+        good = sigma(g, natural_partition(GD, 5))
+        side, value = good.cut.side, good.cut.value
+        assert (value, sorted(side)) == (2, list(range(6)))
+        assert verify_certificate(g, good).ok
+        for v in sorted(side):
+            moved = (side - {v}) | {6}
+            assert crossing_edges(g, partition(g.n, [moved, set(range(g.n)) - moved])) != 2
+            check = verify_certificate(g, dataclasses.replace(good, cut=CutResult(value, moved)))
+            assert not check.ok
+            assert check.reason == "cut value is not its side's crossing count"
+        for wrong in (value - 1, value + 1):
+            check = verify_certificate(g, dataclasses.replace(good, cut=CutResult(wrong, side)))
+            assert not check.ok
+            assert check.reason == "cut value is not its side's crossing count"
+
+    @pytest.mark.parametrize("side", [set(), set(range(4)), {0, 4}, {-1}],
+                             ids=["empty", "everything", "outside", "negative"])
+    def test_rejects_a_cut_side_that_is_not_a_proper_vertex_set(self, side):
+        fake = dataclasses.replace(self.good, cut=CutResult(3, frozenset(side)))
+        check = verify_certificate(self.g, fake)
+        assert not check.ok
+        assert check.reason == "cut side is not a proper nonempty vertex set"
 
 
 def test_pack_result_verifier_rejects_corruption():
@@ -929,8 +956,15 @@ def large_graphs(draw, max_n=150):
 def test_sigma_bounds_and_certificate_on_large_graphs(g):
     result = sigma(g)
     assert verify_certificate(g, result).ok
-    assert result.cut == edge_connectivity(g)
+    # a certified regular graph keeps the single-vertex cut; any other
+    # graph gets Stoer-Wagner's
+    d = g.degree_if_regular()
+    if d and certified_floor(g, d):
+        assert result.cut == CutResult(d, frozenset({0}))
+    else:
+        assert result.cut == edge_connectivity(g)
     kappa = result.cut.value
+    assert kappa == edge_connectivity(g).value
     assert kappa // 2 <= result.sigma <= min(min(g.degrees), g.m // (g.n - 1))
 
 

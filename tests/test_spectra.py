@@ -149,6 +149,12 @@ class TestQuotient:
             p = partition(g.n, [[v] for v in range(g.n)])
         q = quotient_matrix(g, p)
         owner = p.block_of
+        counts = [[0] * p.t for _ in range(p.t)]
+        for u, v in g.edges:
+            counts[owner[u]][owner[v]] += 1
+            counts[owner[v]][owner[u]] += 1
+        assert q.entries == tuple(tuple(Fraction(c, len(b)) for c in row)
+                                  for row, b in zip(counts, p.blocks))
         equitable = all(
             sum(owner[w] == j for w in g.neighbors[v]) == q.entries[owner[v]][j]
             for v in range(g.n) for j in range(p.t))
